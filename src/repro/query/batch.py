@@ -1,4 +1,4 @@
-"""Columnar batches for vectorized query execution.
+"""Columnar batches: the unit of query execution.
 
 A :class:`Batch` is a fixed-length slab of rows stored column-wise as NumPy
 arrays.  Numeric attribute types (``int4``/``float4``/``float8``/``bool``)
@@ -8,21 +8,15 @@ SQL NULL); every other type — ``char16``/``text`` strings and the ADTs
 ``object``-dtype array holding the original Python objects, so a round trip
 through a batch is exact.
 
-Batches flow between vectorized physical operators (see
-``query/operators.py``).  ``to_rows()`` is the escape hatch at the scalar
-boundary: it rebuilds :class:`~repro.core.classes.SciObject` rows (when the
-batch is class-backed) or plain dict rows (projection/aggregate output) one
-final time, at the consumer edge only.
-
-The module-level toggle :func:`set_vectorized_default` /
-:func:`scalar_execution` exists for the equivalence test-suite and the
-scalar-baseline benchmarks; production code paths leave it on.
+Batches flow between the physical operators (see ``query/operators.py``);
+every operator consumes and produces them.  ``to_rows()`` is the consumer
+edge: it rebuilds :class:`~repro.core.classes.SciObject` rows (when the
+batch is class-backed) or plain dict rows (projection/aggregate/join
+output) one final time.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -42,36 +36,6 @@ NUMERIC_DTYPES: dict[str, Any] = {
 }
 
 OID_TYPE = "int4"
-
-_state = threading.local()
-_VECTORIZED_DEFAULT = True
-_toggle_lock = threading.Lock()
-
-
-def vectorized_default() -> bool:
-    """Whether planners build vectorized (batch-at-a-time) trees by default."""
-    local = getattr(_state, "override", None)
-    if local is not None:
-        return local
-    return _VECTORIZED_DEFAULT
-
-
-def set_vectorized_default(enabled: bool) -> None:
-    """Process-wide toggle; prefer :func:`scalar_execution` in tests."""
-    global _VECTORIZED_DEFAULT
-    with _toggle_lock:
-        _VECTORIZED_DEFAULT = bool(enabled)
-
-
-@contextmanager
-def scalar_execution() -> Iterator[None]:
-    """Force tuple-at-a-time plans for the current thread (tests/benchmarks)."""
-    previous = getattr(_state, "override", None)
-    _state.override = False
-    try:
-        yield
-    finally:
-        _state.override = previous
 
 
 def object_column(values: Sequence[Any]) -> np.ndarray:
@@ -103,15 +67,34 @@ def build_column(type_name: str | None, values: Sequence[Any]) -> tuple[np.ndarr
     return arr, None
 
 
+def null_mask(values: np.ndarray) -> np.ndarray:
+    """True where *values* holds an in-band NULL (``None``); typed arrays
+    carry their NULLs in a separate mask and read all-False here."""
+    if values.dtype == object:
+        return np.fromiter((v is None for v in values), dtype=bool,
+                           count=values.shape[0])
+    return np.zeros(values.shape[0], dtype=bool)
+
+
 @dataclass
 class Batch:
     """A columnar slab of rows.
 
     ``columns`` maps column name → array of length ``length``.  ``masks``
     holds null masks for typed columns only (object columns carry ``None``
-    in-band).  ``class_name`` is set when the rows are full class objects —
-    then an ``oid`` column is present and ``to_rows`` yields ``SciObject``
-    instances; otherwise rows are plain dicts.
+    in-band).  ``class_name`` is set when the rows are full objects of one
+    class — then an ``oid`` column is present and ``to_rows`` yields
+    ``SciObject`` instances; otherwise rows are plain dicts.
+
+    A batch concatenated from several classes (a concept union reaching a
+    pipeline breaker) has ``row_classes`` — each row's class name — and
+    ``class_attrs`` — each class's own attribute list — instead of one
+    ``class_name``, so every row still comes back as an object of its own
+    class carrying only its own attributes.
+
+    A join's output (:meth:`joined`) names every column ``source.attr``
+    and records the two source names in ``sides``: that is what tells a
+    column lookup that a qualified reference names one side only.
     """
 
     length: int
@@ -119,6 +102,9 @@ class Batch:
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     class_name: str | None = None
     order: tuple[str, ...] | None = None  # column order for dict rows
+    row_classes: np.ndarray | None = None
+    class_attrs: dict[str, tuple[str, ...]] | None = None
+    sides: tuple[str, str] | None = None  # join output: (left, right) names
 
     # ------------------------------------------------------------------
     # construction
@@ -184,19 +170,14 @@ class Batch:
         arr = self.columns.get(name)
         if arr is None:
             return None
-        if arr.dtype == object:
-            mask = np.fromiter((v is None for v in arr), dtype=bool,
-                               count=self.length)
-        else:
-            mask = np.zeros(self.length, dtype=bool)
-        self.masks[name] = mask
+        mask = self.masks[name] = null_mask(arr)
         return mask
 
     # ------------------------------------------------------------------
     # transforms
     # ------------------------------------------------------------------
-    def take(self, selector: np.ndarray) -> "Batch":
-        """Row subset/reorder by boolean mask or index array."""
+    def take(self, selector: np.ndarray | slice) -> "Batch":
+        """Row subset/reorder by boolean mask, index array or slice."""
         columns = {name: arr[selector] for name, arr in self.columns.items()}
         masks = {name: arr[selector] for name, arr in self.masks.items()}
         length = next(iter(columns.values())).shape[0] if columns else 0
@@ -206,20 +187,14 @@ class Batch:
             masks=masks,
             class_name=self.class_name,
             order=self.order,
+            row_classes=None if self.row_classes is None
+            else self.row_classes[selector],
+            class_attrs=self.class_attrs,
+            sides=self.sides,
         )
 
     def slice_rows(self, start: int, stop: int | None = None) -> "Batch":
-        sl = slice(start, stop)
-        columns = {name: arr[sl] for name, arr in self.columns.items()}
-        masks = {name: arr[sl] for name, arr in self.masks.items()}
-        length = next(iter(columns.values())).shape[0] if columns else 0
-        return Batch(
-            length=int(length),
-            columns=columns,
-            masks=masks,
-            class_name=self.class_name,
-            order=self.order,
-        )
+        return self.take(slice(start, stop))
 
     def project(self, names: Sequence[str]) -> "Batch":
         """Column slice: keeps arrays, drops class identity (rows become dicts)."""
@@ -240,9 +215,35 @@ class Batch:
             order=tuple(names),
         )
 
+    def _aligned(self, name: str, dtype: np.dtype
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Column *name* as *dtype*, ready to concatenate, plus its explicit
+        null mask (``None``: any NULLs are in-band).  A column this batch
+        lacks is all NULL; a dtype change carries the values as objects."""
+        arr = self.columns.get(name)
+        if arr is None:
+            if dtype == object:
+                return np.full(self.length, None, dtype=object), None
+            return (np.zeros(self.length, dtype=dtype),
+                    np.ones(self.length, dtype=bool))
+        mask = self.masks.get(name)
+        if arr.dtype == dtype:
+            return arr, mask
+        arr = arr.astype(object)
+        if mask is not None:
+            arr[mask] = None
+        return arr, None
+
     @classmethod
     def concat(cls, batches: Sequence["Batch"]) -> "Batch":
-        """Concatenate same-shape batches into one (sort/aggregate staging)."""
+        """Concatenate batches into one (sort/aggregate/join-build staging).
+
+        Layouts may differ — a concept union streams one layout per member
+        class: a column a batch lacks reads NULL for its rows, a column
+        whose dtype differs between batches is carried as Python objects,
+        and batches of different classes keep each row's class and each
+        class's own attribute list (``row_classes`` / ``class_attrs``).
+        """
         if not batches:
             return cls(length=0, columns={}, masks={})
         first = batches[0]
@@ -250,26 +251,79 @@ class Batch:
             return first
         columns: dict[str, np.ndarray] = {}
         masks: dict[str, np.ndarray] = {}
-        for name in first.columns:
-            columns[name] = np.concatenate([b.columns[name] for b in batches])
-        mask_names = {name for b in batches for name in b.masks}
-        for name in mask_names:
-            masks[name] = np.concatenate(
-                [
-                    b.masks.get(name, np.zeros(b.length, dtype=bool))
-                    for b in batches
-                ]
-            )
-        return cls(
+        for name in dict.fromkeys(n for b in batches for n in b.columns):
+            dtypes = {b.columns[name].dtype
+                      for b in batches if name in b.columns}
+            dtype = dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
+            pieces = [b._aligned(name, dtype) for b in batches]
+            columns[name] = np.concatenate([values for values, _ in pieces])
+            if any(mask is not None for _, mask in pieces):
+                masks[name] = np.concatenate([
+                    null_mask(values) if mask is None else mask
+                    for values, mask in pieces
+                ])
+        out = cls(
             length=sum(b.length for b in batches),
             columns=columns,
             masks=masks,
             class_name=first.class_name,
-            order=first.order,
+            order=None if first.order is None else tuple(
+                dict.fromkeys(n for b in batches for n in b.order)
+            ),
+            sides=first.sides,
         )
+        if any(b.class_name != first.class_name or b.row_classes is not None
+               for b in batches):
+            out.class_name = None
+            out.class_attrs = {}
+            for b in batches:
+                out.class_attrs.update(b.class_attrs or {
+                    b.class_name: tuple(n for n in b.columns if n != "oid")
+                })
+            out.row_classes = np.concatenate([
+                np.full(b.length, b.class_name, dtype=object)
+                if b.row_classes is None else b.row_classes
+                for b in batches
+            ])
+        return out
+
+    @classmethod
+    def joined(cls, left: "Batch", right: "Batch",
+               left_name: str, right_name: str,
+               left_attrs: Sequence[str] = (),
+               right_attrs: Sequence[str] = ()) -> "Batch":
+        """Pair two equal-length batches row by row: one join output slab.
+
+        Every input column appears as ``side.attr`` and only so; rows
+        come back as dicts keyed by those names (an object side's ``oid``
+        stays a pseudo-attribute: addressable as ``side.oid``, not part
+        of the row).  ``left_attrs`` / ``right_attrs`` name the
+        attributes each source can have: one these rows lack — a concept
+        member without it — is an all-NULL column, so every slab of one
+        join has the same layout whichever member its rows came from.
+        """
+        columns: dict[str, np.ndarray] = {}
+        masks: dict[str, np.ndarray] = {}
+        order: list[str] = []
+        for side, batch, attrs in ((left_name, left, left_attrs),
+                                   (right_name, right, right_attrs)):
+            is_object = batch.class_name is not None \
+                or batch.row_classes is not None
+            for name in dict.fromkeys((*batch.columns, *attrs)):
+                qualified = f"{side}.{name}"
+                arr = batch.columns.get(name)
+                if arr is None:
+                    arr = np.full(batch.length, None, dtype=object)
+                columns[qualified] = arr
+                if name in batch.masks:
+                    masks[qualified] = batch.masks[name]
+                if not (is_object and name == "oid"):
+                    order.append(qualified)
+        return cls(length=left.length, columns=columns, masks=masks,
+                   order=tuple(order), sides=(left_name, right_name))
 
     # ------------------------------------------------------------------
-    # scalar boundary
+    # consumer edge
     # ------------------------------------------------------------------
     def to_rows(self) -> Iterator[Any]:
         """Rebuild row objects — the one place batches become Python rows."""
@@ -282,7 +336,18 @@ class Batch:
             if mask is not None and mask.any():
                 values = [None if m else v for v, m in zip(values, mask.tolist())]
             lists[name] = values
-        if self.class_name is not None:
+        if self.row_classes is not None:
+            from repro.core.classes import SciObject
+
+            rows = zip(self.row_classes.tolist(), lists["oid"])
+            for i, (class_name, oid) in enumerate(rows):
+                yield SciObject(
+                    class_name=class_name,
+                    oid=oid,
+                    values={name: lists[name][i]
+                            for name in self.class_attrs[class_name]},
+                )
+        elif self.class_name is not None:
             from repro.core.classes import SciObject
 
             oids = lists.pop("oid")
@@ -302,7 +367,7 @@ class Batch:
 
 
 # ----------------------------------------------------------------------
-# ordering helpers (shared by vectorized Sort and HashAggregate)
+# ordering helpers (shared by Sort and HashAggregate)
 # ----------------------------------------------------------------------
 def stable_argsort(values: np.ndarray, descending: bool = False) -> np.ndarray:
     """Stable argsort; ties keep input order even when descending."""
@@ -335,10 +400,10 @@ def order_by_keys(
 ) -> np.ndarray:
     """Row order for ``keys`` = [(values, null_mask, descending), ...].
 
-    Matches the scalar ``_SortKey`` contract: keys compared left to right,
-    NULLs sort after everything regardless of direction, ties keep input
-    order (stable).  Implemented as successive stable argsorts from the
-    least-significant key to the most-significant one.
+    The ORDER BY contract: keys compared left to right, NULLs sort after
+    everything regardless of direction, ties keep input order (stable).
+    Implemented as successive stable argsorts from the least-significant
+    key to the most-significant one.
     """
     order = np.arange(length)
     for values, mask, descending in reversed(list(keys)):
@@ -361,9 +426,8 @@ def group_rows(
     Returns ``(order, starts, first_seen)`` where ``order`` sorts rows so
     equal keys are adjacent, ``starts`` indexes segment starts within
     ``order``, and ``first_seen`` gives, per segment, the smallest original
-    row index — used to emit groups in first-encountered order like the
-    scalar hash aggregate.  NULL keys form their own group (SQL GROUP BY
-    semantics: NULLs group together).
+    row index — used to emit groups in first-encountered order.  NULL keys
+    form their own group (SQL GROUP BY semantics: NULLs group together).
     """
     if length == 0:
         empty = np.array([], dtype=np.int64)

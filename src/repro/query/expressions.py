@@ -1,12 +1,12 @@
-"""Value-expression evaluation for the extended SELECT algebra.
+"""Value-expression compilation for the extended SELECT algebra.
 
 The parser builds :class:`~repro.query.ast.ColumnRef` /
 :class:`~repro.query.ast.OpCall` / :class:`~repro.query.ast.AggCall`
-trees; this module evaluates them against the three row shapes that
-flow through operator trees — :class:`~repro.core.classes.SciObject`,
-plain dicts (projections, aggregate outputs), and :class:`JoinedRow`
-(two-source joins) — and supplies the aggregate accumulators
-``HashAggregate`` drives.
+trees; this module compiles them — and the retrieval predicates — into
+functions over a :class:`~repro.query.batch.Batch`, whatever the batch
+carries: class objects off a scan, projection/aggregate output, or a
+join's ``side.attr`` columns.  It also supplies the per-group
+:class:`Accumulator` ``HashAggregate`` uses for object-valued columns.
 
 ``OpCall`` dispatches through the kernel's
 :class:`~repro.adt.operators.OperatorRegistry` (type-checked apply), so
@@ -21,111 +21,14 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..adt.operators import OperatorRegistry
-from ..core.classes import COMPARISONS, SciObject
-from ..errors import DerivationError, ExecutionError
+from ..core.classes import COMPARISONS
+from ..errors import DerivationError
 from .ast import AggCall, ColumnRef, OpCall
-from .batch import Batch
+from .batch import Batch, null_mask
 
-__all__ = ["JoinedRow", "resolve_column", "evaluate", "make_accumulator",
-           "Accumulator", "compile_vector_expr", "compile_predicate_mask",
-           "compile_extent_mask", "VECTORIZABLE_OPERATORS"]
-
-
-class JoinedRow:
-    """One output row of a two-source join: a named side per source.
-
-    Unqualified attribute lookups search the left side first, then the
-    right — the SQL-ish resolution order.  The ``oid`` pseudo-attribute
-    reads an object's surrogate id.  ``get`` makes joined rows quack
-    like objects for residual predicate re-checks.
-    """
-
-    __slots__ = ("sides",)
-
-    def __init__(self, sides: dict[str, Any]):
-        self.sides = sides
-
-    _MISSING = object()
-
-    @staticmethod
-    def _side_value(side: Any, attr: str) -> Any:
-        if isinstance(side, SciObject):
-            if attr == "oid":
-                return side.oid
-            return side.values.get(attr, JoinedRow._MISSING)
-        if isinstance(side, dict):
-            return side.get(attr, JoinedRow._MISSING)
-        return JoinedRow._MISSING
-
-    def get(self, attr: str, default: Any = None) -> Any:
-        for side in self.sides.values():
-            value = self._side_value(side, attr)
-            if value is not JoinedRow._MISSING:
-                return value
-        return default
-
-    def __getitem__(self, attr: str) -> Any:
-        value = self.get(attr, JoinedRow._MISSING)
-        if value is JoinedRow._MISSING:
-            raise ExecutionError(f"joined row has no attribute {attr!r}")
-        return value
-
-    def resolve(self, qualifier: str | None, attr: str,
-                default: Any = None) -> Any:
-        if qualifier is None:
-            return self.get(attr, default)
-        side = self.sides.get(qualifier)
-        if side is None:
-            # Accept the side's class name as a qualifier too.
-            for candidate in self.sides.values():
-                if isinstance(candidate, SciObject) \
-                        and candidate.class_name == qualifier:
-                    side = candidate
-                    break
-        if side is None:
-            return default
-        value = self._side_value(side, attr)
-        return default if value is JoinedRow._MISSING else value
-
-
-def resolve_column(row: Any, ref: ColumnRef) -> Any:
-    """The value of *ref* in *row*, whatever the row's shape."""
-    if isinstance(row, JoinedRow):
-        return row.resolve(ref.qualifier, ref.attr)
-    if isinstance(row, SciObject):
-        if ref.attr == "oid":
-            return row.oid
-        return row.values.get(ref.attr)
-    if isinstance(row, dict):
-        if ref.attr in row:
-            return row[ref.attr]
-        # Post-aggregate rows key columns by their rendered alias
-        # (`avg(ndvi)`), which a qualified ref also matches.
-        return row.get(ref.describe())
-    return None
-
-
-def evaluate(expr: Any, row: Any,
-             operators: OperatorRegistry | None = None) -> Any:
-    """Evaluate a non-aggregate value expression against one row."""
-    if isinstance(expr, ColumnRef):
-        return resolve_column(row, expr)
-    if isinstance(expr, OpCall):
-        if operators is None:
-            raise ExecutionError(
-                f"operator call {expr.describe()} needs an operator registry"
-            )
-        args = [evaluate(arg, row, operators) for arg in expr.args]
-        return operators.apply(expr.operator, *args)
-    if isinstance(expr, AggCall):
-        # Aggregates are computed by HashAggregate; a dict row already
-        # carries the result under the call's alias.
-        if isinstance(row, dict):
-            return row.get(expr.describe())
-        raise ExecutionError(
-            f"aggregate {expr.describe()} outside an aggregation context"
-        )
-    return expr  # literal
+__all__ = ["Accumulator", "nulls_in_band", "compile_column",
+           "compile_vector_expr", "compile_predicate_mask",
+           "compile_extent_mask"]
 
 
 class Accumulator:
@@ -163,11 +66,6 @@ class Accumulator:
         return self.high
 
 
-def make_accumulator(call: AggCall) -> Accumulator:
-    """A fresh accumulator for one aggregate call."""
-    return Accumulator(call.func)
-
-
 def column_refs(exprs: Iterable[Any]) -> list[ColumnRef]:
     """Every column reference appearing in *exprs* (recursively)."""
     found: list[ColumnRef] = []
@@ -186,70 +84,31 @@ def column_refs(exprs: Iterable[Any]) -> list[ColumnRef]:
     return found
 
 
-def sort_key_fn(keys: tuple[tuple[Any, bool], ...],
-                operators: OperatorRegistry | None
-                ) -> Callable[[Any], "_SortKey"]:
-    """A key function imposing the (possibly mixed-direction) order."""
-    descs = tuple(desc for _, desc in keys)
-
-    def key(row: Any) -> _SortKey:
-        return _SortKey(
-            tuple(evaluate(expr, row, operators) for expr, _ in keys),
-            descs,
-        )
-
-    return key
-
-
-
 # ----------------------------------------------------------------------
-# Vectorized expression compilation
+# Expression compilation
 # ----------------------------------------------------------------------
 #
-# ``compile_vector_expr`` turns a value expression into a function over a
-# :class:`Batch` returning ``(values, null_mask)`` arrays, or ``None`` when
-# the expression cannot vectorize — the physical planner then inserts a
-# ``ScalarAdapter`` boundary and evaluates row-at-a-time.  Only operators
-# on the explicit whitelist below vectorize: their registry bodies are
-# cheap pure functions safe to drive through a ufunc; everything else
-# (ADT registry operators with arbitrary Python bodies) stays scalar.
-
-#: Registry operators dispatched as ufuncs (``np.frompyfunc`` over the
-#: type-checked ``OperatorRegistry.apply``, so per-element semantics are
-#: identical to scalar evaluation).
-VECTORIZABLE_OPERATORS = frozenset({
-    "area", "perimeter", "centroid_x", "centroid_y",
-    "add", "sub", "mul", "div", "neg", "abs",
-})
+# ``compile_vector_expr`` turns any value expression into a function over
+# a :class:`Batch` returning ``(values, null_mask)`` arrays.  Column
+# references are array lookups; a registry operator call is a ufunc
+# (``np.frompyfunc``) over the type-checked ``OperatorRegistry.apply``,
+# so every registered operator — whatever its Python body — keeps its
+# per-element semantics, NULL arguments included.
 
 #: ``fn(batch) -> (values, null_mask)`` — a compiled vector expression.
 VectorExpr = Callable[[Batch], tuple[np.ndarray, np.ndarray]]
 
 
-def _object_null_mask(values: np.ndarray) -> np.ndarray:
-    if values.dtype == object:
-        return np.fromiter((v is None for v in values), dtype=bool,
-                           count=values.shape[0])
-    return np.zeros(values.shape[0], dtype=bool)
-
-
-def _column_vector(ref: ColumnRef) -> VectorExpr:
-    attr = ref.attr
-    alias = ref.describe()
-
-    def fetch(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-        arr = batch.column(attr)
-        if arr is None and alias != attr:
-            arr = batch.column(alias)
-        if arr is None:
-            # Same contract as resolve_column on a dict row: missing
-            # columns read as NULL.
-            return (np.full(batch.length, None, dtype=object),
-                    np.ones(batch.length, dtype=bool))
-        mask = batch.mask(attr if batch.column(attr) is not None else alias)
-        return arr, mask
-
-    return fetch
+def _first_column(batch: Batch, names: Iterable[str]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The first of *names* the batch has as a column."""
+    for name in names:
+        arr = batch.column(name)
+        if arr is not None:
+            return arr, batch.mask(name)
+    # A column the rows do not have reads as NULL.
+    return (np.full(batch.length, None, dtype=object),
+            np.ones(batch.length, dtype=bool))
 
 
 def _literal_vector(value: Any) -> VectorExpr:
@@ -263,57 +122,68 @@ def _literal_vector(value: Any) -> VectorExpr:
     return broadcast
 
 
-def compile_vector_expr(expr: Any,
-                        operators: OperatorRegistry | None
-                        ) -> VectorExpr | None:
-    """Compile *expr* to a batch-level evaluator, or None if not possible."""
+def nulls_in_band(values: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """*values* with masked slots as ``None`` — what per-element Python
+    code (an operator application, a join's hash table) must see: the
+    mask's filler is not a value."""
+    if values.dtype == object or not null.any():
+        return values
+    out = values.astype(object)
+    out[null] = None
+    return out
+
+
+def compile_column(ref: ColumnRef) -> VectorExpr:
+    """Column lookup for *ref*.
+
+    On a join's output every column is ``side.attr``: a qualified
+    reference reads that side's column and nothing else (NULL when the
+    side has no such attribute), an unqualified one the left side's,
+    else the right's.  Anywhere else the rendered name comes first —
+    an aggregate output's alias — then the bare attribute.
+    """
+    rendered = ref.describe()
+
+    def fetch(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+        if batch.sides is None:
+            names: Iterable[str] = (rendered, ref.attr)
+        elif ref.qualifier is None:
+            names = (f"{side}.{ref.attr}" for side in batch.sides)
+        else:
+            names = (rendered,)
+        return _first_column(batch, names)
+
+    return fetch
+
+
+def compile_vector_expr(expr: Any, operators: OperatorRegistry) -> VectorExpr:
+    """Compile *expr* to a batch-level evaluator."""
     if isinstance(expr, ColumnRef):
-        return _column_vector(expr)
+        return compile_column(expr)
     if isinstance(expr, OpCall):
-        if operators is None or expr.operator not in VECTORIZABLE_OPERATORS:
-            return None
-        arg_fns = []
-        all_literal = True
-        for arg in expr.args:
-            if isinstance(arg, (ColumnRef, OpCall, AggCall)):
-                all_literal = False
-            fn = compile_vector_expr(arg, operators)
-            if fn is None:
-                return None
-            arg_fns.append(fn)
-        if all_literal:
-            # Constant folding: evaluate once at compile time, broadcast.
-            folded = operators.apply(
-                expr.operator, *[evaluate(a, None, operators)
-                                 for a in expr.args]
-            )
-            return _literal_vector(folded)
         name = expr.operator
+        if not any(isinstance(arg, (ColumnRef, OpCall, AggCall))
+                   for arg in expr.args):
+            # Constant folding: evaluate once at compile time, broadcast.
+            return _literal_vector(operators.apply(name, *expr.args))
+        arg_fns = [compile_vector_expr(arg, operators) for arg in expr.args]
         ufunc = np.frompyfunc(
             lambda *vals: operators.apply(name, *vals), len(arg_fns), 1
         )
 
         def run(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-            arg_arrays = [fn(batch)[0] for fn in arg_fns]
+            arg_arrays = [nulls_in_band(*fn(batch)) for fn in arg_fns]
             out = ufunc(*arg_arrays) if batch.length else \
                 np.empty(0, dtype=object)
             out = np.asarray(out, dtype=object)
-            return out, _object_null_mask(out)
+            return out, null_mask(out)
 
         return run
     if isinstance(expr, AggCall):
         # Post-aggregate batches carry the computed value under the
-        # call's rendered alias (same contract as dict-row evaluation).
+        # call's rendered alias.
         alias = expr.describe()
-
-        def fetch(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-            arr = batch.column(alias)
-            if arr is None:
-                return (np.full(batch.length, None, dtype=object),
-                        np.ones(batch.length, dtype=bool))
-            return arr, batch.mask(alias)
-
-        return fetch
+        return lambda batch: _first_column(batch, (alias,))
     return _literal_vector(expr)
 
 
@@ -355,12 +225,12 @@ def compile_predicate_mask(
                 arr = np.full(batch.length, None, dtype=object)
             mask = batch.mask(attr)
             if mask is None:
-                mask = _object_null_mask(arr)
+                mask = null_mask(arr)
             live = np.flatnonzero(keep)
             live_mask = mask[live]
             if live_mask.any():
-                # Scalar evaluation raises on the first incomparable
-                # (None) value it reaches; mirror that contract.
+                # Same contract as ``matches_predicates``: a range
+                # predicate reaching a NULL is an error, not a non-match.
                 raise DerivationError(
                     f"range predicate {attr} {op} {value!r} is not "
                     f"comparable with stored value None"
@@ -419,38 +289,3 @@ def compile_extent_mask(cls: Any, spatial: Any,
         return keep
 
     return extent
-
-
-class _SortKey:
-    """Comparable wrapper for multi-key, per-key-direction ordering.
-
-    ``sorted`` uses only ``__lt__``; ``heapq.nsmallest`` additionally
-    needs ``__eq__`` — it decorates rows as ``(key, index, row)``
-    tuples, and tuple comparison consults key equality before falling
-    through to the tie-breaking index.  Without it, equal keys compare
-    unequal-but-unordered and the top-K heap loses sort stability.
-    ``None`` sorts after everything — missing values land last
-    regardless of direction.
-    """
-
-    __slots__ = ("values", "descs")
-
-    def __init__(self, values: tuple[Any, ...], descs: tuple[bool, ...]):
-        self.values = values
-        self.descs = descs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SortKey):
-            return NotImplemented
-        return self.values == other.values
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        for mine, theirs, desc in zip(self.values, other.values, self.descs):
-            if mine == theirs:
-                continue
-            if mine is None:
-                return False
-            if theirs is None:
-                return True
-            return (theirs < mine) if desc else (mine < theirs)
-        return False

@@ -10,12 +10,18 @@ the same tree with per-operator cost estimates via :func:`render_tree`.
 The operators:
 
 * :class:`HeapScan` / :class:`IndexScan` / :class:`IndexOnlyScan` —
-  the stored-data scans, wrapping :meth:`ClassStore.iter_scan` (or the
-  covering key-only stream) down one cost-chosen
+  the stored-data scans, wrapping
+  :meth:`ClassStore.iter_scan_batches` (or the covering key-only
+  stream) down one cost-chosen
   :class:`~repro.storage.access.AccessPath`;
 * :class:`Filter` — extent and attribute predicate re-checks, with
   row counters the fallback decision reads;
-* :class:`Project` — attribute projection (plain dict rows);
+* :class:`Project` / :class:`ExprProject` — attribute and expression
+  projection (plain dict rows);
+* :class:`Sort` / :class:`Limit` / :class:`HashAggregate` — the
+  ORDER BY / LIMIT / GROUP BY algebra;
+* :class:`HashJoin` / :class:`IndexNestedLoopJoin` — two-source
+  equi-joins;
 * :class:`Interpolate` / :class:`Derive` — the §2.1.5 fallbacks as
   operators, driving the retrieval planner's public entry points;
 * :class:`FallbackSwitch` — threads "the stored retrieval was empty"
@@ -30,20 +36,16 @@ Operator instances are built fresh per execution and are stateful:
 after a drain, counters (``rows_out``) and outcomes (``path_taken``,
 ``plan_steps``, ``tasks``) describe what actually happened.
 
-Vectorized execution: operators whose ``vectorized`` flag is set also
-implement :meth:`~PhysicalOperator.run_batches`, streaming columnar
-:class:`~repro.query.batch.Batch` slabs instead of rows; their ``run()``
-falls back to lazily flattening those batches, so scalar consumers (and
-the client fetch path, which needs row-at-a-time DB-API semantics) work
-unchanged while all storage and predicate work happens per batch.  The
-explicit :class:`ScalarAdapter` marks the vectorized→scalar boundary
-inside mixed trees, and :func:`render_tree` annotates every operator
-``[vectorized batch=N]`` or ``[scalar]``.
+There is one execution engine: every operator implements
+:meth:`~PhysicalOperator.run_batches`, streaming columnar
+:class:`~repro.query.batch.Batch` slabs, and nothing else.
+:meth:`PhysicalOperator.run` — defined once, on the base class — lazily
+flattens the root's batches into rows for the client fetch path, which
+needs row-at-a-time DB-API semantics.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Any, Callable, Iterator
@@ -63,20 +65,13 @@ from ..spatial.box import Box
 from ..storage.access import AccessPath, INDEX_PROBE_COST, INDEX_ROW_COST
 from ..temporal.abstime import AbsTime
 from .ast import AggCall, ColumnRef, SelectItem
-from .batch import (
-    DEFAULT_BATCH_SIZE,
-    Batch,
-    group_rows,
-    object_column,
-    order_by_keys,
-)
+from .batch import Batch, group_rows, object_column, order_by_keys
 from .expressions import (
     Accumulator,
-    JoinedRow,
-    evaluate,
-    make_accumulator,
-    resolve_column,
-    sort_key_fn,
+    VectorExpr,
+    compile_column,
+    compile_vector_expr,
+    nulls_in_band,
 )
 
 __all__ = [
@@ -86,10 +81,8 @@ __all__ = [
     "IndexScan",
     "IndexOnlyScan",
     "Filter",
-    "VectorFilter",
     "Project",
     "ExprProject",
-    "ScalarAdapter",
     "Sort",
     "Limit",
     "HashAggregate",
@@ -106,7 +99,7 @@ __all__ = [
     "FILTER_ROW_COST",
     "SORT_ROW_COST",
     "HASH_ROW_COST",
-    "VECTOR_ROW_DISCOUNT",
+    "JOIN_ROW_COST",
 ]
 
 #: Cost guesses for the fallback operators.  Interpolation prices two
@@ -115,19 +108,20 @@ __all__ = [
 #: order alternatives sensibly in plan dumps.
 INTERPOLATE_COST = 40.0
 DERIVE_COST = 400.0
-#: Per-row cost of re-checking residual predicates in Python.
-FILTER_ROW_COST = 0.05
-#: Per-comparison cost of explicit sorting (multiplied by n·log n, or
-#: n·log k for a bounded top-K heap).
-SORT_ROW_COST = 0.02
-#: Per-row cost of hashing into / probing a hash table (joins,
-#: aggregation groups).
-HASH_ROW_COST = 0.05
-#: Vectorized operators amortize the per-row interpreter overhead across
-#: a whole batch; their per-row costs shrink by this factor so the
-#: optimizer's plan comparisons (e.g. explicit Sort vs index order)
-#: price batch execution honestly.
-VECTOR_ROW_DISCOUNT = 0.125
+# Per-row costs of the array-at-a-time operators, in the access paths'
+# units (one sequentially scanned row = 1.0): a whole batch shares one
+# trip through the interpreter.
+
+#: Re-checking residual predicates / evaluating projection items.
+FILTER_ROW_COST = 0.00625
+#: Per comparison of an explicit sort (multiplied by n·log n, or
+#: n·log k under a LIMIT k).
+SORT_ROW_COST = 0.0025
+#: Grouping a row into its aggregation segment.
+HASH_ROW_COST = 0.00625
+#: Hashing a row into / probing a join's hash table — one Python dict
+#: operation per row, unlike the array-level costs above.
+JOIN_ROW_COST = 0.05
 
 
 @dataclass
@@ -147,21 +141,15 @@ class PhysicalOperator:
     """Base of all physical operators.
 
     Subclasses set ``estimated_rows`` / ``estimated_cost`` at build
-    time and stream rows from :meth:`run`.  ``rows_out`` counts what
-    was actually produced once the iterator is drained.
-
-    Vectorized operators set ``vectorized`` and implement
-    :meth:`run_batches`; their default ``run()`` lazily flattens the
-    batch stream (``rows_out`` is counted once, in ``run_batches``).
+    time and stream columnar batches from :meth:`run_batches`, counting
+    what they actually produce in ``rows_out``.  :meth:`run` is the row
+    view of that stream and is never overridden
+    (``tools/lint_vectorized.py`` enforces it).
     """
 
     estimated_rows: float = 0.0
     estimated_cost: float = 0.0
     rows_out: int = 0
-    #: True when this operator streams columnar batches natively.
-    vectorized: bool = False
-    #: Target batch row count (vectorized operators only).
-    batch_size: int | None = None
 
     @property
     def children(self) -> tuple["PhysicalOperator", ...]:
@@ -172,37 +160,20 @@ class PhysicalOperator:
         raise NotImplementedError
 
     def run_batches(self) -> Iterator[Batch]:
-        """Stream columnar batches (vectorized operators only)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not execute vectorized"
-        )
-
-    def run(self) -> Iterator[Any]:
-        """Stream this operator's rows (stateful; drive once)."""
-        if self.vectorized:
-            yield from self._flatten()
-            return
+        """Stream this operator's batches (stateful; drive once)."""
         raise NotImplementedError
 
-    def _flatten(self) -> Iterator[Any]:
-        """Rows off the batch stream — the lazy scalar view of a
-        vectorized operator (row accounting stays in run_batches)."""
+    def run(self) -> Iterator[Any]:
+        """Stream this operator's rows: the batches, lazily flattened."""
         for batch in self.run_batches():
             yield from batch.to_rows()
-
-    def mode_note(self) -> str:
-        """The EXPLAIN execution-mode annotation for this operator."""
-        if self.vectorized:
-            return f"vectorized batch={self.batch_size or DEFAULT_BATCH_SIZE}"
-        return "scalar"
 
 
 def render_tree(op: PhysicalOperator, prefix: str = "",
                 is_last: bool = True, is_root: bool = True) -> list[str]:
     """Pretty-print an operator tree with per-operator estimates."""
     line = (f"{op.label()} "
-            f"[rows~{op.estimated_rows:.0f} cost~{op.estimated_cost:.1f}]"
-            f" [{op.mode_note()}]")
+            f"[rows~{op.estimated_rows:.0f} cost~{op.estimated_cost:.1f}]")
     if is_root:
         lines = [line]
         child_prefix = ""
@@ -224,9 +195,9 @@ def render_tree(op: PhysicalOperator, prefix: str = "",
 class _StoreScan(PhysicalOperator):
     """Common base of the stored-row scans: one recorded scan event.
 
-    With ``batch_mode`` the scan emits columnar batches straight off the
-    storage layer (:meth:`ClassStore.iter_scan_batches`) — per-row
-    ``SciObject`` materialization is deferred to the scalar boundary.
+    Batches come straight off the storage layer
+    (:meth:`ClassStore.iter_scan_batches`); per-row ``SciObject``
+    materialization is deferred to whoever drains the tree.
     """
 
     def __init__(self, ctx: ExecutionContext, class_name: str,
@@ -235,7 +206,6 @@ class _StoreScan(PhysicalOperator):
                  temporal: AbsTime | None = None,
                  filters: tuple[tuple[str, Any], ...] = (),
                  ranges: tuple[tuple[str, str, Any], ...] = (),
-                 batch_mode: bool = False,
                  batch_size: int | None = None):
         self.ctx = ctx
         self.class_name = class_name
@@ -244,7 +214,6 @@ class _StoreScan(PhysicalOperator):
         self.temporal = temporal
         self.filters = filters
         self.ranges = ranges
-        self.vectorized = batch_mode
         self.batch_size = batch_size
         self.estimated_rows = path.estimated_rows
         self.estimated_cost = path.cost
@@ -261,17 +230,6 @@ class _StoreScan(PhysicalOperator):
         ):
             self.rows_out += batch.length
             yield batch
-
-    def run(self) -> Iterator[SciObject]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        for obj in self.ctx.kernel.store.iter_scan(
-            self.class_name, spatial=self.spatial, temporal=self.temporal,
-            filters=self.filters, ranges=self.ranges, access_path=self.path,
-        ):
-            self.rows_out += 1
-            yield obj
 
 
 class HeapScan(_StoreScan):
@@ -292,18 +250,16 @@ class IndexScan(_StoreScan):
 class IndexOnlyScan(PhysicalOperator):
     """Covering scan: rows come straight off the B-tree keys.
 
-    Yields ``{column: key}`` dicts; the heap values are never fetched
-    (only version headers, for visibility).  Only planned when the key
-    supplies every projected attribute and every predicate.
+    Yields ``{column: key}`` dict rows; the heap values are never
+    fetched (only version headers, for visibility).  Only planned when
+    the key supplies every projected attribute and every predicate.
     """
 
     def __init__(self, ctx: ExecutionContext, class_name: str,
-                 path: AccessPath, batch_mode: bool = False,
-                 batch_size: int | None = None):
+                 path: AccessPath, batch_size: int | None = None):
         self.ctx = ctx
         self.class_name = class_name
         self.path = path
-        self.vectorized = batch_mode
         self.batch_size = batch_size
         self.estimated_rows = path.estimated_rows
         self.estimated_cost = path.cost
@@ -320,54 +276,17 @@ class IndexOnlyScan(PhysicalOperator):
             self.rows_out += batch.length
             yield batch
 
-    def run(self) -> Iterator[dict[str, Any]]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        for row in self.ctx.kernel.store.iter_index_only(self.class_name,
-                                                         self.path):
-            self.rows_out += 1
-            yield row
-
 
 # -- row transforms -----------------------------------------------------------
 
 
 class Filter(PhysicalOperator):
-    """Predicate re-check over a child stream, with row accounting."""
-
-    def __init__(self, child: PhysicalOperator,
-                 predicate: Callable[[Any], bool],
-                 description: str, selectivity: float = 1.0):
-        self.child = child
-        self.predicate = predicate
-        self.description = description
-        self.estimated_rows = max(1.0, child.estimated_rows * selectivity)
-        self.estimated_cost = child.estimated_cost \
-            + child.estimated_rows * FILTER_ROW_COST
-
-    @property
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        return f"Filter({self.description})"
-
-    def run(self) -> Iterator[Any]:
-        for row in self.child.run():
-            if self.predicate(row):
-                self.rows_out += 1
-                yield row
-
-
-class VectorFilter(PhysicalOperator):
-    """Vectorized predicate: one boolean-mask evaluation per batch.
+    """Predicate re-check: one boolean-mask evaluation per batch, with
+    row accounting.
 
     ``mask_fn`` is a compiled batch-level predicate (see
     :func:`~repro.query.expressions.compile_predicate_mask` /
-    ``compile_extent_mask``) with exactly the scalar re-check semantics.
-    Labelled ``Filter(...)`` in plan dumps — the mode annotation is what
-    distinguishes it.
+    ``compile_extent_mask``).
     """
 
     def __init__(self, child: PhysicalOperator,
@@ -376,11 +295,9 @@ class VectorFilter(PhysicalOperator):
         self.child = child
         self.mask_fn = mask_fn
         self.description = description
-        self.vectorized = True
-        self.batch_size = child.batch_size
         self.estimated_rows = max(1.0, child.estimated_rows * selectivity)
         self.estimated_cost = child.estimated_cost \
-            + child.estimated_rows * FILTER_ROW_COST * VECTOR_ROW_DISCOUNT
+            + child.estimated_rows * FILTER_ROW_COST
 
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -399,50 +316,16 @@ class VectorFilter(PhysicalOperator):
             yield out
 
 
-class ScalarAdapter(PhysicalOperator):
-    """The explicit vectorized→scalar boundary.
-
-    Flattens a vectorized child's batches into rows for a parent that
-    must run tuple-at-a-time (joins, non-vectorizable expressions, ADT
-    operators with Python bodies).  Exists as a visible operator so
-    EXPLAIN shows exactly where a plan leaves columnar execution.
-    """
-
-    def __init__(self, child: PhysicalOperator):
-        self.child = child
-        self.estimated_rows = child.estimated_rows
-        self.estimated_cost = child.estimated_cost
-
-    @property
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    @property
-    def step(self) -> str:
-        return getattr(self.child, "step", "scan")
-
-    def label(self) -> str:
-        return "ScalarAdapter"
-
-    def run(self) -> Iterator[Any]:
-        for batch in self.child.run_batches():
-            for row in batch.to_rows():
-                self.rows_out += 1
-                yield row
-
-
 class Project(PhysicalOperator):
     """Projection: keep only the requested attributes, as plain dicts.
 
-    Index-only children already stream dicts restricted to the key
+    Index-only children already stream rows restricted to the key
     column; everything else is cut down from full objects here.
     """
 
     def __init__(self, child: PhysicalOperator, attrs: tuple[str, ...]):
         self.child = child
         self.attrs = attrs
-        self.vectorized = child.vectorized
-        self.batch_size = child.batch_size
         self.estimated_rows = child.estimated_rows
         self.estimated_cost = child.estimated_cost
 
@@ -459,20 +342,9 @@ class Project(PhysicalOperator):
             self.rows_out += out.length
             yield out
 
-    def run(self) -> Iterator[dict[str, Any]]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        for row in self.child.run():
-            self.rows_out += 1
-            if isinstance(row, dict):
-                yield {attr: row.get(attr) for attr in self.attrs}
-            else:
-                yield {attr: row[attr] for attr in self.attrs}
-
 
 class ExprProject(PhysicalOperator):
-    """Expression projection: evaluate each select item per row.
+    """Expression projection: evaluate each select item per batch.
 
     Column references, and registered ADT operator calls resolved
     through the kernel's :class:`~repro.adt.operators.OperatorRegistry`
@@ -481,19 +353,16 @@ class ExprProject(PhysicalOperator):
     """
 
     def __init__(self, child: PhysicalOperator,
-                 items: tuple[SelectItem, ...], operators: Any,
-                 vector_items: tuple[tuple[str, Any], ...] | None = None):
+                 items: tuple[SelectItem, ...], operators: Any):
         self.child = child
         self.items = items
-        self.operators = operators
-        self.vector_items = vector_items
-        self.vectorized = vector_items is not None and child.vectorized
-        self.batch_size = child.batch_size
-        row_cost = FILTER_ROW_COST * VECTOR_ROW_DISCOUNT \
-            if self.vectorized else FILTER_ROW_COST
+        self.item_fns = tuple(
+            (item.alias, compile_vector_expr(item.expr, operators))
+            for item in items
+        )
         self.estimated_rows = child.estimated_rows
         self.estimated_cost = child.estimated_cost \
-            + child.estimated_rows * row_cost
+            + child.estimated_rows * FILTER_ROW_COST
 
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -503,60 +372,46 @@ class ExprProject(PhysicalOperator):
         return f"ExprProject({', '.join(i.alias for i in self.items)})"
 
     def run_batches(self) -> Iterator[Batch]:
-        aliases = tuple(alias for alias, _ in self.vector_items)
+        aliases = tuple(alias for alias, _ in self.item_fns)
         for batch in self.child.run_batches():
             columns: dict[str, np.ndarray] = {}
             masks: dict[str, np.ndarray] = {}
-            for alias, fn in self.vector_items:
+            for alias, fn in self.item_fns:
                 values, null = fn(batch)
                 columns[alias] = values
-                if null is not None and null.any():
+                if null.any():
                     masks[alias] = null
             out = Batch(length=batch.length, columns=columns, masks=masks,
                         order=aliases)
             self.rows_out += out.length
             yield out
 
-    def run(self) -> Iterator[dict[str, Any]]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        for row in self.child.run():
-            self.rows_out += 1
-            yield {
-                item.alias: evaluate(item.expr, row, self.operators)
-                for item in self.items
-            }
-
 
 class Sort(PhysicalOperator):
-    """Explicit sort; a bounded top-K heap when a Limit sits above.
+    """Explicit sort; keeps only the first k rows when a Limit sits above.
 
-    ``keys`` pairs each key expression with its direction.  With
-    ``top_k`` set (pushed down from ``LIMIT k [OFFSET m]`` as ``k+m``),
-    the operator keeps a k-sized heap (``heapq.nsmallest``) instead of
-    materializing and sorting the whole input — O(n·log k).
+    ``keys`` pairs each key expression with its direction.  A pipeline
+    breaker: the whole input concatenates into one slab and a stable
+    ``np.argsort`` per key orders it (NULLs last, ties in input order —
+    see :func:`~repro.query.batch.order_by_keys`).  ``top_k`` is pushed
+    down from ``LIMIT k [OFFSET m]`` as ``k+m``.
     """
 
     def __init__(self, child: PhysicalOperator,
                  keys: tuple[tuple[Any, bool], ...], operators: Any,
-                 top_k: int | None = None,
-                 vector_keys: tuple[Any, ...] | None = None):
+                 top_k: int | None = None):
         self.child = child
         self.keys = keys
         self.top_k = top_k
-        self.key_fn = sort_key_fn(keys, operators)
-        self.vector_keys = vector_keys
-        self.vectorized = vector_keys is not None and child.vectorized
-        self.batch_size = child.batch_size
+        self.key_fns = tuple(
+            compile_vector_expr(expr, operators) for expr, _ in keys
+        )
         n = max(1.0, child.estimated_rows)
         held = n if top_k is None else min(n, float(max(1, top_k)))
-        row_cost = SORT_ROW_COST * VECTOR_ROW_DISCOUNT \
-            if self.vectorized else SORT_ROW_COST
         self.estimated_rows = child.estimated_rows if top_k is None \
             else min(child.estimated_rows, float(top_k))
         self.estimated_cost = child.estimated_cost \
-            + n * math.log2(max(2.0, held)) * row_cost
+            + n * math.log2(max(2.0, held)) * SORT_ROW_COST
 
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -577,19 +432,13 @@ class Sort(PhysicalOperator):
         return f"Sort({', '.join(rendered)}{suffix})"
 
     def run_batches(self) -> Iterator[Batch]:
-        # Sorting is a pipeline breaker either way; vectorized, the whole
-        # input concatenates into one slab and `np.argsort` (stable, with
-        # the scalar NULLs-last / tie-order contract — see
-        # ``batch.order_by_keys``) replaces the per-row key objects.
         batches = list(self.child.run_batches())
         if not batches:
             return
         big = Batch.concat(batches)
         key_specs = []
-        for fn, (_, descending) in zip(self.vector_keys, self.keys):
+        for fn, (_, descending) in zip(self.key_fns, self.keys):
             values, null = fn(big)
-            if null is None:
-                null = np.zeros(big.length, dtype=bool)
             key_specs.append((values, null, descending))
         order = order_by_keys(key_specs, big.length)
         if self.top_k is not None:
@@ -598,19 +447,6 @@ class Sort(PhysicalOperator):
         self.rows_out += out.length
         if out.length:
             yield out
-
-    def run(self) -> Iterator[Any]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        if self.top_k is not None:
-            ordered = heapq.nsmallest(self.top_k, self.child.run(),
-                                      key=self.key_fn)
-        else:
-            ordered = sorted(self.child.run(), key=self.key_fn)
-        for row in ordered:
-            self.rows_out += 1
-            yield row
 
 
 class Limit(PhysicalOperator):
@@ -621,8 +457,6 @@ class Limit(PhysicalOperator):
         self.child = child
         self.limit = limit
         self.offset = offset
-        self.vectorized = child.vectorized
-        self.batch_size = child.batch_size
         remaining = max(0.0, child.estimated_rows - offset)
         self.estimated_rows = remaining if limit is None \
             else min(remaining, float(limit))
@@ -665,25 +499,9 @@ class Limit(PhysicalOperator):
             if self.limit is not None and self.rows_out >= self.limit:
                 return
 
-    def run(self) -> Iterator[Any]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        if self.limit == 0:
-            return
-        skipped = 0
-        for row in self.child.run():
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            self.rows_out += 1
-            yield row
-            if self.limit is not None and self.rows_out >= self.limit:
-                return
-
 
 class HashAggregate(PhysicalOperator):
-    """Hash grouping + aggregate accumulation in one pass.
+    """Grouping + aggregate accumulation over the whole input.
 
     Output rows are dicts keyed by the select-item aliases, in
     first-seen group order.  A scalar aggregate (no GROUP BY) over an
@@ -693,20 +511,30 @@ class HashAggregate(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator,
                  group_refs: tuple[ColumnRef, ...],
-                 items: tuple[SelectItem, ...], operators: Any,
-                 vector_plan: tuple | None = None):
+                 items: tuple[SelectItem, ...], operators: Any):
         self.child = child
         self.group_refs = group_refs
         self.items = items
-        self.operators = operators
-        self.vector_plan = vector_plan
-        self.vectorized = vector_plan is not None and child.vectorized
-        self.batch_size = child.batch_size
+        self.group_fns = tuple(
+            compile_vector_expr(ref, operators) for ref in group_refs
+        )
+        # (alias, kind, fn): kind is the aggregate function,
+        # "count_star", or "expr" for a bare group-key item.
+        self.item_specs: tuple[tuple[str, str, VectorExpr | None], ...] = \
+            tuple(self._item_spec(item, operators) for item in items)
         n = child.estimated_rows
-        row_cost = HASH_ROW_COST * VECTOR_ROW_DISCOUNT \
-            if self.vectorized else HASH_ROW_COST
         self.estimated_rows = max(1.0, math.sqrt(n)) if group_refs else 1.0
-        self.estimated_cost = child.estimated_cost + n * row_cost
+        self.estimated_cost = child.estimated_cost + n * HASH_ROW_COST
+
+    @staticmethod
+    def _item_spec(item: SelectItem, operators: Any
+                   ) -> tuple[str, str, VectorExpr | None]:
+        expr = item.expr
+        if not isinstance(expr, AggCall):
+            return item.alias, "expr", compile_vector_expr(expr, operators)
+        if expr.arg is None:
+            return item.alias, "count_star", None
+        return item.alias, expr.func, compile_vector_expr(expr.arg, operators)
 
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -720,21 +548,14 @@ class HashAggregate(PhysicalOperator):
             return f"HashAggregate({groups}; {aggs})"
         return f"HashAggregate({aggs})"
 
-    def _fresh_accumulators(self) -> dict[str, Any]:
-        return {
-            item.alias: make_accumulator(item.expr)
-            for item in self.items if isinstance(item.expr, AggCall)
-        }
-
     @staticmethod
     def _segment_reduce(kind: str, values: np.ndarray, null: np.ndarray,
-                        order: np.ndarray, starts: np.ndarray,
-                        counts_all: np.ndarray) -> list:
+                        order: np.ndarray, starts: np.ndarray) -> list:
         """One aggregate column over the grouped slab, as a Python list.
 
         Typed numeric columns reduce with ``np.add.reduceat`` /
         ``minimum.reduceat`` over NULL-filled copies; object-dtype (and
-        bool) columns fall back to the scalar accumulator per segment,
+        bool) columns run an :class:`Accumulator` per segment,
         preserving exact Python arithmetic semantics either way.
         """
         sorted_vals = values[order]
@@ -778,45 +599,33 @@ class HashAggregate(PhysicalOperator):
         return [None if c == 0 else v for v, c in zip(raw, counts_list)]
 
     def run_batches(self) -> Iterator[Batch]:
-        group_fns, item_specs = self.vector_plan
-        batches = list(self.child.run_batches())
-        big = Batch.concat(batches) if batches else Batch(0, {})
+        big = Batch.concat(list(self.child.run_batches()))
         n = big.length
+        names = tuple(alias for alias, _, _ in self.item_specs)
         if n == 0:
             if self.group_refs:
                 return
             # Scalar aggregate over nothing: one row of empty results.
-            names = tuple(alias for alias, _, _ in item_specs)
             columns = {
                 alias: object_column([0 if kind.startswith("count") else None])
-                for alias, kind, _ in item_specs
+                for alias, kind, _ in self.item_specs
             }
             self.rows_out += 1
             yield Batch(length=1, columns=columns, order=names)
             return
-        keys = []
-        for fn in group_fns:
-            values, null = fn(big)
-            if null is None:
-                null = np.zeros(n, dtype=bool)
-            keys.append((values, null))
-        order, starts, first_seen = group_rows(keys, n)
-        # Emit groups in first-encountered order, like the scalar hash.
+        order, starts, first_seen = group_rows(
+            [fn(big) for fn in self.group_fns], n
+        )
+        # Emit groups in first-encountered order.
         emit = np.argsort(first_seen, kind="stable")
-        ends = np.append(starts[1:], n)
-        counts_all = (ends - starts)
-        names = tuple(alias for alias, _, _ in item_specs)
+        counts_all = np.append(starts[1:], n) - starts
         columns: dict[str, np.ndarray] = {}
-        for alias, kind, fn in item_specs:
+        for alias, kind, fn in self.item_specs:
             if kind == "count_star":
-                columns[alias] = object_column(
-                    counts_all[emit].tolist()
-                )
+                columns[alias] = object_column(counts_all[emit].tolist())
                 continue
+            values, null = fn(big)
             if kind == "expr":
-                values, null = fn(big)
-                if null is None:
-                    null = np.zeros(n, dtype=bool)
                 sample = first_seen[emit]
                 picked = values[sample].tolist()
                 picked_null = null[sample].tolist()
@@ -824,80 +633,57 @@ class HashAggregate(PhysicalOperator):
                     [None if m else v for v, m in zip(picked, picked_null)]
                 )
                 continue
-            values, null = fn(big)
-            if null is None:
-                null = np.zeros(n, dtype=bool)
-            reduced = self._segment_reduce(kind, values, null, order,
-                                           starts, counts_all)
+            reduced = self._segment_reduce(kind, values, null, order, starts)
             columns[alias] = object_column([reduced[i] for i in emit.tolist()])
         out = Batch(length=int(starts.shape[0]), columns=columns, order=names)
         self.rows_out += out.length
         yield out
 
-    def run(self) -> Iterator[dict[str, Any]]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        groups: dict[tuple, tuple[Any, dict[str, Any]]] = {}
-        for row in self.child.run():
-            key = tuple(
-                evaluate(ref, row, self.operators)
-                for ref in self.group_refs
-            )
-            entry = groups.get(key)
-            if entry is None:
-                entry = (row, self._fresh_accumulators())
-                groups[key] = entry
-            _, accumulators = entry
-            for item in self.items:
-                if not isinstance(item.expr, AggCall):
-                    continue
-                accumulator = accumulators[item.alias]
-                if item.expr.arg is None:  # count(*): count the row
-                    accumulator.add(1)
-                else:
-                    accumulator.add(
-                        evaluate(item.expr.arg, row, self.operators)
-                    )
-        if not groups and not self.group_refs:
-            # Scalar aggregate over nothing: one row of empty results.
-            groups[()] = ({}, self._fresh_accumulators())
-        for sample_row, accumulators in groups.values():
-            out: dict[str, Any] = {}
-            for item in self.items:
-                if isinstance(item.expr, AggCall):
-                    out[item.alias] = accumulators[item.alias].result()
-                else:
-                    out[item.alias] = evaluate(item.expr, sample_row,
-                                               self.operators)
-            self.rows_out += 1
-            yield out
+
+# -- joins --------------------------------------------------------------------
+
+
+def _join_keys(batch: Batch, key_fn: VectorExpr) -> list[Any]:
+    """One side's join keys as Python values, NULLs as ``None``."""
+    return nulls_in_band(*key_fn(batch)).tolist()
+
+
+def _rows_at(batch: Batch, indices: list[int]) -> Batch:
+    return batch.take(np.asarray(indices, dtype=np.intp))
 
 
 class HashJoin(PhysicalOperator):
     """Two-source equi-join: hash the smaller input, probe the other.
 
-    Output rows are :class:`~repro.query.expressions.JoinedRow` with one
-    named side per source.  Rows whose join key is None never match
-    (SQL NULL semantics).
+    Output rows are dicts keyed ``source.attr`` (see
+    :meth:`Batch.joined`); ``left_attrs`` / ``right_attrs`` are the
+    attributes each source can have, so a concept member lacking one
+    still gets the column, as NULL.  Rows whose join key is NULL never
+    match (SQL NULL semantics).
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_ref: ColumnRef, right_ref: ColumnRef,
-                 left_name: str, right_name: str):
+                 left_name: str, right_name: str,
+                 left_attrs: tuple[str, ...] = (),
+                 right_attrs: tuple[str, ...] = ()):
         self.left = left
         self.right = right
         self.left_ref = left_ref
         self.right_ref = right_ref
+        self.left_key = compile_column(left_ref)
+        self.right_key = compile_column(right_ref)
         self.left_name = left_name
         self.right_name = right_name
+        self.left_attrs = left_attrs
+        self.right_attrs = right_attrs
         l_rows = left.estimated_rows
         r_rows = right.estimated_rows
         # Equi-join heuristic without key statistics: FK-shaped joins
         # return about as many rows as the bigger side.
         self.estimated_rows = max(l_rows, r_rows)
         self.estimated_cost = left.estimated_cost + right.estimated_cost \
-            + (l_rows + r_rows) * HASH_ROW_COST
+            + (l_rows + r_rows) * JOIN_ROW_COST
 
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -907,30 +693,38 @@ class HashJoin(PhysicalOperator):
         return (f"HashJoin({self.left_name}.{self.left_ref.attr} = "
                 f"{self.right_name}.{self.right_ref.attr})")
 
-    def run(self) -> Iterator[JoinedRow]:
+    def run_batches(self) -> Iterator[Batch]:
         build_left = self.left.estimated_rows < self.right.estimated_rows
         if build_left:
-            build, probe = self.left, self.right
-            build_ref, probe_ref = self.left_ref, self.right_ref
+            build_op, probe_op = self.left, self.right
+            build_key, probe_key = self.left_key, self.right_key
         else:
-            build, probe = self.right, self.left
-            build_ref, probe_ref = self.right_ref, self.left_ref
-        table: dict[Any, list[Any]] = {}
-        for row in build.run():
-            key = resolve_column(row, build_ref)
-            if key is None:
+            build_op, probe_op = self.right, self.left
+            build_key, probe_key = self.right_key, self.left_key
+        # The build side may be a concept union over several classes:
+        # concat aligns the member layouts into one slab.
+        build = Batch.concat(list(build_op.run_batches()))
+        table: dict[Any, list[int]] = {}
+        for index, key in enumerate(_join_keys(build, build_key)):
+            if key is not None:
+                table.setdefault(key, []).append(index)
+        for batch in probe_op.run_batches():
+            probe_rows: list[int] = []
+            build_rows: list[int] = []
+            for index, key in enumerate(_join_keys(batch, probe_key)):
+                matches = table.get(key)  # a NULL key is never in it
+                if matches:
+                    probe_rows.extend([index] * len(matches))
+                    build_rows.extend(matches)
+            if not probe_rows:
                 continue
-            table.setdefault(key, []).append(row)
-        for row in probe.run():
-            key = resolve_column(row, probe_ref)
-            if key is None:
-                continue
-            for match in table.get(key, ()):
-                left_row, right_row = (row, match) if not build_left \
-                    else (match, row)
-                self.rows_out += 1
-                yield JoinedRow({self.left_name: left_row,
-                                 self.right_name: right_row})
+            probed = _rows_at(batch, probe_rows)
+            built = _rows_at(build, build_rows)
+            left, right = (built, probed) if build_left else (probed, built)
+            out = Batch.joined(left, right, self.left_name, self.right_name,
+                               self.left_attrs, self.right_attrs)
+            self.rows_out += out.length
+            yield out
 
 
 class IndexNestedLoopJoin(PhysicalOperator):
@@ -939,10 +733,15 @@ class IndexNestedLoopJoin(PhysicalOperator):
     Each left row probes the right class through the storage layer's
     cost-chosen access path (:meth:`ClassStore.iter_find` — B-tree probe
     when the join attribute is indexed) with the right side's own
-    predicates pushed into the probe.  A join on the ``oid``
-    pseudo-attribute (imagery → derivation provenance) short-circuits
-    to the O(1) object fetch.  Chosen over :class:`HashJoin` when the
-    left side is small and the right side probes cheaply.
+    predicates pushed into the probe; one output batch pairs a run of
+    left rows with everything their probes found.  The runs start at one
+    row and double, so a ``Limit`` above stops the probing within twice
+    the probes a row-at-a-time loop would have made.  A join on the
+    ``oid`` pseudo-attribute (imagery → derivation provenance)
+    short-circuits to the O(1) object fetch.  Chosen over
+    :class:`HashJoin` when the left side is small and the right side
+    probes cheaply.  ``left_attrs`` is :class:`HashJoin`'s (the right
+    rows are whole objects of one class already).
     """
 
     def __init__(self, ctx: ExecutionContext, left: PhysicalOperator,
@@ -952,14 +751,17 @@ class IndexNestedLoopJoin(PhysicalOperator):
                  temporal: AbsTime | None = None,
                  filters: tuple[tuple[str, Any], ...] = (),
                  ranges: tuple[tuple[str, str, Any], ...] = (),
-                 per_probe_rows: float = 1.0):
+                 per_probe_rows: float = 1.0,
+                 left_attrs: tuple[str, ...] = ()):
         self.ctx = ctx
         self.left = left
         self.left_ref = left_ref
+        self.left_key = compile_column(left_ref)
         self.right_class = right_class
         self.right_ref = right_ref
         self.left_name = left_name
         self.right_name = right_name
+        self.left_attrs = left_attrs
         self.spatial = spatial
         self.temporal = temporal
         self.filters = filters
@@ -1071,20 +873,37 @@ class IndexNestedLoopJoin(PhysicalOperator):
             out.append(obj)
         return out
 
-    def run(self) -> Iterator[JoinedRow]:
-        for left_row in self.left.run():
-            key = resolve_column(left_row, self.left_ref)
-            if key is None:
-                continue
-            matches = list(self._probe(key))
-            if not matches:
-                if not self._fallback_tried:
-                    self._attempt_probe_fallback()
-                matches = self._fallback_matches(key)
-            for right_row in matches:
-                self.rows_out += 1
-                yield JoinedRow({self.left_name: left_row,
-                                 self.right_name: right_row})
+    def run_batches(self) -> Iterator[Batch]:
+        right_cls = self.ctx.kernel.classes.get(self.right_class)
+        span = 1  # left rows probed per output batch; doubles
+        for batch in self.left.run_batches():
+            keys = _join_keys(batch, self.left_key)
+            start = 0
+            while start < batch.length:
+                stop = min(batch.length, start + span)
+                left_rows: list[int] = []
+                found: list[SciObject] = []
+                for index in range(start, stop):
+                    key = keys[index]
+                    if key is None:
+                        continue
+                    matches = list(self._probe(key))
+                    if not matches:
+                        if not self._fallback_tried:
+                            self._attempt_probe_fallback()
+                        matches = self._fallback_matches(key)
+                    left_rows.extend([index] * len(matches))
+                    found.extend(matches)
+                start = stop
+                span *= 2
+                if not found:
+                    continue
+                out = Batch.joined(_rows_at(batch, left_rows),
+                                   Batch.from_objects(found, right_cls),
+                                   self.left_name, self.right_name,
+                                   self.left_attrs)
+                self.rows_out += out.length
+                yield out
 
 
 # -- fallback operators -------------------------------------------------------
@@ -1108,13 +927,16 @@ class Interpolate(PhysicalOperator):
     def label(self) -> str:
         return f"Interpolate({self.class_name} at {self.temporal})"
 
-    def run(self) -> Iterator[SciObject]:
+    def run_batches(self) -> Iterator[Batch]:
         self.result = self.ctx.kernel.planner.interpolate(
             self.class_name, spatial=self.spatial, temporal=self.temporal
         )
-        for obj in self.result.objects:
-            self.rows_out += 1
-            yield obj
+        if self.result.objects:
+            self.rows_out += len(self.result.objects)
+            yield Batch.from_objects(
+                self.result.objects,
+                self.ctx.kernel.classes.get(self.class_name),
+            )
 
 
 class Derive(PhysicalOperator):
@@ -1148,15 +970,18 @@ class Derive(PhysicalOperator):
     def label(self) -> str:
         return f"Derive({self.class_name})"
 
-    def run(self) -> Iterator[SciObject]:
+    def run_batches(self) -> Iterator[Batch]:
         self.result = self.ctx.kernel.planner.derive(
             self.class_name, spatial=self.spatial, temporal=self.temporal,
             known_empty=self.known_empty,
             marking_cache=self.ctx.marking_cache,
         )
-        for obj in self.result.objects:
-            self.rows_out += 1
-            yield obj
+        if self.result.objects:
+            self.rows_out += len(self.result.objects)
+            yield Batch.from_objects(
+                self.result.objects,
+                self.ctx.kernel.classes.get(self.class_name),
+            )
 
 
 class FallbackSwitch(PhysicalOperator):
@@ -1179,8 +1004,7 @@ class FallbackSwitch(PhysicalOperator):
                  has_attr_predicates: bool,
                  observes_extents: bool,
                  exists_probe: Callable[[], bool],
-                 residual: Callable[[SciObject], bool] | None = None,
-                 batch_builder: Callable[[list], Batch] | None = None):
+                 residual: Callable[[Batch], np.ndarray] | None = None):
         self.class_name = class_name
         self.stored = stored
         self.extent_counter = extent_counter
@@ -1189,9 +1013,6 @@ class FallbackSwitch(PhysicalOperator):
         self.observes_extents = observes_extents
         self.exists_probe = exists_probe
         self.residual = residual
-        self.batch_builder = batch_builder
-        self.vectorized = stored.vectorized and batch_builder is not None
-        self.batch_size = stored.batch_size
         self.path_taken: str | None = None
         self.estimated_rows = stored.estimated_rows
         self.estimated_cost = stored.estimated_cost
@@ -1212,21 +1033,22 @@ class FallbackSwitch(PhysicalOperator):
     def label(self) -> str:
         return f"FallbackSwitch({self.class_name})"
 
-    def _fallback_rows(self) -> list[Any] | None:
+    def _fallback_batches(self) -> list[Batch]:
         """Run the §2.1.5 fallback children, residual-filtered; sets
         ``path_taken``.  Raises when every fallback fails."""
         errors: list[str] = []
         for fallback in self.fallbacks:
             try:
-                rows = list(fallback.run())
+                batches = list(fallback.run_batches())
             except (InterpolationError, UnderivableError,
                     AssertionViolatedError) as exc:
                 errors.append(f"{fallback.step}: {exc}")
                 continue
             self.path_taken = fallback.step
             if self.residual is not None:
-                rows = [obj for obj in rows if self.residual(obj)]
-            return rows
+                batches = [batch.take(self.residual(batch))
+                           for batch in batches]
+            return batches
         raise UnderivableError(
             f"cannot satisfy query on {self.class_name!r}"
             + (f" ({'; '.join(errors)})" if errors else "")
@@ -1244,40 +1066,17 @@ class FallbackSwitch(PhysicalOperator):
         return True
 
     def run_batches(self) -> Iterator[Batch]:
-        produced = False
         for batch in self.stored.run_batches():
-            if batch.length == 0:
-                continue
-            produced = True
-            self.rows_out += batch.length
-            yield batch
-        if produced or not self._should_fall_back():
+            if batch.length:
+                self.rows_out += batch.length
+                yield batch
+        if self.rows_out or not self._should_fall_back():
             self.path_taken = "retrieve"
             return
-        rows = self._fallback_rows()
-        self.rows_out += len(rows)
-        if rows:
-            yield self.batch_builder(rows)
-
-    def run(self) -> Iterator[Any]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        produced = False
-        for row in self.stored.run():
-            produced = True
-            self.rows_out += 1
-            yield row
-        if produced:
-            self.path_taken = "retrieve"
-            return
-        if not self._should_fall_back():
-            self.path_taken = "retrieve"
-            return
-        rows = self._fallback_rows()
-        for obj in rows:
-            self.rows_out += 1
-            yield obj
+        for batch in self._fallback_batches():
+            if batch.length:
+                self.rows_out += batch.length
+                yield batch
 
 
 class ConceptUnion(PhysicalOperator):
@@ -1285,7 +1084,9 @@ class ConceptUnion(PhysicalOperator):
 
     One shared :class:`ExecutionContext` means the members' fallback
     derivations share supply probes; the cost ordering means cheap
-    (indexed, small) members stream before expensive ones.
+    (indexed, small) members stream before expensive ones.  Members of
+    different classes stream their own batch layouts; a pipeline
+    breaker above aligns them (:meth:`Batch.concat`).
     """
 
     def __init__(self, concept: str,
@@ -1293,9 +1094,6 @@ class ConceptUnion(PhysicalOperator):
         self.concept = concept
         self.members = tuple(sorted(members,
                                     key=lambda op: op.estimated_cost))
-        self.vectorized = bool(self.members) \
-            and all(m.vectorized for m in self.members)
-        self.batch_size = self.members[0].batch_size if self.members else None
         self.estimated_rows = sum(m.estimated_rows for m in self.members)
         self.estimated_cost = sum(m.estimated_cost for m in self.members)
 
@@ -1312,15 +1110,6 @@ class ConceptUnion(PhysicalOperator):
             for batch in member.run_batches():
                 self.rows_out += batch.length
                 yield batch
-
-    def run(self) -> Iterator[Any]:
-        if self.vectorized:
-            yield from self._flatten()
-            return
-        for member in self.members:
-            for row in member.run():
-                self.rows_out += 1
-                yield row
 
 
 # -- process execution --------------------------------------------------------
@@ -1349,7 +1138,7 @@ class Run(PhysicalOperator):
         )
         return f"Run({self.process}{' WITH ' + bound if bound else ''})"
 
-    def run(self) -> Iterator[SciObject]:
+    def run_batches(self) -> Iterator[Batch]:
         kernel = self.ctx.kernel
         derivations = kernel.derivations
         if self.process in derivations.compounds:
@@ -1372,4 +1161,6 @@ class Run(PhysicalOperator):
         self.task_id = result.task.task_id
         self.reused = result.reused
         self.rows_out += 1
-        yield result.output
+        yield Batch.from_objects(
+            [result.output], kernel.classes.get(result.output.class_name)
+        )

@@ -27,20 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
-from ..core.classes import (
-    NonPrimitiveClass,
-    matches_extents,
-    matches_predicates,
-)
+from ..core.classes import NonPrimitiveClass
 from ..core.metadata_manager import MetadataManager
-from ..errors import BindError
+from ..errors import BindError, DerivationError
 from .ast import AggCall, ColumnRef, Param, RunProcess
-from .batch import Batch, vectorized_default
-from .expressions import (
-    compile_extent_mask,
-    compile_predicate_mask,
-    compile_vector_expr,
-)
+from .expressions import compile_extent_mask, compile_predicate_mask
 from .operators import (
     ConceptUnion,
     Derive,
@@ -59,9 +50,7 @@ from .operators import (
     PhysicalOperator,
     Project,
     Run,
-    ScalarAdapter,
     Sort,
-    VectorFilter,
 )
 from .optimizer import (
     JoinSpec,
@@ -119,21 +108,12 @@ def group_nodes(nodes: Iterable[PlanNode]
 class PhysicalPlanner:
     """Compiles logical plan nodes into physical operator trees.
 
-    ``vectorize`` selects batch-at-a-time execution for the stored-data
-    spine (scans, filters, projection, sort, aggregate, limit); ``None``
-    follows the process-wide default (on, unless the equivalence tests
-    or benchmarks force scalar mode).  Operators that cannot vectorize
-    get an explicit :class:`~.operators.ScalarAdapter` below them.
+    ``batch_size`` is the scans' target batch row count (``None``: the
+    storage layer's default); tests shrink it to reach batch-edge cases.
     """
 
     kernel: MetadataManager
-    vectorize: bool | None = None
     batch_size: int | None = None
-
-    def _vectorizing(self) -> bool:
-        if self.vectorize is not None:
-            return self.vectorize
-        return vectorized_default()
 
     def context(self) -> ExecutionContext:
         """A fresh execution context (per statement or union)."""
@@ -175,11 +155,9 @@ class PhysicalPlanner:
             filters=filters, ranges=ranges, access_path=node.access_path,
             projection=node.projection,
         )
-        batch_mode = self._vectorizing()
         if path.index_only:
             scan: PhysicalOperator = IndexOnlyScan(
-                ctx, node.class_name, path,
-                batch_mode=batch_mode, batch_size=self.batch_size,
+                ctx, node.class_name, path, batch_size=self.batch_size,
             )
             extent_counter = scan
             stored = self._attr_filter(scan, filters, ranges)
@@ -189,7 +167,6 @@ class PhysicalPlanner:
             scan = scan_cls(ctx, node.class_name, path,
                             spatial=node.spatial, temporal=node.temporal,
                             filters=filters, ranges=ranges,
-                            batch_mode=batch_mode,
                             batch_size=self.batch_size)
             stored = extent_counter = self._extent_filter(scan, cls, node)
             stored = self._attr_filter(stored, filters, ranges)
@@ -214,10 +191,6 @@ class PhysicalPlanner:
                 for fallback in fallbacks
             ]
 
-        residual = None
-        if filters or ranges:
-            residual = (lambda obj, f=filters, r=ranges:
-                        matches_predicates(obj, f, r))
         tree = FallbackSwitch(
             class_name=node.class_name,
             stored=stored,
@@ -228,9 +201,8 @@ class PhysicalPlanner:
             exists_probe=(lambda s=store, n=node: s.exists(
                 n.class_name, spatial=n.spatial, temporal=n.temporal
             )),
-            residual=residual,
-            batch_builder=(lambda rows, c=cls: Batch.from_objects(rows, c))
-            if stored.vectorized else None,
+            residual=compile_predicate_mask(filters, ranges)
+            if filters or ranges else None,
         )
         return self._project(tree, node)
 
@@ -247,19 +219,10 @@ class PhysicalPlanner:
             parts.append(f"{cls.temporal_attr}={node.temporal}")
         if not parts:
             return child
-        description = " AND ".join(parts)
-        if child.vectorized:
-            return VectorFilter(
-                child,
-                mask_fn=compile_extent_mask(cls, node.spatial, node.temporal),
-                description=description,
-            )
         return Filter(
             child,
-            predicate=(lambda obj, c=cls, n=node: matches_extents(
-                obj, c, n.spatial, n.temporal
-            )),
-            description=description,
+            mask_fn=compile_extent_mask(cls, node.spatial, node.temporal),
+            description=" AND ".join(parts),
         )
 
     @staticmethod
@@ -267,28 +230,17 @@ class PhysicalPlanner:
                      filters: tuple[tuple[str, Any], ...],
                      ranges: tuple[tuple[str, str, Any], ...]
                      ) -> PhysicalOperator:
-        """Attribute predicate re-check (works on objects and dicts —
-        both expose ``.get``); pass-through without predicates.  Over a
-        vectorized child the predicates compile to one boolean-mask
-        evaluation per batch."""
+        """Attribute predicate re-check, compiled to one boolean-mask
+        evaluation per batch; pass-through without predicates."""
         if not (filters or ranges):
             return child
         parts = [f"{attr}={value!r}" for attr, value in filters]
         parts += [f"{attr}{op}{value!r}" for attr, op, value in ranges]
         selectivity = 0.5 ** (len(filters) + len(ranges))
-        description = " AND ".join(parts)
-        if child.vectorized:
-            return VectorFilter(
-                child,
-                mask_fn=compile_predicate_mask(filters, ranges),
-                description=description,
-                selectivity=max(0.1, selectivity),
-            )
         return Filter(
             child,
-            predicate=(lambda row, f=filters, r=ranges:
-                       matches_predicates(row, f, r)),
-            description=description,
+            mask_fn=compile_predicate_mask(filters, ranges),
+            description=" AND ".join(parts),
             selectivity=max(0.1, selectivity),
         )
 
@@ -337,8 +289,8 @@ class PhysicalPlanner:
         expression projection.  Sorting runs *before* projection, so an
         ORDER BY may reference projected-out attributes; after an
         aggregate, sort keys resolve against the aggregate's output
-        aliases instead.  A Sort under a Limit becomes a bounded top-K
-        heap, and when a single ORDER BY key rides a B-tree-indexed
+        aliases instead.  A Sort under a Limit keeps only the first K
+        rows, and when a single ORDER BY key rides a B-tree-indexed
         attribute the cost model may replace the Sort entirely with an
         ordered index scan (sort avoidance, visible in EXPLAIN).
         """
@@ -371,110 +323,22 @@ class PhysicalPlanner:
         if node.join is not None:
             tree = self._join_tree(node, tree, ctx)
         if aggregate:
-            tree = self._make_aggregate(tree, node, operators)
+            tree = HashAggregate(tree, node.group_by, node.items, operators)
         if need_sort:
-            tree = self._make_sort(tree, keys, top_k)
+            tree = Sort(tree, keys, operators, top_k=top_k)
         if node.limit is not None or node.offset:
             tree = Limit(tree, node.limit, node.offset)
         if node.items and not aggregate:
-            tree = self._make_expr_project(tree, node.items, operators)
+            tree = ExprProject(tree, node.items, operators)
         return tree
-
-    @staticmethod
-    def _uniform_batches(tree: PhysicalOperator) -> bool:
-        """Whether every batch off *tree* shares one column layout.
-
-        Pipeline-breaking vectorized operators (Sort, HashAggregate)
-        concatenate their input batches; a concept union over several
-        classes streams per-class layouts, so those go through a
-        ScalarAdapter instead.
-        """
-        if isinstance(tree, ConceptUnion):
-            classes = {getattr(m, "class_name", None) for m in tree.members}
-            return len(classes) == 1 and None not in classes
-        if isinstance(tree, Limit):
-            return PhysicalPlanner._uniform_batches(tree.child)
-        return True
-
-    def _make_aggregate(self, tree: PhysicalOperator, node: QueryNode,
-                        operators: Any) -> PhysicalOperator:
-        """HashAggregate over *tree*, vectorized when every group key and
-        aggregate argument compiles to array ops; otherwise an explicit
-        scalar boundary under the scalar aggregate."""
-        vector_plan = None
-        if tree.vectorized and self._uniform_batches(tree):
-            vector_plan = self._vector_aggregate_plan(node, operators)
-        if tree.vectorized and vector_plan is None:
-            tree = ScalarAdapter(tree)
-        return HashAggregate(tree, node.group_by, node.items, operators,
-                             vector_plan=vector_plan)
-
-    def _vector_aggregate_plan(self, node: QueryNode, operators: Any
-                               ) -> tuple | None:
-        group_fns = []
-        for ref in node.group_by:
-            fn = compile_vector_expr(ref, operators)
-            if fn is None:
-                return None
-            group_fns.append(fn)
-        item_specs = []
-        for item in node.items:
-            expr = item.expr
-            if isinstance(expr, AggCall):
-                if expr.arg is None:
-                    item_specs.append((item.alias, "count_star", None))
-                    continue
-                fn = compile_vector_expr(expr.arg, operators)
-                if fn is None:
-                    return None
-                item_specs.append((item.alias, expr.func, fn))
-            else:
-                fn = compile_vector_expr(expr, operators)
-                if fn is None:
-                    return None
-                item_specs.append((item.alias, "expr", fn))
-        return (tuple(group_fns), tuple(item_specs))
-
-    def _make_sort(self, tree: PhysicalOperator,
-                   keys: tuple[tuple[Any, bool], ...],
-                   top_k: int | None) -> PhysicalOperator:
-        """Sort over *tree*: vectorized (argsort on key columns) when the
-        keys compile and the input batches are uniform."""
-        operators = self.kernel.operators
-        if tree.vectorized and self._uniform_batches(tree):
-            vector_keys = tuple(
-                compile_vector_expr(expr, operators) for expr, _ in keys
-            )
-            if all(fn is not None for fn in vector_keys):
-                return Sort(tree, keys, operators, top_k=top_k,
-                            vector_keys=vector_keys)
-        if tree.vectorized:
-            tree = ScalarAdapter(tree)
-        return Sort(tree, keys, operators, top_k=top_k)
-
-    def _make_expr_project(self, tree: PhysicalOperator,
-                           items: tuple, operators: Any
-                           ) -> PhysicalOperator:
-        """Expression projection: column slices / ufunc dispatch when
-        every item compiles, else a scalar boundary."""
-        if tree.vectorized:
-            vector_items = tuple(
-                (item.alias, compile_vector_expr(item.expr, operators))
-                for item in items
-            )
-            if all(fn is not None for _, fn in vector_items):
-                return ExprProject(tree, items, operators,
-                                   vector_items=vector_items)
-            tree = ScalarAdapter(tree)
-        return ExprProject(tree, items, operators)
 
     def _order_keys(self, node: QueryNode
                     ) -> tuple[tuple[Any, bool], ...]:
         """ORDER BY keys as evaluable ``(expr, descending)`` pairs.
 
-        Ordinals resolve to the select item's expression; evaluation
-        against post-aggregate dict rows falls back to the rendered
-        alias, so the same pair works on both row shapes.
+        Ordinals resolve to the select item's expression; a compiled
+        key looks its rendered alias up first, so the same pair works
+        below an aggregate and on the aggregate's output.
         """
         keys: list[tuple[Any, bool]] = []
         for order in node.order_by:
@@ -508,18 +372,19 @@ class PhysicalPlanner:
         returned.
         """
         base = self.build_retrieve(node, ctx)
-        explicit = self._make_sort(base, keys, top_k)
+        explicit = Sort(base, keys, self.kernel.operators, top_k=top_k)
         ref, descending = keys[0]
         if ref.attr == "oid":
             return explicit
-        store = self.kernel.store
         try:
-            ordered = store.ordered_path(
+            ordered = self.kernel.store.ordered_path(
                 node.class_name, ref.attr, descending=descending,
                 filters=node.filters, ranges=node.ranges,
                 limit_hint=top_k,
             )
-        except Exception:
+        except DerivationError:
+            # ``type_of``: the class has no such attribute, so no index
+            # orders by it.  Storage errors propagate.
             return explicit
         if ordered is None:
             return explicit
@@ -538,10 +403,7 @@ class PhysicalPlanner:
         join = node.join
         store = self.kernel.store
         engine = self.kernel.engine
-        if left.vectorized:
-            # Joins match per-row; the build/probe sides cross an
-            # explicit scalar boundary.
-            left = ScalarAdapter(left)
+        left_attrs = self._side_attrs(node.inputs)
         inlj: IndexNestedLoopJoin | None = None
         if len(join.inputs) == 1:
             right_node = join.inputs[0]
@@ -568,16 +430,24 @@ class PhysicalPlanner:
                     spatial=right_node.spatial,
                     temporal=right_node.temporal,
                     filters=filters, ranges=ranges,
-                    per_probe_rows=per_probe,
+                    per_probe_rows=per_probe, left_attrs=left_attrs,
                 )
         right = self._inputs_tree(join.source, join.inputs, ctx)
-        if right.vectorized:
-            right = ScalarAdapter(right)
         hash_join = HashJoin(left, right, join.left_ref, join.right_ref,
-                             node.source, join.source)
+                             node.source, join.source,
+                             left_attrs, self._side_attrs(join.inputs))
         if inlj is not None and inlj.estimated_cost < hash_join.estimated_cost:
             return inlj
         return hash_join
+
+    def _side_attrs(self, inputs: tuple[RetrieveNode, ...]
+                    ) -> tuple[str, ...]:
+        """Every attribute a join side's rows can carry: the union over
+        its member classes."""
+        return tuple(dict.fromkeys(
+            name for member in inputs
+            for name, _ in self.kernel.classes.get(member.class_name).attributes
+        ))
 
     # -- process execution ---------------------------------------------------
 

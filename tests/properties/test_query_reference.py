@@ -366,6 +366,9 @@ DEFINE CLASS rhs ( ATTRIBUTES: k = int4; y = char16; )
 DEFINE CLASS keyed ( ATTRIBUTES: k = int4; y = char16; )
 DEFINE CLASS unkeyed ( ATTRIBUTES: y = char16; )
 DEFINE CONCEPT anyside MEMBERS keyed, unkeyed
+DEFINE CLASS tagged ( ATTRIBUTES: k = int4; y = char16; )
+DEFINE CLASS untagged ( ATTRIBUTES: k = int4; )
+DEFINE CONCEPT eitherway MEMBERS tagged, untagged
 """
 
 lhs_rows = st.lists(st.tuples(st.integers(0, 5), quarters),
@@ -462,6 +465,69 @@ def test_index_nested_loop_join_matches_reference(keyed, unkeyed,
     pairs = ref_join(keyed_table + unkeyed_table, PROBED, "k", "k")
     expected = _joined(pairs, source, "rhs",
                        (f"{source}.y", "rhs.y", "rhs.k"))
+    assert_same_multiset(_fetch(conn, query), expected, query)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tagged=rhs_rows,
+       untagged=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+       right=rhs_rows, concept_on_left=st.booleans(), ordered=st.booleans())
+def test_qualified_ref_never_reads_the_other_side(tagged, untagged, right,
+                                                  concept_on_left, ordered):
+    """Both sources have an attribute ``y``, but one concept member
+    lacks it: ``eitherway.y`` is NULL for that member's rows — never
+    ``rhs.y`` — whether the concept is the hashed or the streamed input,
+    and under a Sort, which concatenates the join's batches."""
+    tagged_table = [{"k": k, "y": y.upper()} for k, y in tagged]
+    untagged_table = [{"k": k} for k in untagged]
+    right_table = [{"k": k, "y": y} for k, y in right]
+    conn = _connect(JOIN_DDL, tagged=tagged_table, untagged=untagged_table,
+                    rhs=right_table)
+    concept_table = tagged_table + untagged_table
+    columns = ("eitherway.y", "rhs.y", "eitherway.k")
+    order = f" ORDER BY {', '.join(columns)}" if ordered else ""
+    if concept_on_left:
+        query = (f"SELECT {', '.join(columns)} FROM eitherway JOIN rhs "
+                 f"ON eitherway.k = rhs.k{order}")
+        pairs = ref_join(concept_table, right_table, "k", "k")
+        expected = _joined(pairs, "eitherway", "rhs", columns)
+    else:
+        query = (f"SELECT {', '.join(columns)} FROM rhs JOIN eitherway "
+                 f"ON rhs.k = eitherway.k{order}")
+        pairs = ref_join(right_table, concept_table, "k", "k")
+        expected = _joined(pairs, "rhs", "eitherway", columns)
+    assert "HashJoin(" in conn.cursor().explain(query)
+    if ordered:
+        # every projected column is a sort key: ties are equal rows
+        expected = ref_sort(expected, [(c, False) for c in columns])
+        assert_same_sequence(_fetch(conn, query), expected, query)
+    else:
+        assert_same_multiset(_fetch(conn, query), expected, query)
+
+
+@settings(max_examples=20, deadline=None)
+@given(tagged=st.lists(st.tuples(st.integers(0, 30),
+                                 st.sampled_from(["A", "B"])),
+                       min_size=1, max_size=2),
+       untagged=st.lists(st.integers(0, 30), min_size=1, max_size=2))
+def test_qualified_ref_over_index_nested_loop_join(tagged, untagged):
+    """The same shared-name case with the concept streaming into an
+    IndexNestedLoopJoin; an unqualified ``y`` names the left source's
+    attribute (left first), so it is NULL for the member lacking it."""
+    tagged_table = [{"k": k, "y": y} for k, y in tagged]
+    untagged_table = [{"k": k} for k in untagged]
+    conn = _connect(JOIN_DDL, tagged=tagged_table, untagged=untagged_table,
+                    rhs=PROBED)
+    conn.cursor().execute("CREATE INDEX ON rhs (k)")
+    query = ("SELECT eitherway.y, rhs.y, y FROM eitherway JOIN rhs "
+             "ON eitherway.k = rhs.k")
+    assert "IndexNestedLoopJoin(" in conn.cursor().explain(query)
+    pairs = ref_join(tagged_table + untagged_table, PROBED, "k", "k")
+    expected = [
+        {"eitherway.y": l_row.get("y"), "rhs.y": r_row["y"],
+         "y": l_row.get("y")}
+        for l_row, r_row in pairs
+    ]
     assert_same_multiset(_fetch(conn, query), expected, query)
 
 

@@ -5,7 +5,7 @@ cases they introduce."""
 import pytest
 
 import repro
-from repro.errors import PlanningError
+from repro.errors import PlanningError, StorageError
 from repro.spatial import Box
 from repro.temporal import AbsTime
 
@@ -294,6 +294,18 @@ class TestSortAvoidance:
         assert cur.fetchall() == first
         assert conn.plan_cache.invalidations > invalidations
         assert "(ordered)" in cur.explain(source)
+
+    def test_storage_error_while_pricing_the_ordered_path_propagates(
+            self, conn, monkeypatch):
+        """Only "the class lacks the attribute" means "no ordered
+        index"; a failing storage layer is not a reason to plan a
+        Sort."""
+        def broken(*args, **kwargs):
+            raise StorageError("catalog page unreadable")
+
+        monkeypatch.setattr(conn.kernel.store, "ordered_path", broken)
+        with pytest.raises(StorageError, match="unreadable"):
+            conn.cursor().explain("SELECT ndvi FROM raster ORDER BY ndvi")
 
 
 class TestIntrospection:

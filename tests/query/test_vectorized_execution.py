@@ -1,22 +1,20 @@
-"""Vectorized batch-at-a-time execution: regressions and contracts.
+"""Batch-at-a-time execution: regressions and contracts.
 
-The operator tree runs in two modes — scalar (row-at-a-time Volcano)
-and vectorized (NumPy columnar :class:`~repro.query.batch.Batch`
-slabs).  These tests pin the contracts the batch path must keep:
+Every operator streams NumPy columnar :class:`~repro.query.batch.Batch`
+slabs.  These tests pin the contracts that path must keep:
 
 * empty inputs and empty post-filter batches stream cleanly;
 * LIMIT/OFFSET land exactly on batch boundaries;
-* EXPLAIN annotates every operator ``vectorized``/``scalar``;
-* joins and non-vectorizable stages cross an explicit
-  :class:`~repro.query.operators.ScalarAdapter` boundary;
-* a mixed vectorized/scalar plan stays snapshot-consistent under a
-  concurrent writer;
+* EXPLAIN lines end with the estimates — there is one engine, so no
+  per-operator mode annotation and no adapter operators;
+* a plan stays snapshot-consistent under a concurrent writer;
 * the IndexNestedLoopJoin probe side runs the §2.1.5
   interpolate/derive fallback on a probe miss;
 * LIMIT/OFFSET accept bind parameters, so one cached plan serves every
   page of a paginated fetch.
 """
 
+import re
 import threading
 
 import numpy as np
@@ -24,14 +22,12 @@ import pytest
 
 import repro
 from repro.adt import Image
-from repro.errors import BindError
-from repro.query import render_tree
+from repro.errors import BindError, UnderivableError
 from repro.query.ast import ColumnRef
-from repro.query.batch import Batch, scalar_execution
+from repro.query.batch import Batch
+from repro.query.expressions import compile_column
 from repro.query.operators import (
-    IndexNestedLoopJoin,
-    PhysicalOperator,
-    ScalarAdapter,
+    IndexNestedLoopJoin, Limit, PhysicalOperator,
 )
 from repro.query.physical import PhysicalPlanner
 from repro.spatial import Box
@@ -75,17 +71,12 @@ def _rows(cur, query, params=None):
 
 
 class TestEmptyInputs:
-    def test_empty_class_fails_identically_in_both_modes(self, conn):
+    def test_empty_class_raises_underivable(self, conn):
         # An empty base class triggers the §2.1.5 fallback chain, which
-        # ends in UnderivableError — in both execution modes.
-        from repro.errors import UnderivableError
+        # ends in UnderivableError.
         cur = conn.cursor()
-        query = "SELECT station FROM reading ORDER BY station"
         with pytest.raises(UnderivableError):
-            _rows(cur, query)
-        with scalar_execution():
-            with pytest.raises(UnderivableError):
-                _rows(cur, query)
+            _rows(cur, "SELECT station FROM reading ORDER BY station")
 
     def test_filter_matching_nothing(self, conn):
         _load(conn, 40)
@@ -96,15 +87,105 @@ class TestEmptyInputs:
     def test_aggregate_over_empty_input(self, conn):
         _load(conn, 40)
         cur = conn.cursor()
-        vec = _rows(cur, "SELECT count(*), sum(station), avg(value) "
-                         "FROM reading WHERE tag = 'absent'")
-        with scalar_execution():
-            sca = _rows(cur, "SELECT count(*), sum(station), avg(value) "
-                             "FROM reading WHERE tag = 'absent'")
-        assert vec == sca
-        (row,) = vec
-        assert row["count(*)"] == 0
-        assert row["sum(station)"] is None
+        (row,) = _rows(cur, "SELECT count(*), sum(station), avg(value) "
+                            "FROM reading WHERE tag = 'absent'")
+        assert row == {"count(*)": 0, "sum(station)": None,
+                       "avg(value)": None}
+
+
+class TestBatchLayouts:
+    """``Batch.concat`` aligns differing layouts (what a pipeline
+    breaker sees above a mixed-class concept union) and
+    ``Batch.joined`` pairs two sides under qualified names."""
+
+    FULL = (("k", "int4"), ("v", "float8"))
+    BARE = (("k", "int4"),)
+
+    def test_concat_reads_an_absent_column_as_null(self):
+        full = Batch.from_values("full", self.FULL, [(1, 7, 0.5), (2, 8, 1.5)])
+        bare = Batch.from_values("bare", self.BARE, [(3, 9)])
+        big = Batch.concat([full, bare])
+        assert big.length == 3
+        assert big.columns["v"].dtype == np.float64  # typed, not objects
+        assert big.mask("v").tolist() == [False, False, True]
+        assert big.columns["k"].tolist() == [7, 8, 9]
+
+    def test_concat_keeps_each_rows_class_and_attributes(self):
+        full = Batch.from_values("full", self.FULL, [(1, 7, 0.5)])
+        bare = Batch.from_values("bare", self.BARE, [(3, 9)])
+        # through a reorder and a second concat, as Sort-under-Sort would
+        big = Batch.concat([Batch.concat([full, bare]), full])
+        rows = list(big.take(np.array([2, 1, 0])).to_rows())
+        assert [(r.class_name, r.oid, r.values) for r in rows] == [
+            ("full", 1, {"k": 7, "v": 0.5}),
+            ("bare", 3, {"k": 9}),
+            ("full", 1, {"k": 7, "v": 0.5}),
+        ]
+
+    def test_concat_carries_a_dtype_clash_as_objects(self):
+        ints = Batch.from_values("a", (("n", "int4"),), [(1, 5)])
+        floats = Batch.from_values("b", (("n", "float8"),), [(2, 2.5)])
+        rows = list(Batch.concat([ints, floats]).to_rows())
+        values = [row["n"] for row in rows]
+        assert values == [5, 2.5]
+        assert [type(v) for v in values] == [int, float]
+
+    def test_concat_of_dict_batches_unions_their_columns(self):
+        one = Batch.from_dict_rows(("a.k", "a.x"), [{"a.k": 1, "a.x": 2}])
+        two = Batch.from_dict_rows(("a.k", "a.y"), [{"a.k": 3, "a.y": 4}])
+        assert list(Batch.concat([one, two]).to_rows()) == [
+            {"a.k": 1, "a.x": 2, "a.y": None},
+            {"a.k": 3, "a.x": None, "a.y": 4},
+        ]
+
+    def test_joined_rows_are_keyed_by_qualified_names(self):
+        left = Batch.from_values("a", (("k", "int4"), ("x", "float8")),
+                                 [(10, 1, 0.5)])
+        right = Batch.from_values("b", (("k", "int4"), ("y", "char16")),
+                                  [(20, 1, "one")])
+        out = Batch.joined(left, right, "a", "b")
+        assert list(out.to_rows()) == [
+            {"a.k": 1, "a.x": 0.5, "b.k": 1, "b.y": "one"}
+        ]
+        # only qualified columns; oids stay addressable
+        assert out.sides == ("a", "b")
+        assert set(out.columns) == {"a.oid", "a.k", "a.x",
+                                    "b.oid", "b.k", "b.y"}
+        assert out.column("a.oid").tolist() == [10]
+        assert out.column("b.oid").tolist() == [20]
+
+    def test_joined_column_lookup_never_crosses_sides(self):
+        """A qualified reference reads its own side or NULL; an
+        unqualified one the left side's column, else the right's."""
+        left = Batch.from_values("a", (("k", "int4"),), [(10, 1)])
+        right = Batch.from_values("b", (("k", "int4"), ("y", "char16")),
+                                  [(20, 2, "two")])
+        out = Batch.joined(left, right, "a", "b", left_attrs=("k", "y"))
+
+        def read(attr, qualifier=None):
+            values, null = compile_column(ColumnRef(attr, qualifier))(out)
+            return [None if n else v
+                    for v, n in zip(values.tolist(), null.tolist())]
+
+        assert read("y", "a") == [None]   # declared, absent: NULL column
+        assert read("y", "b") == ["two"]
+        assert read("y") == [None]        # left has the name: left wins
+        assert read("k") == [1]
+        assert read("oid") == [10]
+        assert read("x", "a") == [None]   # never the bare / other side
+        plain = Batch.joined(left, right, "a", "b")
+        assert "a.y" not in plain.columns
+        values, null = compile_column(ColumnRef("y", "a"))(plain)
+        assert null.tolist() == [True]
+        values, _ = compile_column(ColumnRef("y"))(plain)
+        assert values.tolist() == ["two"]  # only the right has it
+
+    def test_joined_layout_survives_take_and_concat(self):
+        left = Batch.from_values("a", (("k", "int4"),), [(10, 1), (11, 2)])
+        right = Batch.from_values("b", (("k", "int4"),), [(20, 1), (21, 2)])
+        out = Batch.joined(left, right, "a", "b")
+        assert out.take(np.array([1])).sides == ("a", "b")
+        assert Batch.concat([out, out]).sides == ("a", "b")
 
 
 class TestBatchBoundaries:
@@ -116,8 +197,7 @@ class TestBatchBoundaries:
     ])
     def test_limit_offset_across_batch_edges(self, conn, limit, offset):
         _load(conn, 12)
-        planner = PhysicalPlanner(kernel=conn.kernel, vectorize=True,
-                                  batch_size=4)
+        planner = PhysicalPlanner(kernel=conn.kernel, batch_size=4)
         from repro.query.parser import parse
         from repro.query.optimizer import Optimizer
         optimizer = Optimizer(conn.kernel)
@@ -131,8 +211,7 @@ class TestBatchBoundaries:
 
     def test_batch_sized_exactly_at_limit(self, conn):
         _load(conn, 8)
-        planner = PhysicalPlanner(kernel=conn.kernel, vectorize=True,
-                                  batch_size=8)
+        planner = PhysicalPlanner(kernel=conn.kernel, batch_size=8)
         from repro.query.parser import parse
         from repro.query.optimizer import Optimizer
         optimizer = Optimizer(conn.kernel)
@@ -143,50 +222,34 @@ class TestBatchBoundaries:
         assert len(got) == 8
 
 
-class TestExplainAnnotations:
-    def test_every_operator_carries_a_mode(self, conn):
-        _load(conn, 10)
-        cur = conn.cursor()
-        plan = cur.explain("SELECT tag, count(*) FROM reading "
-                           "WHERE station >= 2 GROUP BY tag "
-                           "ORDER BY tag LIMIT 2")
-        operator_lines = [line for line in plan.splitlines()
-                          if "[rows~" in line]
-        assert operator_lines
-        for line in operator_lines:
-            assert "[vectorized batch=" in line or "[scalar]" in line, line
-
-    def test_vectorized_spine_scalar_fallback(self, conn):
-        _load(conn, 10)
-        cur = conn.cursor()
-        plan = cur.explain("SELECT station FROM reading WHERE tag = 't1'")
-        assert "Filter(tag='t1') [" in plan
-        assert "[vectorized batch=" in plan
-        # the §2.1.5 derive fallback stays a scalar operator
-        assert "[scalar]" in plan
-
-    def test_join_inputs_cross_scalar_adapter(self, conn):
+class TestExplain:
+    def test_operator_lines_end_with_their_estimates(self, conn):
+        """One engine: nothing follows ``[rows~N cost~C]``, and a
+        join's inputs are its direct children."""
         _load(conn, 10)
         cur = conn.cursor()
         cur.execute("DEFINE CLASS station_info "
                     "( ATTRIBUTES: sid = int4; label = char16; )")
         conn.kernel.store.store("station_info", {"sid": 1, "label": "a"})
-        plan = cur.explain("SELECT count(*) FROM reading "
+        plan = cur.explain("SELECT tag, count(*) FROM reading "
                            "JOIN station_info "
-                           "ON reading.station = station_info.sid")
-        assert "ScalarAdapter" in plan
+                           "ON reading.station = station_info.sid "
+                           "WHERE reading.station >= 1 GROUP BY tag "
+                           "ORDER BY tag LIMIT 2").splitlines()
+        operator_lines = [line for line in plan if "[rows~" in line]
+        assert len(operator_lines) >= 8
+        for line in operator_lines:
+            assert re.search(r"\[rows~\d+ cost~[\d.]+\]$", line), line
+        join = next(i for i, line in enumerate(plan) if "HashJoin(" in line)
+        indent = plan[join].index("HashJoin(")
+        children = [line[indent:] for line in plan[join + 1:]
+                    if line[indent:indent + 2] in ("├─", "└─")]
+        assert [child[3:].split("(")[0] for child in children] \
+            == ["FallbackSwitch", "FallbackSwitch"]
 
-    def test_scalar_mode_plans_report_scalar(self, conn):
-        _load(conn, 10)
-        cur = conn.cursor()
-        with scalar_execution():
-            plan = cur.explain("SELECT station FROM reading "
-                               "ORDER BY station LIMIT 3")
-        assert "[vectorized" not in plan
 
-
-class TestMixedPlanUnderConcurrentWriter:
-    def test_vectorized_reads_stay_snapshot_consistent(self, conn):
+class TestPlanUnderConcurrentWriter:
+    def test_reads_stay_snapshot_consistent(self, conn):
         """Each fetch sees a committed prefix: count(*) equals the
         number of distinct stations summed, never a torn batch."""
         _load(conn, 14)  # two full stations to start
@@ -228,7 +291,7 @@ class TestMixedPlanUnderConcurrentWriter:
 
 
 class _RowSource(PhysicalOperator):
-    """A fixed scalar row source for driving join operators directly."""
+    """A fixed one-batch source for driving join operators directly."""
 
     def __init__(self, rows):
         self._rows = rows
@@ -238,10 +301,9 @@ class _RowSource(PhysicalOperator):
     def label(self) -> str:
         return f"RowSource({len(self._rows)})"
 
-    def run(self):
-        for row in self._rows:
-            self.rows_out += 1
-            yield row
+    def run_batches(self):
+        self.rows_out += len(self._rows)
+        yield Batch.from_dict_rows(tuple(self._rows[0]), self._rows)
 
 
 class TestProbeSideFallback:
@@ -296,7 +358,7 @@ class TestProbeSideFallback:
         assert len(rows) == 2
         assert join.probe_fallback == "derive"
         for row in rows:
-            assert row.resolve("summary", "station") == 3
+            assert row["summary.station"] == 3
 
     def test_fallback_attempted_once(self, derived_conn):
         planner = PhysicalPlanner(kernel=derived_conn.kernel)
@@ -321,6 +383,62 @@ class TestProbeSideFallback:
         finally:
             derived_conn.kernel.planner.derive = real_derive
         assert len(calls) == 1
+
+
+    def test_limit_stops_before_a_later_miss_derives(self, derived_conn):
+        """The one-shot probe-side fallback fires for a miss the drain
+        reaches — not for one past the LIMIT."""
+        derived_conn.kernel.store.store("summary", {
+            "station": 1,
+            "data": Image.from_array(np.full((4, 4), 1.0), "float4"),
+            "cell": Box(0.0, 0.0, 10.0, 10.0),
+            "timestamp": STAMP,
+        })
+        ctx = PhysicalPlanner(kernel=derived_conn.kernel).context()
+        join = IndexNestedLoopJoin(
+            ctx, _RowSource([{"station": 1}, {"station": 3}]),
+            ColumnRef(attr="station"), "summary",
+            ColumnRef(attr="station"), "left", "summary",
+        )
+        assert len(list(Limit(join, 1).run())) == 1
+        assert join.probe_fallback is None
+
+
+class TestLimitOverIndexNestedLoopJoin:
+    """A ``Limit`` above an INLJ stops the probing: the join yields
+    after runs of 1, 2, 4, … left rows, not once per left batch."""
+
+    @pytest.fixture()
+    def join_conn(self):
+        connection = repro.connect(universe=UNIVERSE)
+        cur = connection.cursor()
+        cur.execute("DEFINE CLASS few ( ATTRIBUTES: k = int4; )")
+        cur.execute("DEFINE CLASS many ( ATTRIBUTES: k = int4; y = int4; )")
+        store = connection.kernel.store
+        for i in range(20):
+            store.store("few", {"k": i})
+        for i in range(200):
+            store.store("many", {"k": i % 50, "y": i})
+        cur.execute("CREATE INDEX ON many (k)")
+        return connection
+
+    @pytest.mark.parametrize("limit,probes", [(1, 1), (4, 1), (5, 3),
+                                              (13, 7), (None, 20)])
+    def test_probes_stop_with_the_limit(self, join_conn, limit, probes):
+        """Each probe finds 4 rows; the row-at-a-time loop needed
+        ceil(limit/4) probes, the doubling runs at most twice that."""
+        cur = join_conn.cursor()
+        query = "SELECT few.k, many.y FROM few JOIN many ON few.k = many.k"
+        if limit is not None:
+            query += f" LIMIT {limit}"
+        assert "IndexNestedLoopJoin(" in cur.explain(query)
+        counts = join_conn.kernel.store.scan_counts
+        before = dict(counts)
+        cur.execute(query)
+        rows = cur.fetchall()
+        assert len(rows) == (80 if limit is None else limit)
+        assert counts["few"] - before.get("few", 0) == 1
+        assert counts["many"] - before.get("many", 0) == probes
 
 
 class TestBindableLimitOffset:

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+import repro
 from repro.client import remote_connect
 from repro.errors import InterfaceError, PlanningError, TransactionError
 from repro.server import GaeaServer
@@ -129,6 +130,38 @@ class TestBasics:
         conn.close()
         with pytest.raises(InterfaceError):
             conn.cursor()
+
+
+class TestJoinRowsOverTheWire:
+    def test_unprojected_join_rows_equal_local_rows(self, server):
+        """``SELECT FROM a JOIN b`` (no select list) yields dict rows
+        keyed ``source.attr`` — plain values the codec round-trips, so a
+        remote cursor sees exactly what a local one does."""
+        remote = _connect(server)
+        remote.cursor().execute(
+            "DEFINE CLASS a ( ATTRIBUTES: k = int4; x = float8; ) "
+            "DEFINE CLASS b ( ATTRIBUTES: k = int4; y = char16; )"
+        )
+        for k, x in [(1, 0.5), (2, 1.5), (3, 2.5)]:
+            remote.store("a", {"k": k, "x": x})
+        for k, y in [(1, "one"), (1, "uno"), (3, "three")]:
+            remote.store("b", {"k": k, "y": y})
+        query = "SELECT FROM a JOIN b ON a.k = b.k"
+        local = repro.connect(kernel=server.kernel)
+        local_rows = local.cursor().execute(query).fetchall()
+        remote_rows = remote.cursor().execute(query).fetchall()
+        remote.close()
+
+        def by_value(rows):
+            return sorted(rows, key=lambda row: (row["a.k"], row["b.y"]))
+
+        assert by_value(remote_rows) == by_value(local_rows) == [
+            {"a.k": 1, "a.x": 0.5, "b.k": 1, "b.y": "one"},
+            {"a.k": 1, "a.x": 0.5, "b.k": 1, "b.y": "uno"},
+            {"a.k": 3, "a.x": 2.5, "b.k": 3, "b.y": "three"},
+        ]
+        assert all(list(row) == ["a.k", "a.x", "b.k", "b.y"]
+                   for row in remote_rows + local_rows)
 
 
 class TestTransactions:

@@ -1,4 +1,5 @@
-"""The vectorization lint catches per-row dict building regressions."""
+"""The operator lint catches per-row dict building in batch loops and a
+second ``run`` implementation growing back."""
 
 import pathlib
 import subprocess
@@ -68,14 +69,47 @@ def test_allows_batch_level_dicts_and_empty_accumulators():
     assert lint_vectorized.check_source(good) == []
 
 
-def test_ignores_methods_other_than_run_batches():
-    scalar = textwrap.dedent("""
+def test_ignores_dicts_in_methods_other_than_run_batches():
+    helper = textwrap.dedent("""
         class Op:
-            def run(self):
-                for row in self.child.run():
-                    yield {"x": row["x"]}
+            def _fallback_matches(self, key):
+                for obj in self.objects:
+                    yield {"x": obj["x"]}
     """)
-    assert lint_vectorized.check_source(scalar) == []
+    assert lint_vectorized.check_source(helper) == []
+
+
+def test_flags_run_defined_outside_the_base_class():
+    bad = textwrap.dedent("""
+        class PhysicalOperator:
+            def run(self):
+                for batch in self.run_batches():
+                    yield from batch.to_rows()
+
+        class Sort(PhysicalOperator):
+            def run_batches(self):
+                yield from self.child.run_batches()
+
+            def run(self):
+                yield from sorted(self.child.run())
+    """)
+    violations = lint_vectorized.check_source(bad)
+    assert [line for line, _ in violations] == [11]
+    assert "class Sort defines run()" in violations[0][1]
+
+
+def test_base_class_run_is_the_only_one_allowed():
+    good = textwrap.dedent("""
+        class PhysicalOperator:
+            def run(self):
+                for batch in self.run_batches():
+                    yield from batch.to_rows()
+
+        class Run(PhysicalOperator):
+            def run_batches(self):
+                yield self.batch
+    """)
+    assert lint_vectorized.check_source(good) == []
 
 
 def test_cli_exit_codes(tmp_path):

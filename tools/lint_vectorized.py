@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Lint the vectorized operator hot loops for per-row dict building.
+"""Lint the physical operators: batch hot loops, and one engine only.
 
 The whole point of ``run_batches`` is that columns flow as NumPy
 arrays; the classic performance regression is someone "fixing" a batch
 operator by rebuilding a Python dict per row inside the batch loop,
-which silently reverts the operator to row-at-a-time speed while the
-EXPLAIN output still says ``[vectorized]``.
+which silently reverts the operator to row-at-a-time speed while
+nothing in EXPLAIN changes.
 
 This check parses the target modules and fails when a ``run_batches``
 body constructs a populated dict (literal with keys, ``dict(...)``
@@ -13,6 +13,11 @@ with arguments, or a dict comprehension) inside loop context — a
 ``for``/``while`` statement or a comprehension, i.e. anything executed
 once per element.  Empty ``{}`` accumulators and batch-level dicts
 built outside loops are the intended idiom and stay legal.
+
+It also fails when any class other than ``PhysicalOperator`` defines
+``run``: the base class's flatten over ``run_batches`` is the only row
+path, so a second, row-at-a-time execution engine cannot grow back
+operator by operator.
 
 Usage::
 
@@ -66,15 +71,34 @@ def _scan_loop_context(node: ast.AST, violations: list[tuple[int, str]],
             _scan_loop_context(child, violations, child_in_loop)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def check_source(source: str, filename: str = "<string>"
                  ) -> list[tuple[int, str]]:
-    """``(line, message)`` violations for every run_batches in *source*."""
+    """``(line, message)`` violations in *source*: populated dicts built
+    per iteration in a run_batches body, and ``run`` methods defined
+    outside ``PhysicalOperator``."""
     tree = ast.parse(source, filename=filename)
+    dicts: list[tuple[int, str]] = []
     violations: list[tuple[int, str]] = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name == "run_batches":
-            _scan_loop_context(node, violations, in_loop=False)
+        if isinstance(node, _FUNCTIONS) and node.name == "run_batches":
+            _scan_loop_context(node, dicts, in_loop=False)
+        elif isinstance(node, ast.ClassDef) \
+                and node.name != "PhysicalOperator":
+            violations.extend(
+                (item.lineno,
+                 f"class {node.name} defines run() — only PhysicalOperator "
+                 "may; implement run_batches (one execution engine)")
+                for item in node.body
+                if isinstance(item, _FUNCTIONS) and item.name == "run"
+            )
+    violations.extend(
+        (line, f"run_batches {message} "
+               "(per-row dict building defeats vectorization)")
+        for line, message in dicts
+    )
     return sorted(violations)
 
 
@@ -84,8 +108,7 @@ def check_paths(paths: list[str]) -> list[str]:
     for path in paths:
         text = pathlib.Path(path).read_text()
         for line, message in check_source(text, filename=path):
-            out.append(f"{path}:{line}: run_batches {message} "
-                       "(per-row dict building defeats vectorization)")
+            out.append(f"{path}:{line}: {message}")
     return out
 
 
