@@ -30,8 +30,8 @@ def _gaea_run(size=32):
     catalog = build_figure2()
     populate_scenes(catalog, seed=71, size=size, years=(1988, 1989))
     kernel = catalog.kernel
-    c7 = catalog.session.execute_one("SELECT FROM veg_change_pca_c7")
-    c8 = catalog.session.execute_one("SELECT FROM veg_change_spca_c8")
+    [c7] = catalog.connection.execute("SELECT FROM veg_change_pca_c7")
+    [c8] = catalog.connection.execute("SELECT FROM veg_change_spca_c8")
     return catalog, c7.objects[0], c8.objects[0]
 
 

@@ -26,8 +26,8 @@ def _catalog(size=32):
 def test_expE_derive_both_variants(benchmark):
     def run():
         catalog = _catalog(size=16)
-        d250 = catalog.session.execute_one("SELECT FROM desert_rain250_c2")
-        d200 = catalog.session.execute_one("SELECT FROM desert_rain200_c3")
+        [d250] = catalog.connection.execute("SELECT FROM desert_rain250_c2")
+        [d200] = catalog.connection.execute("SELECT FROM desert_rain200_c3")
         return catalog, d250.objects[0], d200.objects[0]
 
     catalog, c2, c3 = benchmark(run)
@@ -38,8 +38,8 @@ def test_expE_distinct_processes_distinct_results(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     catalog = _catalog()
     kernel = catalog.kernel
-    c2 = catalog.session.execute_one("SELECT FROM desert_rain250_c2").objects[0]
-    c3 = catalog.session.execute_one("SELECT FROM desert_rain200_c3").objects[0]
+    c2 = catalog.connection.execute("SELECT FROM desert_rain250_c2")[0].objects[0]
+    c3 = catalog.connection.execute("SELECT FROM desert_rain200_c3")[0].objects[0]
 
     p2 = kernel.derivations.processes.get("P2")
     p3 = kernel.derivations.processes.get("P3")
@@ -84,7 +84,7 @@ def test_expE_editing_creates_new_process(benchmark):
     result = benchmark(edit_and_run)
     # The edited process derived into P2's output class with the stricter
     # cutoff — fewer desert pixels than the 200 mm variant.
-    c3 = catalog.session.execute_one("SELECT FROM desert_rain200_c3")
+    [c3] = catalog.connection.execute("SELECT FROM desert_rain200_c3")
     frac150 = float(np.mean(result.output["data"].data != 0))
     frac200 = float(np.mean(c3.objects[0]["data"].data != 0))
     assert frac150 <= frac200
@@ -98,10 +98,10 @@ def test_expE_concept_query_returns_all_variants(benchmark):
     catalog = _catalog(size=16)
 
     def query():
-        return catalog.session.execute("SELECT FROM hot_trade_wind_desert")
+        return catalog.connection.execute("SELECT FROM hot_trade_wind_desert")
 
-    results = benchmark(query)
-    assert {r.details["class"] for r in results} == {
+    [result] = benchmark(query)
+    assert {obj.class_name for obj in result.objects} == {
         "desert_rain250_c2", "desert_rain200_c3",
         "desert_aridity_c4", "desert_smoothed_c5",
     }

@@ -65,7 +65,7 @@ def test_expF_btree_point_lookup(benchmark):
     engine = _engine(rows=1000)
 
     def lookup():
-        return engine.lookup("scenes", "area", "area7")
+        return list(engine.iter_lookup("scenes", "area", "area7"))
 
     rows = benchmark(lookup)
     assert len(rows) == 20
@@ -76,7 +76,7 @@ def test_expF_spatial_lookup(benchmark):
     query = Box(-10, -10, 10, 10)
 
     def lookup():
-        return engine.spatial_lookup("scenes", query)
+        return list(engine.iter_spatial("scenes", query))
 
     rows = benchmark(lookup)
     assert all(row["spatialextent"].overlaps(query) for row in rows)
@@ -86,7 +86,7 @@ def test_expF_temporal_lookup(benchmark):
     engine = _engine(rows=1000)
 
     def lookup():
-        return engine.temporal_lookup("scenes", AbsTime(500))
+        return list(engine.iter_temporal("scenes", AbsTime(500)))
 
     rows = benchmark(lookup)
     assert all(row["timestamp"] == AbsTime(500) for row in rows)
@@ -102,7 +102,7 @@ def test_expF_index_vs_scan_selectivity(benchmark):
     for n in (200, 1000, 5000):
         engine = _engine(rows=n)
         start = time.perf_counter()
-        engine.lookup("scenes", "area", "area7")
+        list(engine.iter_lookup("scenes", "area", "area7"))
         t_idx = time.perf_counter() - start
         start = time.perf_counter()
         matches = [r for r in engine.scan("scenes") if r["area"] == "area7"]

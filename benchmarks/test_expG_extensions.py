@@ -139,7 +139,7 @@ def test_expG_mosaic_scaling(benchmark, tiles):
 def test_expG_checkpoint_roundtrip(benchmark, tmp_path):
     catalog = build_figure2()
     populate_scenes(catalog, seed=19, size=32, years=(1988, 1989))
-    catalog.session.execute_one("SELECT FROM desert_rain250_c2")
+    catalog.connection.execute("SELECT FROM desert_rain250_c2")
     path = tmp_path / "kernel.ckpt"
     counter = iter(range(10_000))
 

@@ -11,8 +11,8 @@ from conftest import report
 from repro.figures import build_figure1
 
 
-def _verify(session) -> dict:
-    tree = session.kernel.component_tree()
+def _verify(connection) -> dict:
+    tree = connection.kernel.component_tree()
     manager = tree["GAEA KERNEL"]["Meta-Data Manager"]
     assert set(manager) == {
         "Data Type/Operator Manager",
@@ -21,14 +21,14 @@ def _verify(session) -> dict:
     }
     assert "POSTGRES BACKEND (substitute)" in tree
     # The interpreter boxes (parser is a module function; optimizer and
-    # executor are session components).
-    assert session.optimizer is not None and session.executor is not None
+    # executor are connection components).
+    assert connection.optimizer is not None and connection.executor is not None
     return tree
 
 
 def test_fig1_build_architecture(benchmark):
-    session = benchmark(build_figure1)
-    tree = _verify(session)
+    connection = benchmark(build_figure1)
+    tree = _verify(connection)
     type_mgr = tree["GAEA KERNEL"]["Meta-Data Manager"][
         "Data Type/Operator Manager"]
     rows = [
@@ -51,23 +51,23 @@ def test_fig1_kernel_survives_roundtrip(benchmark):
     """The architecture is functional, not decorative: a define/query
     round-trip through every layer."""
     def roundtrip():
-        session = build_figure1()
-        session.execute("""
+        connection = build_figure1()
+        connection.execute("""
         DEFINE CLASS probe (
           ATTRIBUTES: tag = char16;
           SPATIAL EXTENT: spatialextent = box;
           TEMPORAL EXTENT: timestamp = abstime;
         )
         """)
-        session.kernel.store.store("probe", {
+        connection.kernel.store.store("probe", {
             "tag": "x",
             "spatialextent": __import__("repro.spatial",
                                         fromlist=["Box"]).Box(0, 0, 1, 1),
             "timestamp": __import__("repro.temporal",
                                     fromlist=["AbsTime"]).AbsTime(0),
         })
-        result = session.execute_one("SELECT FROM probe")
+        [result] = connection.execute("SELECT FROM probe")
         assert result.path == "retrieve"
-        return session
+        return connection
 
     benchmark(roundtrip)

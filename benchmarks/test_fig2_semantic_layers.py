@@ -83,13 +83,13 @@ def test_fig2_build_catalog(benchmark):
 
 def test_fig2_concept_query(benchmark, catalog16):
     """Query a concept: the high-level entry point of the layer stack."""
-    session = catalog16.session
+    connection = catalog16.connection
 
     def query():
-        return session.execute("SELECT FROM hot_trade_wind_desert")
+        return connection.execute("SELECT FROM hot_trade_wind_desert")
 
-    results = benchmark(query)
-    assert {r.details["class"] for r in results} == \
+    [result] = benchmark(query)
+    assert {obj.class_name for obj in result.objects} == \
         EXPECTED_CONCEPT_CLASSES["hot_trade_wind_desert"]
 
 

@@ -16,17 +16,17 @@ from repro.query import parse_statement
 from repro.temporal import AbsTime
 
 
-def _loaded_session(size=32):
-    session = build_figure3()
+def _loaded_connection(size=32):
+    connection = build_figure3()
     generator = SceneGenerator(seed=17, nrow=size, ncol=size)
     stamp = AbsTime.from_ymd(1986, 1, 15)
     for band, image in zip(("red", "nir", "green"),
                            generator.scene("africa", 1986, 1)):
-        session.kernel.store.store("landsat_tm_rect", {
+        connection.kernel.store.store("landsat_tm_rect", {
             "band": band, "data": image,
             "spatialextent": AFRICA, "timestamp": stamp,
         })
-    return session
+    return connection
 
 
 def test_fig3_parse_definition(benchmark):
@@ -48,8 +48,8 @@ def test_fig3_parse_definition(benchmark):
 
 
 def test_fig3_execute_p20(benchmark):
-    session = _loaded_session()
-    kernel = session.kernel
+    connection = _loaded_connection()
+    kernel = connection.kernel
     bands = kernel.store.objects("landsat_tm_rect")
 
     def run():
@@ -67,8 +67,8 @@ def test_fig3_execute_p20(benchmark):
 
 def test_fig3_assertions_guard(benchmark):
     """The template's guard rules actually reject bad inputs."""
-    session = _loaded_session(size=16)
-    kernel = session.kernel
+    connection = _loaded_connection(size=16)
+    kernel = connection.kernel
     bands = kernel.store.objects("landsat_tm_rect")
     generator = SceneGenerator(seed=18, nrow=16, ncol=16)
     stray = kernel.store.store("landsat_tm_rect", {
@@ -100,8 +100,8 @@ def test_fig3_assertions_guard(benchmark):
 def test_fig3_p20_scaling(benchmark, size):
     """Classification cost vs. scene size (the task-level workload of the
     'land use classification for January 1986 for Africa' example)."""
-    session = _loaded_session(size=size)
-    kernel = session.kernel
+    connection = _loaded_connection(size=size)
+    kernel = connection.kernel
     bands = kernel.store.objects("landsat_tm_rect")
 
     def run():

@@ -23,7 +23,7 @@ from repro.figures import build_figure2, populate_scenes
 
 def main() -> None:
     catalog = build_figure2()
-    session = catalog.session
+    conn = catalog.connection
     kernel = catalog.kernel
     populate_scenes(catalog, seed=23, size=48, years=(1988,))
     print("catalog loaded:", len(catalog.class_names), "classes,",
@@ -37,14 +37,12 @@ def main() -> None:
           sorted(kernel.concepts.classes_of("hot_trade_wind_desert")))
 
     # A concept-level query covers every member derivation (§2.1.5).
-    results = session.execute("SELECT FROM hot_trade_wind_desert")
+    cursor = conn.cursor().execute("SELECT FROM hot_trade_wind_desert")
     masks = {}
-    for result in results:
-        obj = result.objects[0]
+    for obj in cursor:
         fraction = float(np.mean(obj["data"].data))
-        masks[result.details["class"]] = obj
-        print(f"  {result.details['class']:22s} path={result.path:8s} "
-              f"desert fraction {fraction:.3f}")
+        masks[obj.class_name] = obj
+        print(f"  {obj.class_name:22s} desert fraction {fraction:.3f}")
 
     # How much do the definitions disagree?  Pairwise mask agreement.
     names = sorted(masks)

@@ -11,13 +11,6 @@
    straight from the connection's plan cache (no re-parse/re-plan);
 6. stream the result through the cursor and inspect its lineage.
 
-Migration note: the legacy ``open_session().execute(source)`` API still
-works, but re-parses and re-plans every call.  ``repro.connect()`` gives
-the same GaeaQL plus ``?``/``:name`` bind parameters, a plan cache,
-streaming fetches (``fetchone``/``fetchmany``/iteration) and
-transactions; an existing session exposes ``session.connection()`` to
-migrate incrementally.
-
 Run:  python examples/quickstart.py
 """
 

@@ -20,20 +20,20 @@ Run:  python examples/vegetation_change.py
 
 import numpy as np
 
-from repro import open_session
+from repro import connect
 from repro.figures import AFRICA
 from repro.gis import SceneGenerator, ndvi
 from repro.temporal import AbsTime
 
 
-def load_ndvi_series(session, years=(1988, 1989)) -> dict[int, object]:
+def load_ndvi_series(conn, years=(1988, 1989)) -> dict[int, object]:
     """Compute and store one NDVI object per year from synthetic AVHRR."""
     generator = SceneGenerator(seed=11, nrow=48, ncol=48)
     stored = {}
     for year in years:
         red = generator.band("africa", year, 7, "red")
         nir = generator.band("africa", year, 7, "nir")
-        obj = session.kernel.store.store("ndvi", {
+        obj = conn.kernel.store.store("ndvi", {
             "area": "africa",
             "data": ndvi(red, nir),
             "spatialextent": AFRICA,
@@ -44,8 +44,8 @@ def load_ndvi_series(session, years=(1988, 1989)) -> dict[int, object]:
 
 
 def main() -> None:
-    session = open_session(universe=AFRICA)
-    session.execute("""
+    conn = connect(universe=AFRICA)
+    conn.execute("""
     DEFINE CLASS ndvi (
       ATTRIBUTES: area = char16; data = image;
       SPATIAL EXTENT: spatialextent = box;
@@ -89,11 +89,11 @@ def main() -> None:
     }
     """)
 
-    stored = load_ndvi_series(session)
+    stored = load_ndvi_series(conn)
     print("stored NDVI snapshots:",
           {year: obj.oid for year, obj in stored.items()})
 
-    kernel = session.kernel
+    kernel = conn.kernel
     later, earlier = stored[1989], stored[1988]
     res_a = kernel.derivations.execute_process(
         "change-by-subtraction", {"later": later, "earlier": earlier}
@@ -115,7 +115,7 @@ def main() -> None:
     print("shared base inputs:", comparison["shared_base_inputs"])
 
     # --- Eastman's experiment: PCA vs SPCA over the NDVI series ----------
-    session.execute("""
+    conn.execute("""
     DEFINE CLASS veg_change_pca (
       ATTRIBUTES: area = char16; data = image;
       SPATIAL EXTENT: spatialextent = box;
@@ -153,8 +153,8 @@ def main() -> None:
         veg_change_spca.timestamp = ANYOF series.timestamp;
     }
     """)
-    pca_result = session.execute_one("SELECT FROM veg_change_pca")
-    spca_result = session.execute_one("SELECT FROM veg_change_spca")
+    [pca_result] = conn.execute("SELECT FROM veg_change_pca")
+    [spca_result] = conn.execute("SELECT FROM veg_change_spca")
     img_pca = pca_result.objects[0]["data"].data
     img_spca = spca_result.objects[0]["data"].data
     correlation = float(np.corrcoef(img_pca.ravel(), img_spca.ravel())[0, 1])

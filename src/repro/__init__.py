@@ -42,20 +42,10 @@ Quickstart::
 
 See ``README.md`` and ``docs/`` (architecture, full GaeaQL reference)
 for the complete tour.
-
-Migrating from ``open_session``: the legacy session API still works
-unchanged (``open_session().execute(source)``), but it re-parses and
-re-plans every call.  ``repro.connect()`` returns a
-:class:`~repro.query.client.Connection` whose cursors accept the same
-GaeaQL, add ``?``/``:name`` bind parameters, reuse plans through an LRU
-cache (``conn.cache_hits``), stream results, and scope work in
-transactions (``conn.begin()``/``commit()``/``rollback()``).  An
-existing session exposes ``session.connection()`` for incremental
-migration.
 """
 
 from .core import open_kernel
-from .query import Connection, Cursor, PreparedStatement, connect, open_session
+from .query import Connection, Cursor, PreparedStatement, connect
 
 __version__ = "2.1.0"
 
@@ -66,7 +56,6 @@ __all__ = [
     "PreparedStatement",
     "connect",
     "open_kernel",
-    "open_session",
     "remote_connect",
     "__version__",
 ]

@@ -81,7 +81,7 @@ class MetadataManager:
 
         Benchmarks verify this against the paper's component list; the
         'visual environment' box is out of scope (a UI) and the
-        interpreter is attached by :class:`repro.query.session.GaeaSession`.
+        interpreter is attached by :class:`repro.query.client.Connection`.
         """
         return {
             "GAEA KERNEL": {

@@ -220,12 +220,6 @@ class InterfaceError(QueryError):
     or cursor, or an illegal transaction state transition)."""
 
 
-class ResultCardinalityError(QueryError, ValueError):
-    """A single-result API received a source producing zero or several
-    results.  Subclasses :class:`ValueError` for backward compatibility
-    with callers of the pre-connection API."""
-
-
 # ---------------------------------------------------------------------------
 # Extent algebra
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .adt.operators import OperatorRegistry
 from .core.classes import SciObject
 from .core.metadata_manager import MetadataManager
 from .gis import SceneGenerator
-from .query.session import GaeaSession, open_session
+from .query.client import Connection, connect
 from .spatial.box import Box
 from .temporal.abstime import AbsTime
 
@@ -56,15 +56,15 @@ AFRICA = Box(-20.0, -35.0, 52.0, 38.0)
 # ---------------------------------------------------------------------------
 
 
-def build_figure1() -> GaeaSession:
+def build_figure1() -> Connection:
     """A complete Gaea stack: kernel + interpreter, as Figure 1 wires it.
 
     The caller can verify :meth:`MetadataManager.component_tree` has the
     paper's boxes: metadata manager (data type/operator, derivation,
     experiment managers), interpreter (parser/optimizer/executor via the
-    session) and the backend.
+    connection) and the backend.
     """
-    return open_session(universe=AFRICA)
+    return connect(universe=AFRICA)
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +76,15 @@ def build_figure1() -> GaeaSession:
 class Figure2Catalog:
     """Handle to the built Figure-2 database."""
 
-    session: GaeaSession
+    connection: Connection
     concept_names: tuple[str, ...]
     class_names: tuple[str, ...]
     process_names: tuple[str, ...]
 
     @property
     def kernel(self) -> MetadataManager:
-        """The kernel under the session."""
-        return self.session.kernel
+        """The kernel under the connection."""
+        return self.connection.kernel
 
 
 _FIGURE2_CLASSES = """
@@ -295,15 +295,15 @@ DEFINE CONCEPT land_cover_changes_concept MEMBERS land_cover_changes_c21
 """
 
 
-def build_figure2(session: GaeaSession | None = None) -> Figure2Catalog:
+def build_figure2(connection: Connection | None = None) -> Figure2Catalog:
     """Build the Figure-2 catalog: classes, processes and concepts."""
-    if session is None:
-        session = open_session(universe=AFRICA)
-    session.execute(_FIGURE2_CLASSES)
-    session.execute(_FIGURE2_PROCESSES)
-    session.execute(_FIGURE2_CONCEPTS)
+    if connection is None:
+        connection = connect(universe=AFRICA)
+    connection.execute(_FIGURE2_CLASSES)
+    connection.execute(_FIGURE2_PROCESSES)
+    connection.execute(_FIGURE2_CONCEPTS)
     return Figure2Catalog(
-        session=session,
+        connection=connection,
         concept_names=(
             "remote_sensing_data", "landsat_tm", "desert",
             "hot_trade_wind_desert", "ice_snow_desert", "ndvi_concept",
@@ -388,11 +388,11 @@ TEMPLATE {
 """
 
 
-def build_figure3(session: GaeaSession | None = None) -> GaeaSession:
+def build_figure3(connection: Connection | None = None) -> Connection:
     """Define the Figure-3 class pair and the P20 process verbatim."""
-    if session is None:
-        session = open_session(universe=AFRICA)
-    session.execute("""
+    if connection is None:
+        connection = connect(universe=AFRICA)
+    connection.execute("""
     DEFINE CLASS landsat_tm_rect (
       ATTRIBUTES: band = char16; data = image;
       SPATIAL EXTENT: spatialextent = box;
@@ -405,8 +405,8 @@ def build_figure3(session: GaeaSession | None = None) -> GaeaSession:
       DERIVED BY: unsupervised-classification
     )
     """)
-    session.execute(FIGURE3_SOURCE)
-    return session
+    connection.execute(FIGURE3_SOURCE)
+    return connection
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def build_figure5(catalog: Figure2Catalog) -> str:
     label-change comparison the figure routes into Land-Cover-Changes).
     Returns the compound's name.
     """
-    catalog.session.execute("""
+    catalog.connection.execute("""
     DEFINE COMPOUND PROCESS land-change-detection
     OUTPUT land_cover_changes_c21
     ARGUMENT ( SETOF landsat_tm_rectified tm_early >= 3,

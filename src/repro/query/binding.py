@@ -43,15 +43,11 @@ class ParamSignature:
 
 def _params_of(node: PlanNode) -> Iterable[Param]:
     if isinstance(node, ExplainNode):
-        for inner in node.inner:
-            yield from _params_of(inner)
+        yield from _params_of(node.inner)
         return
     if isinstance(node, QueryNode):
-        for inner in node.inputs:
-            yield from _params_of(inner)
-        if node.join is not None:
-            for inner in node.join.inputs:
-                yield from _params_of(inner)
+        for leg in node.legs:
+            yield from _params_of(leg)
         if isinstance(node.limit, Param):
             yield node.limit
         if isinstance(node.offset, Param):
@@ -185,9 +181,7 @@ def _bind_count(count: Any, binder: _Binder, clause: str) -> Any:
 
 def _bind_node(node: PlanNode, binder: _Binder) -> PlanNode:
     if isinstance(node, ExplainNode):
-        return ExplainNode(inner=tuple(
-            _bind_node(inner, binder) for inner in node.inner
-        ))
+        return ExplainNode(inner=_bind_node(node.inner, binder))
     if isinstance(node, QueryNode):
         join = node.join
         if join is not None:

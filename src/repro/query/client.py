@@ -17,18 +17,18 @@ over the same classes::
             for obj in cur:          # objects stream lazily
                 ...
 
-Compared with the legacy ``open_session().execute(str)`` path:
+What the layer provides:
 
 * statements are lexed/parsed/planned once — re-executions hit the
   connection's LRU plan cache (``conn.cache_hits``), which DDL
   invalidates via the kernel's schema version;
 * ``?`` positional and ``:name`` named placeholders separate the plan
   from its bind values;
-* cursors defer retrieval execution until rows are pulled
-  (``fetchone``/``fetchmany``/iteration): post-filters apply lazily and
-  each retrieval node runs only as the stream reaches it — though a
-  single node still materializes its matching objects at once, since
-  the §2.1.5 planner is all-or-nothing per class;
+* every SELECT/DERIVE is one plan node and one operator tree, whichever
+  call submits it: cursors stream the tree's rows as they are pulled
+  (``fetchone``/``fetchmany``/iteration), ``run()`` drains the same
+  tree into one result, ``explain()`` renders it — each under one
+  statement snapshot;
 * ``begin``/``commit``/``rollback`` scope object stores in storage-level
   transactions (single writer per kernel), and several connections can
   share one kernel (``connect(kernel=...)``).
@@ -50,13 +50,12 @@ from ..storage.transactions import Transaction
 from .binding import ParamSignature, bind_nodes, collect_signature
 from .executor import Executor, QueryResult
 from .optimizer import (
+    ExplainNode,
     Optimizer,
     PlanCache,
     PlanNode,
     QueryNode,
-    RetrieveNode,
 )
-from .physical import ConceptGroup, group_nodes
 
 __all__ = ["connect", "Connection", "Cursor", "PreparedStatement",
            "apilevel", "paramstyle", "threadsafety"]
@@ -261,13 +260,12 @@ class Cursor:
     """A streaming result handle (PEP-249 shaped).
 
     ``execute`` runs DDL/RUN/SHOW statements up to the first retrieval
-    immediately; retrieval results then stream through ``fetchone`` /
-    ``fetchmany`` / iteration, applying post-filters per object.
-    Laziness is per plan node: a node's retrieval (and any derivation it
-    triggers) runs in full when the stream first reaches it, but later
-    nodes — other concept members, later statements — wait until the
-    stream gets there, and statements *after* a retrieval execute only
-    as the row stream is drained (``fetchall`` drains everything).
+    immediately; retrieval rows then stream through ``fetchone`` /
+    ``fetchmany`` / iteration, batch by batch out of the statement's
+    operator tree.  A fallback derivation runs in full when the stream
+    first needs it, but later concept members and later statements wait
+    until the stream gets there: statements *after* a retrieval execute
+    only as the row stream is drained (``fetchall`` drains everything).
     """
 
     arraysize = 1
@@ -296,11 +294,8 @@ class Cursor:
         self._describe(nodes)
         boundary = 0
         while boundary < len(nodes) \
-                and not isinstance(nodes[boundary],
-                                   (RetrieveNode, QueryNode)):
-            self.results.append(self.connection.executor.execute(
-                nodes[boundary]
-            ))
+                and not isinstance(nodes[boundary], QueryNode):
+            self.results.append(self._run_node(nodes[boundary]))
             boundary += 1
         self._exhausted = boundary >= len(nodes)
         self._rows = self._stream(nodes[boundary:])
@@ -327,9 +322,11 @@ class Cursor:
                 params: Any = None) -> str:
         """A plan dump for *operation* without returning any rows.
 
-        Pricing probes the store's statistics (and may scan to resolve
-        the §2.1.5 logical path) but has no side effects — no
-        derivations run and nothing is materialized for the caller.
+        Pricing probes the store's statistics (and scans once per
+        retrieval to resolve the §2.1.5 logical path, under the same
+        snapshot a SELECT issued now would read) but has no side
+        effects — no derivations run and nothing is materialized for
+        the caller.
 
         Each retrieval gets a summary line with the logical path and
         the cost-based physical access path (e.g.
@@ -346,34 +343,26 @@ class Cursor:
         derivation and process-execution operators the same way.
         """
         nodes = self._bound_nodes(operation, params)
-        return "\n".join(self.connection.executor.render_plan(nodes))
+        with self.connection.kernel.store.read_view(
+                self.connection._statement_snapshot()):
+            return "\n".join(self.connection.executor.render_plan(nodes))
 
     def run(self, operation: str | PreparedStatement,
             params: Any = None) -> list[QueryResult]:
-        """Eagerly execute every statement, returning full results.
+        """Execute every statement to completion: one result each.
 
-        The materializing counterpart of :meth:`execute`: statement
-        order is strictly preserved and retrievals come back as
-        ``kind="objects"`` results — the contract the legacy session API
-        and the CLI render.
+        The materializing counterpart of :meth:`execute`, in strict
+        statement order.  A SELECT/DERIVE comes back as one
+        ``kind="objects"`` result holding the rows ``execute().fetchall()``
+        returns, in that order — the same tree, drained — with the
+        §2.1.5 path taken; this is what the CLI renders.
         """
         nodes = self._bound_nodes(operation, params)
         self.results = []
         self._rows = None
         self._exhausted = True
         self._describe(nodes)
-        executor = self.connection.executor
-        store = self.connection.kernel.store
-        out = []
-        for node in nodes:
-            if isinstance(node, (RetrieveNode, QueryNode)):
-                # Eager materialization: safe to pin around the whole
-                # call (no generator escapes the context).
-                with store.read_view(
-                        self.connection._statement_snapshot()):
-                    out.append(executor.execute(node))
-            else:
-                out.append(executor.execute(node))
+        out = [self._run_node(node) for node in nodes]
         self.results = [r for r in out if r.kind != "objects"]
         self._fetched = sum(
             len(r.objects) for r in out if r.kind == "objects"
@@ -456,45 +445,54 @@ class Cursor:
         """
         self.description = None
         for node in nodes:
-            if isinstance(node, QueryNode):
-                if node.items:
-                    # Expression/aggregate columns: types are whatever
-                    # the expressions produce.
-                    self.description = [
-                        (item.alias, None, None, None, None, None, None)
-                        for item in node.items
-                    ]
-                    return
-                node = node.inputs[0]
-            if isinstance(node, RetrieveNode):
-                cls = self.connection.kernel.classes.get(node.class_name)
-                attributes = cls.attributes
-                if node.projection:
-                    attributes = tuple(
-                        (attr, cls.type_of(attr))
-                        for attr in node.projection
-                    )
+            if not isinstance(node, QueryNode):
+                continue
+            if node.items:
+                # Expression/aggregate columns: types are whatever the
+                # expressions produce.
                 self.description = [
-                    (attr, type_name, None, None, None, None, None)
-                    for attr, type_name in attributes
+                    (item.alias, None, None, None, None, None, None)
+                    for item in node.items
                 ]
                 return
+            leg = node.inputs[0]
+            cls = self.connection.kernel.classes.get(leg.class_name)
+            attributes = cls.attributes
+            if leg.projection:
+                attributes = tuple(
+                    (attr, cls.type_of(attr)) for attr in leg.projection
+                )
+            self.description = [
+                (attr, type_name, None, None, None, None, None)
+                for attr, type_name in attributes
+            ]
+            return
 
     def _stream(self, nodes: list[PlanNode]) -> Iterator[Any]:
-        """Drive the plan lazily, one grouped operator tree at a time.
+        """Drive the plan lazily, one statement's operator tree at a
+        time, each under its own statement snapshot."""
+        executor = self.connection.executor
+        for node in nodes:
+            if isinstance(node, QueryNode):
+                snapshot = self.connection._statement_snapshot()
+                yield from self._pinned(executor.iter_group(node), snapshot)
+            else:
+                self.results.append(self._run_node(node))
+        self._exhausted = True
 
-        A concept SELECT's member nodes run as a single cost-ordered
-        ``ConceptUnion`` tree, so cheap members stream before expensive
-        ones and fallback derivations share one execution context.
+    def _run_node(self, node: PlanNode) -> QueryResult:
+        """Run one plan node to completion.
+
+        Reads — a SELECT/DERIVE drained whole, EXPLAIN's path
+        resolution — see one statement snapshot (no generator escapes
+        the pin); DDL and RUN write through the live view.
         """
         executor = self.connection.executor
-        for item in group_nodes(nodes):
-            if isinstance(item, (RetrieveNode, ConceptGroup, QueryNode)):
-                snapshot = self.connection._statement_snapshot()
-                yield from self._pinned(executor.iter_group(item), snapshot)
-            else:
-                self.results.append(executor.execute(item))
-        self._exhausted = True
+        if isinstance(node, (QueryNode, ExplainNode)):
+            with self.connection.kernel.store.read_view(
+                    self.connection._statement_snapshot()):
+                return executor.execute(node)
+        return executor.execute(node)
 
     def _pinned(self, rows: Iterator[Any], snapshot: Any) -> Iterator[Any]:
         """Drive *rows* with *snapshot* pinned around each ``next()``.

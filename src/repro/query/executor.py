@@ -1,17 +1,15 @@
 """The GaeaQL executor: plan nodes → operator trees → results.
 
-Retrievals come in two shapes: :meth:`Executor.execute` materializes a
-full :class:`QueryResult`, while :meth:`Executor.iter_group` yields
-matching rows one at a time — the streaming path behind
-:meth:`repro.query.client.Cursor.fetchone`.
-
-Both shapes drive the same physical operator tree
-(:mod:`repro.query.operators`), compiled per execution from the cached
-logical plan by :class:`repro.query.physical.PhysicalPlanner`: a
-stored-data scan under a ``FallbackSwitch`` whose interpolate/derive
-children consume the scan's "nothing stored here" outcome instead of
-re-scanning, concept queries as one cost-ordered ``ConceptUnion``, and
-``RUN`` as a ``Run`` leaf.  EXPLAIN renders the very same trees.
+A SELECT or DERIVE has one operator tree (:mod:`repro.query.operators`),
+compiled per execution from the cached logical plan by
+:class:`repro.query.physical.PhysicalPlanner`: a stored-data scan under
+a ``FallbackSwitch`` whose interpolate/derive children consume the
+scan's "nothing stored here" outcome instead of re-scanning, a concept
+source as one cost-ordered ``ConceptUnion``, the algebra operators on
+top.  :meth:`Executor.iter_group` streams that tree's rows — the path
+behind :meth:`repro.query.client.Cursor.fetchone` —
+:meth:`Executor.execute` drains it into a :class:`QueryResult`, and
+EXPLAIN renders it.
 """
 
 from __future__ import annotations
@@ -55,14 +53,14 @@ from .optimizer import (
     RetrieveNode,
     StatementNode,
 )
-from .physical import ConceptGroup, PhysicalPlanner, group_nodes
+from .physical import PhysicalPlanner
 
 __all__ = ["QueryResult", "Executor"]
 
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Result of one plan node.
+    """Result of one statement.
 
     ``kind`` is one of ``objects`` (retrievals), ``message`` (DDL and
     browsing), ``explanation`` (EXPLAIN).
@@ -112,9 +110,7 @@ class Executor:
         self.physical = PhysicalPlanner(kernel=self.kernel)
 
     def execute(self, node: PlanNode) -> QueryResult:
-        """Run one plan node."""
-        if isinstance(node, RetrieveNode):
-            return self._retrieve(node)
+        """Run one plan node to completion."""
         if isinstance(node, QueryNode):
             return self._query(node)
         if isinstance(node, ExplainNode):
@@ -126,8 +122,8 @@ class Executor:
     # -- EXPLAIN ---------------------------------------------------------------
 
     def explain_node(self, node: RetrieveNode) -> tuple[str, str | None]:
-        """``(logical path, access-path dump)`` for one retrieval node,
-        resolved against the current store.
+        """``(logical path, access-path dump)`` for one retrieval leg,
+        resolved against the store as the caller's snapshot sees it.
 
         The logical §2.1.5 path is a run-time property of the operator
         tree (the FallbackSwitch decides it), so EXPLAIN peeks at the
@@ -145,29 +141,22 @@ class Executor:
 
     def _explain(self, node: ExplainNode) -> QueryResult:
         """EXPLAIN: the §2.1.5 path summary plus the full operator tree."""
+        inner = node.inner
         paths: dict[str, str] = {}
         access: dict[str, str] = {}
         lines: list[str] = []
-        for inner in node.inner:
-            if isinstance(inner, (RetrieveNode, QueryNode)):
-                members = [inner] if isinstance(inner, RetrieveNode) \
-                    else self._query_members(inner)
-                for member in members:
-                    path, access_dump = self.explain_node(member)
-                    paths[member.class_name] = path
-                    line = f"{member.class_name}: path={path}"
-                    if access_dump is not None:
-                        access[member.class_name] = access_dump
-                        line += f" access={access_dump}"
-                    lines.append(line)
-            elif isinstance(inner, StatementNode) \
-                    and isinstance(inner.statement, RunProcess):
-                lines.append(f"run {inner.statement.process}")
-        tree_lines: list[str] = []
-        for item in group_nodes(node.inner):
-            tree = self._build_item(item)
-            if tree is not None:
-                tree_lines.extend(render_tree(tree))
+        if isinstance(inner, QueryNode):
+            for leg in inner.legs:
+                path, access_dump = self.explain_node(leg)
+                paths[leg.class_name] = path
+                line = f"{leg.class_name}: path={path}"
+                if access_dump is not None:
+                    access[leg.class_name] = access_dump
+                    line += f" access={access_dump}"
+                lines.append(line)
+        else:
+            lines.append(f"run {inner.statement.process}")
+        tree_lines = render_tree(self._tree(inner))
         return QueryResult(
             kind="explanation",
             message="\n".join(lines + tree_lines),
@@ -175,55 +164,25 @@ class Executor:
                      "tree": "\n".join(tree_lines)},
         )
 
-    def _build_item(self, item: PlanNode | ConceptGroup
-                    ) -> PhysicalOperator | None:
-        if isinstance(item, RetrieveNode):
-            self._require_bound(item)
-        elif isinstance(item, ConceptGroup):
-            for member in item.members:
-                self._require_bound(member)
-        elif isinstance(item, QueryNode):
-            for member in self._query_members(item):
-                self._require_bound(member)
-        return self.physical.build(item)
-
-    @staticmethod
-    def _query_members(node: QueryNode) -> list[RetrieveNode]:
-        members = list(node.inputs)
-        if node.join is not None:
-            members.extend(node.join.inputs)
-        return members
-
     def render_plan(self, nodes: list[PlanNode]) -> list[str]:
         """Cursor-level plan dump: summary lines plus operator trees.
 
         One ``retrieve <class>: path=... access=...`` line per
-        retrieval (the contract of ``Cursor.explain``), each statement's
-        operator tree beneath it.
+        retrieval leg (the contract of ``Cursor.explain``), each
+        statement's operator tree beneath its legs.
         """
         lines: list[str] = []
-        for item in group_nodes(nodes):
-            if isinstance(item, ExplainNode):
-                lines.extend(self.render_plan(list(item.inner)))
+        for node in nodes:
+            if isinstance(node, ExplainNode):
+                node = node.inner
+            if isinstance(node, QueryNode):
+                lines.extend(self._summary_line(leg) for leg in node.legs)
+            elif isinstance(node.statement, RunProcess):
+                lines.append(f"run {node.statement.process}")
+            else:
+                lines.append(f"statement {type(node.statement).__name__}")
                 continue
-            if isinstance(item, ConceptGroup):
-                for member in item.members:
-                    lines.append(self._summary_line(member))
-            elif isinstance(item, RetrieveNode):
-                lines.append(self._summary_line(item))
-            elif isinstance(item, QueryNode):
-                for member in self._query_members(item):
-                    lines.append(self._summary_line(member))
-            elif isinstance(item, StatementNode):
-                if not isinstance(item.statement, RunProcess):
-                    lines.append(
-                        f"statement {type(item.statement).__name__}"
-                    )
-                    continue
-                lines.append(f"run {item.statement.process}")
-            tree = self._build_item(item)
-            if tree is not None:
-                lines.extend(render_tree(tree))
+            lines.extend(render_tree(self._tree(node)))
         return lines
 
     def _summary_line(self, node: RetrieveNode) -> str:
@@ -252,9 +211,17 @@ class Executor:
                 "supply bind values (cursor.execute(source, params))"
             )
 
-    def iter_group(self, item: RetrieveNode | ConceptGroup | QueryNode
-                   ) -> Iterator[Any]:
-        """Stream one grouped plan item's rows lazily.
+    def _tree(self, node: PlanNode) -> PhysicalOperator:
+        """The operator tree of one (bound) SELECT, DERIVE or RUN node —
+        the one tree EXPLAIN renders, cursors stream and ``execute``
+        drains."""
+        if isinstance(node, QueryNode):
+            for leg in node.legs:
+                self._require_bound(leg)
+        return self.physical.build(node)
+
+    def iter_group(self, node: QueryNode) -> Iterator[Any]:
+        """Stream one SELECT/DERIVE's rows lazily.
 
         Direct retrievals ride the plan's recorded access path (re-priced
         by the store when indexes changed since planning) and stream row
@@ -262,65 +229,29 @@ class Executor:
         only the rows the index yields.  Only when nothing is stored for
         the extents does the tree's FallbackSwitch run the §2.1.5
         interpolate/derive sequence — consuming the already-executed
-        scan's emptiness instead of re-scanning.  Concept groups stream
-        as one cost-ordered union; extended queries stream through
-        their full algebra tree (a LIMIT stops the scans early, a
+        scan's emptiness instead of re-scanning.  A concept source
+        streams as one cost-ordered union; the algebra clauses stream
+        through their operators (a LIMIT stops the scans early, a
         blocking Sort/HashAggregate materializes only its own input).
         """
-        if isinstance(item, QueryNode):
-            members: tuple[RetrieveNode, ...] = \
-                tuple(self._query_members(item))
-        elif isinstance(item, ConceptGroup):
-            members = item.members
-        else:
-            members = (item,)
-        for member in members:
-            self._require_bound(member)
-        tree = self.physical.build(item)
-        yield from tree.run()
-
-    def iter_objects(self, node: RetrieveNode) -> Iterator[Any]:
-        """Stream the rows of a single retrieval node lazily."""
-        yield from self.iter_group(node)
-
-    def _retrieve(self, node: RetrieveNode) -> QueryResult:
-        self._require_bound(node)
-        tree = self.physical.build_retrieve(node)
-        objects = tuple(tree.run())
-        path, plan_steps, access = _tree_outcome(tree)
-        details: dict[str, Any] = {
-            "class": node.class_name,
-            "concept": node.concept,
-            "plan_steps": list(plan_steps),
-            "filters": list(node.filters),
-            "ranges": list(node.ranges),
-        }
-        if access is not None:
-            details["access"] = access
-        if node.projection:
-            details["projection"] = list(node.projection)
-        return QueryResult(
-            kind="objects",
-            objects=objects,
-            path=path or ("derive" if node.force_derivation else "retrieve"),
-            details=details,
-        )
+        yield from self._tree(node).run()
 
     def _query(self, node: QueryNode) -> QueryResult:
-        """Run one extended SELECT (join / aggregate / order / limit)."""
-        for member in self._query_members(node):
-            self._require_bound(member)
-        tree = self.physical.build_query(node)
+        """Drain one SELECT/DERIVE's tree into an objects result."""
+        tree = self._tree(node)
         objects = tuple(tree.run())
         path, plan_steps, access = _tree_outcome(tree)
+        first = node.inputs[0]
         details: dict[str, Any] = {
-            "class": node.inputs[0].class_name,
-            "concept": node.inputs[0].concept,
+            "class": first.class_name,
+            "concept": first.concept,
             "source": node.source,
             "plan_steps": list(plan_steps),
-            "filters": list(node.inputs[0].filters),
-            "ranges": list(node.inputs[0].ranges),
+            "filters": list(first.filters),
+            "ranges": list(first.ranges),
         }
+        if first.projection:
+            details["projection"] = list(first.projection)
         if node.items:
             details["columns"] = [item.alias for item in node.items]
         if node.join is not None:

@@ -825,36 +825,35 @@ class IndexNestedLoopJoin(PhysicalOperator):
         )
 
     def _attempt_probe_fallback(self) -> None:
-        """One-shot §2.1.5 fallback for probe misses: interpolate, then
-        derive, the right class at the join's extents.  Result objects
-        are kept aside (the statement snapshot predates them, so a
-        re-probe through storage would not see them) and matched
-        directly on later misses."""
+        """One-shot §2.1.5 fallback for probe misses: interpolate and
+        derive the right class at the join's extents, in the planner's
+        ``fallback_order``.  Result objects are kept aside (the
+        statement snapshot predates them, so a re-probe through storage
+        would not see them) and matched directly on later misses."""
         self._fallback_tried = True
         planner = self.ctx.kernel.planner
         cls = self.ctx.kernel.classes.get(self.right_class)
-        result = None
-        if self.temporal is not None and cls.temporal_attr is not None:
+        for step in planner.fallback_order:
             try:
-                result = planner.interpolate(
-                    self.right_class, spatial=self.spatial,
-                    temporal=self.temporal,
-                )
-                self.probe_fallback = "interpolate"
-            except (InterpolationError, AssertionViolatedError):
-                result = None
-        if result is None:
-            try:
-                result = planner.derive(
-                    self.right_class, spatial=self.spatial,
-                    temporal=self.temporal,
-                    marking_cache=self.ctx.marking_cache,
-                )
-                self.probe_fallback = "derive"
+                if step == "interpolate":
+                    if self.temporal is None or cls.temporal_attr is None:
+                        continue
+                    result = planner.interpolate(
+                        self.right_class, spatial=self.spatial,
+                        temporal=self.temporal,
+                    )
+                else:
+                    result = planner.derive(
+                        self.right_class, spatial=self.spatial,
+                        temporal=self.temporal,
+                        marking_cache=self.ctx.marking_cache,
+                    )
             except (UnderivableError, InterpolationError,
                     AssertionViolatedError):
-                return
-        self._fallback_objects = list(result.objects)
+                continue
+            self.probe_fallback = step
+            self._fallback_objects = list(result.objects)
+            return
 
     def _fallback_matches(self, key: Any) -> list[SciObject]:
         """Fallback-produced right rows matching *key* under the probe's

@@ -1,13 +1,13 @@
 """The GaeaQL optimizer: statement → execution plan.
 
-The optimizer's decisions mirror §2.1.5:
+Every statement plans to exactly one node, mirroring §2.1.5:
 
-* a ``SELECT`` over a *concept* expands to its member classes (querying
-  the high-level layer), each planned independently;
-* for each class, the retrieval path is chosen by the §2.1.5 priority —
-  direct retrieval, then interpolation/derivation per the planner's
-  fallback order — using :meth:`RetrievalPlanner.explain` without side
-  effects;
+* a ``SELECT`` or ``DERIVE`` is one :class:`QueryNode`; a *concept*
+  source (querying the high-level layer) expands to one retrieval leg
+  per member class inside it;
+* the §2.1.5 path of each leg — direct retrieval, then
+  interpolation/derivation per the planner's fallback order — is a
+  run-time outcome of the operator tree, never pinned at plan time;
 * DDL and browsing statements pass through as singleton plans.
 
 :meth:`Optimizer.compile` adds the prepared-statement fast path: whole
@@ -58,11 +58,7 @@ from .parser import parse
 
 __all__ = ["PlanNode", "RetrieveNode", "StatementNode", "ExplainNode",
            "QueryNode", "JoinSpec", "Optimizer", "PlanCache",
-           "CompiledPlan", "fingerprint", "DEFERRED_PATH"]
-
-#: Path hint of a retrieval whose extents are bind parameters: the
-#: actual path can only be explained once values are bound.
-DEFERRED_PATH = "deferred"
+           "CompiledPlan", "fingerprint"]
 
 
 def fingerprint(source: str) -> str:
@@ -76,7 +72,7 @@ class PlanNode:
 
 @dataclass(frozen=True)
 class RetrieveNode(PlanNode):
-    """Planned retrieval of one class with a chosen path hint.
+    """One retrieval leg of a :class:`QueryNode`: one class's objects.
 
     The extents and filter values may hold unresolved bind placeholders
     (:class:`Param` / :class:`BoxTemplate`) when the node comes from a
@@ -86,14 +82,12 @@ class RetrieveNode(PlanNode):
     physical planner (:mod:`repro.query.physical`) compiles it into an
     operator tree per execution, so the §2.1.5 logical path (retrieve
     vs. interpolate vs. derive) is decided by the tree at run time, not
-    pinned at plan time; ``path_hint`` stays :data:`DEFERRED_PATH` and
-    EXPLAIN resolves it on demand.
+    pinned at plan time; EXPLAIN resolves it on demand.
     """
 
     class_name: str
     spatial: Box | BoxTemplate | Param | None
     temporal: AbsTime | Param | None
-    path_hint: str
     concept: str | None = None  # set when the SELECT named a concept
     force_derivation: bool = False
     filters: tuple[tuple[str, Any], ...] = ()
@@ -106,10 +100,6 @@ class RetrieveNode(PlanNode):
     #: Requested attributes (``SELECT a, b FROM ...``); empty means all.
     #: A projection an attribute index covers enables index-only scans.
     projection: tuple[str, ...] = ()
-    #: Ordinal of the source statement this node came from, so the
-    #: physical planner can group one concept SELECT's member nodes
-    #: into a single union without merging adjacent statements.
-    stmt: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,14 +120,14 @@ class JoinSpec(PlanNode):
 
 @dataclass(frozen=True)
 class QueryNode(PlanNode):
-    """An extended-SELECT plan: retrieval inputs under the relational
-    algebra clauses (join / aggregate / order / limit / expression
-    projection).
+    """The plan of one SELECT or DERIVE: retrieval legs under the
+    relational algebra clauses (join / aggregate / order / limit /
+    expression projection), all optional.
 
-    The retrieval legs are ordinary :class:`RetrieveNode`\\ s (several
-    for a concept source), so binding, access-path recording and cache
-    invalidation reuse the plain-SELECT machinery; the physical planner
-    composes the algebra operators on top per execution.
+    ``inputs`` holds one :class:`RetrieveNode` per class of the source
+    (several for a concept, which unions its members; one with
+    ``force_derivation`` for DERIVE); the physical planner composes the
+    algebra operators on top per execution.
     """
 
     source: str
@@ -151,6 +141,11 @@ class QueryNode(PlanNode):
     limit: int | Param | None = None
     offset: int | Param = 0
 
+    @property
+    def legs(self) -> tuple[RetrieveNode, ...]:
+        """Every retrieval leg: the source's, then the join side's."""
+        return self.inputs + (self.join.inputs if self.join else ())
+
 
 @dataclass(frozen=True)
 class StatementNode(PlanNode):
@@ -161,19 +156,19 @@ class StatementNode(PlanNode):
 
 @dataclass(frozen=True)
 class ExplainNode(PlanNode):
-    """An EXPLAIN wrapper: report inner plans without executing them.
+    """An EXPLAIN wrapper: report the inner plan without executing it.
 
-    Wraps the plan nodes of any explainable statement — SELECT and
-    DERIVE produce :class:`RetrieveNode`\\ s, RUN a
-    :class:`StatementNode` the executor renders as a ``Run`` operator.
+    Wraps the node of any explainable statement — SELECT and DERIVE
+    plan to a :class:`QueryNode`, RUN to a :class:`StatementNode` the
+    executor renders as a ``Run`` operator.
     """
 
-    inner: tuple[PlanNode, ...]
+    inner: PlanNode
 
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A compiled program: the executable plan nodes of all statements.
+    """A compiled program: one executable plan node per statement.
 
     Nodes may still hold :class:`~repro.query.ast.Param` placeholders;
     :func:`repro.query.binding.bind_nodes` resolves them per execution.
@@ -260,7 +255,6 @@ class Optimizer:
     """Plans statements against the current kernel state."""
 
     kernel: MetadataManager
-    statistics: dict[str, Any] = field(default_factory=dict)
     cache: PlanCache = field(default_factory=PlanCache)
 
     def compile(self, source: str) -> CompiledPlan:
@@ -276,63 +270,39 @@ class Optimizer:
         cached = self.cache.lookup(key, version)
         if cached is not None:
             return CompiledPlan(fingerprint=key, nodes=cached, cached=True)
-        nodes = tuple(
-            node
-            for stmt, statement in enumerate(parse(source))
-            for node in self.plan(statement, stmt=stmt)
-        )
-        if nodes and all(isinstance(n, (RetrieveNode, QueryNode))
-                         for n in nodes):
+        nodes = tuple(self.plan(statement) for statement in parse(source))
+        if nodes and all(isinstance(n, QueryNode) for n in nodes):
             self.cache.store(key, version, nodes)
         return CompiledPlan(fingerprint=key, nodes=nodes)
 
-    def plan(self, statement: Statement, stmt: int = 0) -> list[PlanNode]:
-        """Produce the plan nodes for *statement* (usually one).
-
-        *stmt* is the statement's ordinal within its source program;
-        plan nodes carry it so concept-member nodes from different
-        statements are never merged into one union.
-        """
+    def plan(self, statement: Statement) -> PlanNode:
+        """The plan node of *statement*."""
         if isinstance(statement, Select):
-            return list(self._plan_select(statement, stmt))
+            return self._plan_select(statement)
         if isinstance(statement, Explain):
-            return [ExplainNode(
-                inner=tuple(self.plan(statement.inner, stmt=stmt))
-            )]
+            return ExplainNode(inner=self.plan(statement.inner))
         if isinstance(statement, Derive):
-            return [RetrieveNode(
-                class_name=statement.class_name,
-                spatial=statement.spatial,
-                temporal=statement.temporal,
-                path_hint="derive",
-                force_derivation=True,
-                stmt=stmt,
-            )]
+            return QueryNode(
+                source=statement.class_name,
+                inputs=(RetrieveNode(
+                    class_name=statement.class_name,
+                    spatial=statement.spatial,
+                    temporal=statement.temporal,
+                    force_derivation=True,
+                ),),
+            )
         if isinstance(statement, (DefineClass, DefineProcess, DefineCompound,
                                   DefineConcept, RunProcess, Show,
                                   LineageQuery, CreateIndex, DropIndex)):
-            return [StatementNode(statement=statement)]
+            return StatementNode(statement=statement)
         raise PlanningError(
             f"no planning rule for {type(statement).__name__}"
         )
 
-    def _plan_select(self, select: Select, stmt: int = 0) -> list[PlanNode]:
-        extended = (
-            select.items or select.join is not None or select.group_by
-            or select.order_by or select.limit is not None or select.offset
-            or select.qualified_filters or select.qualified_ranges
-        )
-        if extended:
-            return [self._plan_query(select, stmt)]
-        return list(self._retrieve_nodes(
-            select.source, select.spatial, select.temporal,
-            select.filters, select.ranges, select.projection, stmt,
-        ))
-
     def _retrieve_nodes(self, source: str, spatial: Any, temporal: Any,
                         filters: tuple[tuple[str, Any], ...],
                         ranges: tuple[tuple[str, str, Any], ...],
-                        projection: tuple[str, ...], stmt: int
+                        projection: tuple[str, ...] = ()
                         ) -> list[RetrieveNode]:
         """One planned retrieval per target class of *source*."""
         targets = self._resolve_source(source)
@@ -372,23 +342,17 @@ class Optimizer:
                 class_name=class_name,
                 spatial=spatial,
                 temporal=temporal,
-                # The §2.1.5 logical path is a run-time outcome of the
-                # operator tree (the FallbackSwitch); EXPLAIN resolves
-                # it on demand against the current store.
-                path_hint=DEFERRED_PATH,
                 concept=source if source != class_name else None,
                 filters=filters,
                 ranges=ranges,
                 access_path=access_path,
                 projection=projection,
-                stmt=stmt,
             ))
         return nodes
 
-    # -- extended SELECT (join / aggregate / order / limit) ------------------
-
-    def _plan_query(self, select: Select, stmt: int) -> QueryNode:
-        """Plan a SELECT using the algebra clauses into one QueryNode."""
+    def _plan_select(self, select: Select) -> QueryNode:
+        """Plan a SELECT — plain, projected or using the algebra
+        clauses — into one QueryNode."""
         join = select.join
         if join is not None and join.source == select.source:
             raise PlanningError(
@@ -417,7 +381,7 @@ class Optimizer:
 
         inputs = tuple(self._retrieve_nodes(
             select.source, select.spatial, select.temporal,
-            tuple(left_filters), tuple(left_ranges), (), stmt,
+            tuple(left_filters), tuple(left_ranges), select.projection,
         ))
         join_spec = None
         if join is not None:
@@ -428,7 +392,7 @@ class Optimizer:
                 source=join.source,
                 inputs=tuple(self._retrieve_nodes(
                     join.source, None, None,
-                    tuple(right_filters), tuple(right_ranges), (), stmt,
+                    tuple(right_filters), tuple(right_ranges),
                 )),
                 left_ref=left_ref,
                 right_ref=right_ref,
@@ -458,9 +422,6 @@ class Optimizer:
             f"got qualifiers {quals[0]!r} and {quals[1]!r}"
         )
 
-    def _side_classes(self, source: str) -> list[str]:
-        return self._resolve_source(source)
-
     def _validate_ref(self, ref: ColumnRef, left_source: str,
                       join: JoinSpec | JoinClause | None) -> None:
         """A column reference must name a real attribute of its side
@@ -484,7 +445,7 @@ class Optimizer:
                 f"unknown qualifier {ref.qualifier!r} in {ref.describe()!r}"
             )
         for source in sources:
-            for class_name in self._side_classes(source):
+            for class_name in self._resolve_source(source):
                 try:
                     self.kernel.classes.get(class_name).type_of(ref.attr)
                     return

@@ -1,21 +1,22 @@
 """The physical planner: logical plan nodes → operator trees.
 
 The logical plan (what the LRU plan cache stores, keyed on source
-fingerprints) stays a flat sequence of
-:class:`~repro.query.optimizer.RetrieveNode` /
-:class:`~repro.query.optimizer.StatementNode`.  This module compiles
-those nodes into :mod:`.operators` trees per execution:
+fingerprints) is one node per statement: a
+:class:`~repro.query.optimizer.QueryNode` for SELECT/DERIVE, a
+:class:`~repro.query.optimizer.StatementNode` otherwise.  This module
+compiles those nodes into :mod:`.operators` trees per execution:
 
-* a plain retrieval becomes scan → extent filter → predicate filter
+* each retrieval leg becomes scan → extent filter → predicate filter
   under a :class:`~.operators.FallbackSwitch` whose fallback children
   (:class:`~.operators.Interpolate`, :class:`~.operators.Derive`)
   consume the switch's "stored scan was empty" fact;
-* ``DERIVE`` becomes a :class:`~.operators.Derive` root (plus filters /
-  projection);
-* ``RUN`` becomes a :class:`~.operators.Run` leaf;
-* a concept query's member nodes are grouped into one
-  :class:`~.operators.ConceptUnion` ordered by estimated cost, sharing
-  a single :class:`~.operators.ExecutionContext`.
+* a ``DERIVE`` leg becomes a :class:`~.operators.Derive` root;
+* a concept source's legs are one :class:`~.operators.ConceptUnion`
+  ordered by estimated cost, sharing a single
+  :class:`~.operators.ExecutionContext`;
+* the algebra clauses (join / aggregate / order / limit / expression
+  projection) compose on top;
+* ``RUN`` becomes a :class:`~.operators.Run` leaf.
 
 Building a tree prices the access paths from O(1) statistics but never
 scans data, so EXPLAIN can render any statement's tree without side
@@ -25,7 +26,7 @@ effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.classes import NonPrimitiveClass
 from ..core.metadata_manager import MetadataManager
@@ -60,48 +61,7 @@ from .optimizer import (
     StatementNode,
 )
 
-__all__ = ["PhysicalPlanner", "ConceptGroup", "group_nodes"]
-
-
-@dataclass(frozen=True)
-class ConceptGroup:
-    """Adjacent retrieval nodes of one concept SELECT, to be unioned."""
-
-    concept: str
-    members: tuple[RetrieveNode, ...]
-
-
-def group_nodes(nodes: Iterable[PlanNode]
-                ) -> list[PlanNode | ConceptGroup]:
-    """Group each concept SELECT's member nodes for union planning.
-
-    Member nodes carry the statement ordinal they came from, so two
-    back-to-back SELECTs over the same concept stay two groups.
-    """
-    grouped: list[PlanNode | ConceptGroup] = []
-    pending: list[RetrieveNode] = []
-
-    def flush() -> None:
-        if not pending:
-            return
-        if len(pending) == 1:
-            grouped.append(pending[0])
-        else:
-            grouped.append(ConceptGroup(concept=pending[0].concept,
-                                        members=tuple(pending)))
-        pending.clear()
-
-    for node in nodes:
-        if isinstance(node, RetrieveNode) and node.concept is not None:
-            if pending and (pending[0].concept != node.concept
-                            or pending[0].stmt != node.stmt):
-                flush()
-            pending.append(node)
-            continue
-        flush()
-        grouped.append(node)
-    flush()
-    return grouped
+__all__ = ["PhysicalPlanner"]
 
 
 @dataclass
@@ -251,39 +211,23 @@ class PhysicalPlanner:
             return tree
         return Project(tree, node.projection)
 
-    # -- concept unions ------------------------------------------------------
-
-    def build_group(self, group: ConceptGroup,
-                    ctx: ExecutionContext | None = None) -> ConceptUnion:
-        """One cost-ordered union over a concept's member subtrees."""
-        ctx = ctx or self.context()
-        members = tuple(
-            self.build_retrieve(member, ctx) for member in group.members
-        )
-        return ConceptUnion(concept=group.concept, members=members)
-
-    def build(self, item: PlanNode | ConceptGroup,
-              ctx: ExecutionContext | None = None
+    def build(self, node: PlanNode, ctx: ExecutionContext | None = None
               ) -> PhysicalOperator | None:
-        """The tree for one grouped plan item (None for statements that
-        have no operator form, e.g. DDL and SHOW)."""
-        if isinstance(item, ConceptGroup):
-            return self.build_group(item, ctx)
-        if isinstance(item, QueryNode):
-            return self.build_query(item, ctx)
-        if isinstance(item, RetrieveNode):
-            return self.build_retrieve(item, ctx)
-        if isinstance(item, StatementNode) \
-                and isinstance(item.statement, RunProcess):
-            return self.build_run(item.statement, ctx)
+        """The tree for one statement's plan node (None for statements
+        that have no operator form, e.g. DDL and SHOW)."""
+        if isinstance(node, QueryNode):
+            return self.build_query(node, ctx)
+        if isinstance(node, StatementNode) \
+                and isinstance(node.statement, RunProcess):
+            return self.build_run(node.statement, ctx)
         return None
 
-    # -- extended queries (join / aggregate / order / limit) -----------------
+    # -- queries (legs / join / aggregate / order / limit) -------------------
 
     def build_query(self, node: QueryNode,
                     ctx: ExecutionContext | None = None
                     ) -> PhysicalOperator:
-        """The operator tree of one extended SELECT.
+        """The operator tree of one SELECT or DERIVE.
 
         Composition order: inputs → join → aggregate → sort → limit →
         expression projection.  Sorting runs *before* projection, so an

@@ -375,16 +375,6 @@ class StorageEngine:
                 yield Row(relation=relation, tid=tid,
                           values=schema.as_dict(version.values))
 
-    def _rows_for_tids(self, relation: str, tids: set[TID],
-                       snap: Snapshot) -> list[Row]:
-        rows = []
-        for tid in sorted(tids):
-            try:
-                rows.append(self.fetch(relation, tid, snap))
-            except TupleNotFoundError:
-                continue
-        return rows
-
     def _iter_visible_tids(self, relation: str, tids: Iterator[TID] | set[TID],
                            snap: Snapshot) -> Iterator[Row]:
         """Stream visible rows for *tids*, skipping invisible versions."""
@@ -485,8 +475,8 @@ class StorageEngine:
                     snapshot: Snapshot | None = None) -> Iterator[Row]:
         """Stream the visible rows with ``column == key`` via the B-tree.
 
-        The lazy counterpart of :meth:`lookup`: rows are fetched one TID
-        at a time, so a consumer that stops early does no further work.
+        Rows are fetched one TID at a time, so a consumer that stops
+        early does no further work.
         """
         snap = snapshot or self.snapshot()
         state = self._state(relation)
@@ -571,47 +561,6 @@ class StorageEngine:
                     continue
                 if visible(version, snap):
                     yield key, tid
-
-    def lookup(self, relation: str, column: str, key: Any,
-               snapshot: Snapshot | None = None) -> list[Row]:
-        """Equality lookup via the B-tree on *column*."""
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        tree = state.btrees.get(column)
-        if tree is None:
-            raise StorageError(f"no index on {relation}.{column}")
-        return self._rows_for_tids(relation, tree.search(key), snap)
-
-    def range_lookup(self, relation: str, column: str, lo: Any, hi: Any,
-                     snapshot: Snapshot | None = None) -> list[Row]:
-        """Range lookup ``lo <= key <= hi`` via the B-tree on *column*."""
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        tree = state.btrees.get(column)
-        if tree is None:
-            raise StorageError(f"no index on {relation}.{column}")
-        tids: set[TID] = set()
-        for _, bucket in tree.range_scan(lo, hi):
-            tids |= bucket
-        return self._rows_for_tids(relation, tids, snap)
-
-    def spatial_lookup(self, relation: str, query: Box,
-                       snapshot: Snapshot | None = None) -> list[Row]:
-        """Rows whose spatial extent overlaps *query* (grid index)."""
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        if state.spatial is None:
-            raise StorageError(f"no spatial index on {relation}")
-        return self._rows_for_tids(relation, state.spatial.query(query), snap)
-
-    def temporal_lookup(self, relation: str, at: AbsTime,
-                        snapshot: Snapshot | None = None) -> list[Row]:
-        """Rows stamped exactly *at* (timeline index)."""
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        if state.temporal is None:
-            raise StorageError(f"no temporal index on {relation}")
-        return self._rows_for_tids(relation, state.temporal.at(at), snap)
 
     def timeline_of(self, relation: str) -> Timeline:
         """The temporal index of *relation* (for interpolation planning)."""

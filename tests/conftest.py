@@ -9,7 +9,6 @@ from repro.adt import Image, make_standard_registries
 from repro.core import open_kernel
 from repro.figures import AFRICA, build_figure2, populate_scenes
 from repro.gis import SceneGenerator, register_gis_operators
-from repro.query import open_session
 from repro.spatial import Box
 from repro.temporal import AbsTime
 
@@ -38,12 +37,6 @@ def kernel():
     k = open_kernel(universe=AFRICA)
     register_gis_operators(k.operators)
     return k
-
-
-@pytest.fixture()
-def session():
-    """A fresh GaeaQL session."""
-    return open_session(universe=AFRICA)
 
 
 @pytest.fixture()

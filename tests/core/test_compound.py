@@ -67,7 +67,7 @@ class TestExpansion:
 
     def test_nested_compound_expansion(self, catalog):
         derivations = catalog.kernel.derivations
-        catalog.session.execute("""
+        catalog.connection.execute("""
         DEFINE COMPOUND PROCESS nested-change
         OUTPUT land_cover_changes_c21
         ARGUMENT ( SETOF landsat_tm_rectified a >= 3,

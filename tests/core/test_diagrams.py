@@ -49,7 +49,7 @@ class TestLineageRendering:
     def catalog(self):
         catalog = build_figure2()
         populate_scenes(catalog, seed=51, size=16, years=(1988,))
-        catalog.session.execute_one("SELECT FROM desert_smoothed_c5")
+        catalog.connection.execute("SELECT FROM desert_smoothed_c5")
         return catalog
 
     def test_lineage_dot(self, catalog):

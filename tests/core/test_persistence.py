@@ -13,7 +13,7 @@ def populated():
     catalog = build_figure2()
     populate_scenes(catalog, seed=67, size=16, years=(1988, 1989))
     build_figure5(catalog)
-    catalog.session.execute_one("SELECT FROM desert_rain250_c2")
+    catalog.connection.execute("SELECT FROM desert_rain250_c2")
     return catalog
 
 

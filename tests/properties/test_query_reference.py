@@ -203,7 +203,14 @@ def _stored(rows, *attrs):
 
 
 def _fetch(conn, query):
-    return conn.cursor().execute(query).fetchall()
+    """The rows of *query* off a streaming cursor — after checking that
+    ``run()`` drains the same tree: one objects-result per statement,
+    the same rows in the same order."""
+    got = conn.cursor().execute(query).fetchall()
+    [result] = conn.cursor().run(query)
+    assert result.kind == "objects", query
+    assert_same_sequence(result.objects, got, query)
+    return got
 
 
 # -- the five original properties ----------------------------------------------
@@ -549,6 +556,8 @@ def test_mixed_concept_rows_keep_their_class(full, bare, descending):
     assert [row["k"] for row in got] == sorted(
         (row["k"] for row in full_table + bare_table), reverse=descending
     )
+    assert_same_multiset(_fetch(conn, "SELECT FROM mixed"), expected,
+                         "SELECT FROM mixed")
 
 
 @settings(max_examples=20, deadline=None)

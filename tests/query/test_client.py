@@ -4,14 +4,15 @@ and transactions."""
 
 import pytest
 
-from repro import connect, open_session
+from repro import connect
 from repro.errors import (
     BindError,
     GaeaError,
     InterfaceError,
     ParseError,
-    ResultCardinalityError,
+    PlanningError,
     TransactionError,
+    UnderivableError,
 )
 from repro.figures import AFRICA
 from repro.gis import SceneGenerator
@@ -206,11 +207,9 @@ class TestParameterBinding:
             conn.cursor().execute(query, ["not a box"])
 
     def test_unbound_execution_rejected(self, conn):
-        from repro.query import GaeaSession
-
-        session = GaeaSession(kernel=conn.kernel)
+        plan = conn.optimizer.compile("SELECT FROM landsat_tm WHERE band = ?")
         with pytest.raises(BindError):
-            session.execute("SELECT FROM landsat_tm WHERE band = ?")
+            conn.executor.execute(plan.nodes[0])
 
     def test_explain_resolves_deferred_path(self, conn):
         [before] = conn.execute(
@@ -251,14 +250,14 @@ class TestPlanCache:
     def test_concept_membership_change_replans(self, conn):
         conn.execute("DEFINE CONCEPT scenes MEMBERS landsat_tm")
         query = conn.prepare("SELECT FROM scenes WHERE timestamp = ?")
-        results = conn.execute(query, ["1986-01-15"])
-        assert [r.details["class"] for r in results] == ["landsat_tm"]
+        [result] = conn.execute(query, ["1986-01-15"])
+        assert {o.class_name for o in result.objects} == {"landsat_tm"}
         # Attaching a member directly on the kernel bumps the concept
         # revision, so the cached plan must not be served stale.
         conn.kernel.concepts.attach_class("scenes", "land_cover")
-        results = conn.execute(query, ["1986-01-15"])
-        assert [r.details["class"] for r in results] == \
-            ["land_cover", "landsat_tm"]
+        [result] = conn.execute(query, ["1986-01-15"])
+        assert {o.class_name for o in result.objects} == \
+            {"land_cover", "landsat_tm"}
 
     def test_lru_eviction_is_bounded(self, conn):
         small = connect(kernel=conn.kernel, plan_cache_size=2)
@@ -330,6 +329,23 @@ class TestTransactions:
         with pytest.raises(UnknownClassError):
             conn.kernel.store.get(rolled_back_oid)
 
+    def test_explain_reads_the_pinned_snapshot(self):
+        """Inside a read-only transaction EXPLAIN resolves the §2.1.5
+        path against the frozen view the SELECT reads, not live data."""
+        reader = connect(universe=AFRICA)
+        reader.execute("DEFINE CLASS probe ( ATTRIBUTES: k = int4; )")
+        reader.begin(read_only=True)
+        connect(kernel=reader.kernel).kernel.store.store("probe", {"k": 2})
+        query = "SELECT FROM probe WHERE k = 2"
+        with pytest.raises(UnderivableError):
+            reader.cursor().execute(query).fetchall()
+        assert "path=unsatisfiable" in reader.cursor().explain(query)
+        [plan] = reader.execute("EXPLAIN " + query)
+        assert plan.details["paths"] == {"probe": "unsatisfiable"}
+        reader.commit()
+        assert "path=retrieve" in reader.cursor().explain(query)
+        assert len(reader.cursor().execute(query).fetchall()) == 1
+
     def test_context_manager_commits_on_success(self):
         with connect(universe=AFRICA) as conn:
             conn.cursor().run(DDL)
@@ -357,19 +373,95 @@ class TestSharedKernel:
         assert other.cache_hits == 0
         assert conn.kernel is other.kernel
 
-    def test_session_migration_helper(self, conn):
-        session = open_session(universe=AFRICA)
-        bridged = session.connection()
-        assert bridged.kernel is session.kernel
+
+def _one(conn, source, params=None):
+    """The single result of a one-statement source."""
+    [result] = conn.execute(source, params)
+    return result
 
 
-class TestSessionShim:
-    def test_execute_one_raises_typed_error(self, conn):
-        session = open_session(universe=AFRICA)
-        with pytest.raises(ResultCardinalityError) as excinfo:
-            session.execute_one("SHOW TYPES; SHOW OPERATORS")
-        assert isinstance(excinfo.value, GaeaError)
-        assert isinstance(excinfo.value, ValueError)
+class TestStatementResults:
+    """``run()``/``Connection.execute``: one result per statement."""
+
+    def test_definitions_land_in_kernel(self, conn):
+        assert "land_cover" in conn.kernel.classes
+        assert "P20" in conn.kernel.derivations.processes
+
+    def test_show_classes(self, conn):
+        message = _one(conn, "SHOW CLASSES").message
+        assert "CLASS landsat_tm" in message
+        assert "DERIVED BY: P20" in message
+
+    def test_show_processes(self, conn):
+        assert "DEFINE PROCESS P20" in _one(conn, "SHOW PROCESSES").message
+
+    def test_derive_then_retrieve(self, conn):
+        query = "SELECT FROM land_cover WHERE timestamp = '1986-01-15'"
+        first = _one(conn, query)
+        assert first.path == "derive"
+        assert first.details["plan_steps"] == ["P20"]
+        assert _one(conn, query).path == "retrieve"
+
+    def test_derive_statement_forces_recomputation(self, conn):
+        _one(conn, "SELECT FROM land_cover")
+        assert _one(conn, "DERIVE land_cover").path == "derive"
+
+    def test_unknown_source(self, conn):
+        with pytest.raises(PlanningError):
+            conn.execute("SELECT FROM ghost")
+
+    def test_underivable_query(self):
+        empty = connect(universe=AFRICA)
+        empty.execute(DDL)  # classes defined but no scenes loaded
+        with pytest.raises(UnderivableError):
+            empty.execute("SELECT FROM land_cover")
+
+    def test_spatial_predicate_filters(self, conn):
+        result = _one(conn, "SELECT FROM landsat_tm WHERE spatialextent "
+                            "OVERLAPS (-20, -35, 52, 38)")
+        assert len(result.objects) == 3
+
+    def test_select_from_concept(self, conn):
+        conn.execute("DEFINE CONCEPT cover_concept MEMBERS land_cover")
+        result = _one(conn, "SELECT FROM cover_concept")
+        assert result.details["class"] == "land_cover"
+        assert result.details["concept"] == "cover_concept"
+
+    def test_show_concepts(self, conn):
+        conn.execute("DEFINE CONCEPT cover_concept MEMBERS land_cover")
+        message = _one(conn, "SHOW CONCEPTS").message
+        assert "cover_concept" in message and "land_cover" in message
+
+    def test_concept_without_members_rejected(self, conn):
+        conn.execute("DEFINE CONCEPT empty_concept")
+        with pytest.raises(PlanningError):
+            conn.execute("SELECT FROM empty_concept")
+
+    def test_run_process_by_oids(self, conn):
+        run = _one(conn, "RUN P20 WITH bands = (1, 2, 3)")
+        assert run.path == "run"
+        assert run.objects[0].class_name == "land_cover"
+
+    def test_lineage_query(self, conn):
+        run = _one(conn, "RUN P20 WITH bands = (1, 2, 3)")
+        lineage = _one(conn, f"LINEAGE {run.objects[0].oid}")
+        assert lineage.details["base_oids"] == [1, 2, 3]
+        assert lineage.details["depth"] == 1
+
+    def test_show_tasks(self, conn):
+        _one(conn, "RUN P20 WITH bands = (1, 2, 3)")
+        assert "P20" in _one(conn, "SHOW TASKS").message
+
+    def test_run_unbound_argument(self, conn):
+        with pytest.raises(UnderivableError):
+            conn.execute("RUN P20")
+
+    def test_run_memoizes(self, conn):
+        first = _one(conn, "RUN P20 WITH bands = (1, 2, 3)")
+        second = _one(conn, "RUN P20 WITH bands = (1, 2, 3)")
+        assert not first.details["reused"]
+        assert second.details["reused"]
+        assert first.objects[0].oid == second.objects[0].oid
 
 
 SITE_DDL = """

@@ -7,7 +7,8 @@ import pytest
 import repro
 from repro.adt import Image
 from repro.query.operators import ConceptUnion
-from repro.query.physical import ConceptGroup, PhysicalPlanner, group_nodes
+from repro.query.optimizer import QueryNode
+from repro.query.physical import PhysicalPlanner
 from repro.spatial import Box
 from repro.temporal import AbsTime
 
@@ -48,20 +49,36 @@ def conn():
 
 
 class TestConceptUnionPlanning:
-    def test_member_nodes_group_into_one_union(self, conn):
-        plan = conn.optimizer.compile("SELECT FROM readings")
-        grouped = group_nodes(plan.nodes)
-        assert len(grouped) == 1
-        assert isinstance(grouped[0], ConceptGroup)
-        assert grouped[0].concept == "readings"
-        assert len(grouped[0].members) == 2
+    @pytest.mark.parametrize("source", [
+        "SELECT FROM readings_a",
+        "SELECT FROM readings",
+        "DERIVE readings_a",
+        "SELECT code, name FROM readings",
+        "SELECT name FROM readings ORDER BY code LIMIT 3",
+        "SELECT readings_a.name FROM readings_a JOIN readings "
+        "ON readings_a.code = readings.code",
+    ])
+    def test_one_query_node_per_statement(self, conn, source):
+        plan = conn.optimizer.compile(f"{source}; SHOW CLASSES; {source}")
+        assert len(plan.nodes) == 3
+        assert isinstance(plan.nodes[0], QueryNode)
+        assert plan.nodes[2] == plan.nodes[0]
 
-    def test_two_selects_on_one_concept_stay_two_groups(self, conn):
+    def test_member_legs_sit_in_one_node(self, conn):
+        [node] = conn.optimizer.compile("SELECT FROM readings").nodes
+        assert node.source == "readings"
+        assert [leg.class_name for leg in node.inputs] \
+            == ["readings_a", "readings_b"]
+        assert {leg.concept for leg in node.inputs} == {"readings"}
+
+    def test_two_selects_on_one_concept_stay_two_unions(self, conn):
         plan = conn.optimizer.compile(
             "SELECT FROM readings; SELECT FROM readings"
         )
-        grouped = group_nodes(plan.nodes)
-        assert len(grouped) == 2
+        planner = PhysicalPlanner(kernel=conn.kernel)
+        unions = [planner.build(node) for node in plan.nodes]
+        assert [type(union) for union in unions] == [ConceptUnion] * 2
+        assert all(len(union.members) == 2 for union in unions)
         rows = conn.cursor().execute(
             "SELECT FROM readings; SELECT FROM readings"
         ).fetchall()
@@ -71,8 +88,7 @@ class TestConceptUnionPlanning:
         """The smaller member (readings_b, 40 rows) probes first even
         though it sorts after readings_a alphabetically."""
         plan = conn.optimizer.compile("SELECT FROM readings")
-        [group] = group_nodes(plan.nodes)
-        union = PhysicalPlanner(kernel=conn.kernel).build_group(group)
+        union = PhysicalPlanner(kernel=conn.kernel).build(plan.nodes[0])
         assert isinstance(union, ConceptUnion)
         costs = [member.estimated_cost for member in union.members]
         assert costs == sorted(costs)
@@ -136,7 +152,7 @@ class TestConceptPlanCache:
         assert conn.plan_cache.invalidations == invalidations + 1
         assert len(rows) == 91  # the new member's row is unioned in
         plan = conn.optimizer.compile(query)
-        assert len(plan.nodes) == 3
+        assert len(plan.nodes[0].inputs) == 3
 
     def test_isa_edge_invalidates_cached_plan(self, conn):
         cur = conn.cursor()

@@ -188,7 +188,7 @@ class TestOperatorTrees:
         _field(conn)
         planner = PhysicalPlanner(kernel=conn.kernel)
         plan = conn.optimizer.compile("SELECT FROM field")
-        tree = planner.build_retrieve(plan.nodes[0])
+        tree = planner.build(plan.nodes[0])
         assert isinstance(tree, FallbackSwitch)
         assert isinstance(tree.children[0], HeapScan)
         lines = render_tree(tree)

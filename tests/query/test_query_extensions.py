@@ -27,20 +27,20 @@ class TestAttributeFilters:
         assert stmt.filters == (("numclass", 12),)
 
     def test_filter_narrows_results(self, catalog):
-        result = catalog.session.execute_one(
+        [result] = catalog.connection.execute(
             "SELECT FROM landsat_tm_rectified WHERE band = 'red'"
         )
         assert len(result.objects) == 1
         assert result.objects[0]["band"] == "red"
 
     def test_filter_to_empty(self, catalog):
-        result = catalog.session.execute_one(
+        [result] = catalog.connection.execute(
             "SELECT FROM landsat_tm_rectified WHERE band = 'thermal'"
         )
         assert result.objects == ()
 
     def test_filter_combined_with_extent(self, catalog):
-        result = catalog.session.execute_one(
+        [result] = catalog.connection.execute(
             "SELECT FROM landsat_tm_rectified WHERE band = 'nir' "
             "AND timestamp = '1988-07-01'"
         )
@@ -50,19 +50,19 @@ class TestAttributeFilters:
 
 class TestBrowsingShows:
     def test_show_operators(self, catalog):
-        message = catalog.session.execute_one("SHOW OPERATORS").message
+        message = catalog.connection.execute("SHOW OPERATORS")[0].message
         assert "img_nrow(image) -> int4" in message
         assert "unsuperclassify" in message
         # §4.2: docs travel with the operators.
         assert "// return # of rows" in message
 
     def test_show_types(self, catalog):
-        message = catalog.session.execute_one("SHOW TYPES").message
+        message = catalog.connection.execute("SHOW TYPES")[0].message
         assert "TYPE image" in message
         assert "TYPE int4 ISA numeric" in message
 
     def test_show_operators_includes_overloads(self, catalog):
-        message = catalog.session.execute_one("SHOW OPERATORS").message
+        message = catalog.connection.execute("SHOW OPERATORS")[0].message
         # The Figure-4 operator appears under both paper and Python names.
         assert "convert-image-matrix" in message
         assert "convert_image_matrix" in message

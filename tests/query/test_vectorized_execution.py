@@ -203,7 +203,7 @@ class TestBatchBoundaries:
         optimizer = Optimizer(conn.kernel)
         source = (f"SELECT station FROM reading ORDER BY oid "
                   f"LIMIT {limit} OFFSET {offset}")
-        (node,) = optimizer.plan(parse(source)[0])
+        node = optimizer.plan(parse(source)[0])
         tree = planner.build(node)
         got = [row["station"] for row in tree.run()]
         expect = [i % 7 for i in range(12)][offset:offset + limit]
@@ -215,7 +215,7 @@ class TestBatchBoundaries:
         from repro.query.parser import parse
         from repro.query.optimizer import Optimizer
         optimizer = Optimizer(conn.kernel)
-        (node,) = optimizer.plan(
+        node = optimizer.plan(
             parse("SELECT station FROM reading ORDER BY oid LIMIT 8")[0]
         )
         got = list(planner.build(node).run())
@@ -384,6 +384,45 @@ class TestProbeSideFallback:
             derived_conn.kernel.planner.derive = real_derive
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("order", [("interpolate", "derive"),
+                                       ("derive", "interpolate")])
+    def test_probe_fallback_follows_the_planner_order(self, derived_conn,
+                                                      order):
+        """§2.1.5: "steps 2 and 3 are prioritized according to the
+        user's needs" — on the probe side as for every other retrieval.
+        Both steps can answer here: summaries bracket STAMP, and the
+        source to derive from is stored at STAMP."""
+        kernel = derived_conn.kernel
+        for days in (-10, 10):
+            kernel.store.store("summary", {
+                "station": 3,
+                "data": Image.from_array(np.full((4, 4), 1.0), "float4"),
+                "cell": Box(0.0, 0.0, 10.0, 10.0),
+                "timestamp": AbsTime(STAMP.days + days),
+            })
+        calls = []
+        real_derive = kernel.planner.derive
+
+        def counting_derive(*args, **kwargs):
+            calls.append(args)
+            return real_derive(*args, **kwargs)
+
+        kernel.planner.derive = counting_derive
+        kernel.planner.fallback_order = order
+        try:
+            join = IndexNestedLoopJoin(
+                PhysicalPlanner(kernel=kernel).context(),
+                _RowSource([{"station": 3}, {"station": 8}]),
+                ColumnRef(attr="station"), "summary",
+                ColumnRef(attr="station"), "left", "summary",
+                temporal=STAMP,
+            )
+            rows = list(join.run())
+        finally:
+            kernel.planner.derive = real_derive
+        assert join.probe_fallback == order[0]
+        assert len(calls) == (order[0] == "derive")
+        assert [row["summary.station"] for row in rows] == [3]
 
     def test_limit_stops_before_a_later_miss_derives(self, derived_conn):
         """The one-shot probe-side fallback fires for a miss the drain

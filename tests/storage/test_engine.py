@@ -100,36 +100,36 @@ class TestIndexes:
         engine.create_index("scenes", "area")
         for i in range(6):
             engine.insert_row("scenes", _row(f"r{i % 2}", float(i)))
-        assert len(engine.lookup("scenes", "area", "r0")) == 3
+        assert len(list(engine.iter_lookup("scenes", "area", "r0"))) == 3
 
     def test_btree_built_over_existing_rows(self, engine):
         engine.insert_row("scenes", _row("x"))
         engine.create_index("scenes", "area")
-        assert len(engine.lookup("scenes", "area", "x")) == 1
+        assert len(list(engine.iter_lookup("scenes", "area", "x"))) == 1
 
     def test_range_lookup(self, engine):
         engine.create_index("scenes", "resolution")
         for res in (10.0, 20.0, 30.0, 40.0):
             engine.insert_row("scenes", _row(res=res))
-        rows = engine.range_lookup("scenes", "resolution", 15.0, 35.0)
+        rows = list(engine.iter_range("scenes", "resolution", 15.0, 35.0))
         assert sorted(r["resolution"] for r in rows) == [20.0, 30.0]
 
     def test_lookup_respects_visibility(self, engine):
         engine.create_index("scenes", "area")
         tid = engine.insert_row("scenes", _row("gone"))
         engine.delete_row("scenes", tid)
-        assert engine.lookup("scenes", "area", "gone") == []
+        assert list(engine.iter_lookup("scenes", "area", "gone")) == []
 
     def test_missing_index_error(self, engine):
         with pytest.raises(StorageError):
-            engine.lookup("scenes", "area", "x")
+            list(engine.iter_lookup("scenes", "area", "x"))
 
     def test_spatial_index(self, engine):
         engine.create_spatial_index("scenes", "spatialextent",
                                     universe=Box(-180, -90, 180, 90))
         engine.insert_row("scenes", _row(x=0.0))
         engine.insert_row("scenes", _row(x=50.0))
-        rows = engine.spatial_lookup("scenes", Box(-1, -1, 6, 6))
+        rows = list(engine.iter_spatial("scenes", Box(-1, -1, 6, 6)))
         assert len(rows) == 1
 
     def test_spatial_index_requires_box_column(self, engine):
@@ -141,7 +141,7 @@ class TestIndexes:
         engine.create_temporal_index("scenes", "timestamp")
         engine.insert_row("scenes", _row(day=10))
         engine.insert_row("scenes", _row(day=20))
-        assert len(engine.temporal_lookup("scenes", AbsTime(10))) == 1
+        assert len(list(engine.iter_temporal("scenes", AbsTime(10)))) == 1
         timeline = engine.timeline_of("scenes")
         assert timeline.bracketing(AbsTime(15)) == (AbsTime(10), AbsTime(20))
 

@@ -19,8 +19,8 @@ from repro.query.ast import DefineProcess
 
 class TestFigure1:
     def test_component_tree_has_paper_boxes(self):
-        session = build_figure1()
-        tree = session.kernel.component_tree()
+        connection = build_figure1()
+        tree = connection.kernel.component_tree()
         manager = tree["GAEA KERNEL"]["Meta-Data Manager"]
         assert set(manager) == {
             "Data Type/Operator Manager",
@@ -29,9 +29,9 @@ class TestFigure1:
         }
 
     def test_interpreter_attached(self):
-        session = build_figure1()
-        assert session.optimizer is not None
-        assert session.executor is not None
+        connection = build_figure1()
+        assert connection.optimizer is not None
+        assert connection.executor is not None
 
 
 class TestFigure2:
@@ -78,12 +78,10 @@ class TestFigure2:
         assert classes.get("landsat_tm_rectified").is_base
 
     def test_every_concept_member_is_retrievable(self, catalog):
-        results = catalog.session.execute("SELECT FROM vegetation_change")
-        assert {r.details["class"] for r in results} == {
+        [result] = catalog.connection.execute("SELECT FROM vegetation_change")
+        assert {obj.class_name for obj in result.objects} == {
             "veg_change_pca_c7", "veg_change_spca_c8"
         }
-        for result in results:
-            assert len(result.objects) >= 1
 
 
 class TestFigure3:
@@ -96,14 +94,14 @@ class TestFigure3:
 
     def test_process_executes_on_synthetic_tm(self, scene_generator,
                                               africa_box, jan_1986):
-        session = build_figure3()
+        connection = build_figure3()
         for band, image in zip(("red", "nir", "green"),
                                scene_generator.scene("africa", 1986, 1)):
-            session.kernel.store.store("landsat_tm_rect", {
+            connection.kernel.store.store("landsat_tm_rect", {
                 "band": band, "data": image,
                 "spatialextent": africa_box, "timestamp": jan_1986,
             })
-        result = session.execute_one("SELECT FROM land_cover")
+        [result] = connection.execute("SELECT FROM land_cover")
         assert result.path == "derive"
         cover = result.object if hasattr(result, "object") else \
             result.objects[0]
@@ -112,14 +110,14 @@ class TestFigure3:
 
     def test_anyof_transfers_extents_invariantly(self, scene_generator,
                                                  africa_box, jan_1986):
-        session = build_figure3()
+        connection = build_figure3()
         for band, image in zip(("red", "nir", "green"),
                                scene_generator.scene("africa", 1986, 1)):
-            session.kernel.store.store("landsat_tm_rect", {
+            connection.kernel.store.store("landsat_tm_rect", {
                 "band": band, "data": image,
                 "spatialextent": africa_box, "timestamp": jan_1986,
             })
-        result = session.execute_one("SELECT FROM land_cover")
+        [result] = connection.execute("SELECT FROM land_cover")
         cover = result.objects[0]
         assert cover["spatialextent"] == africa_box
         assert cover["timestamp"] == jan_1986

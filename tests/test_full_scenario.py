@@ -12,6 +12,7 @@ WAL surviving a simulated crash.
 import numpy as np
 import pytest
 
+import repro
 from repro.core import load_kernel, save_kernel
 from repro.figures import AFRICA, build_figure2, build_figure5, populate_scenes
 from repro.storage import StorageEngine
@@ -36,8 +37,8 @@ class TestGlobalChangeStudy:
     def test_02_vegetation_change_both_ways(self, study):
         """Investigator A derives PCA change, investigator B SPCA change;
         the concept query returns both and provenance tells them apart."""
-        results = study.session.execute("SELECT FROM vegetation_change")
-        by_class = {r.details["class"]: r.objects[0] for r in results}
+        [result] = study.connection.execute("SELECT FROM vegetation_change")
+        by_class = {obj.class_name: obj for obj in result.objects}
         assert set(by_class) == {"veg_change_pca_c7", "veg_change_spca_c8"}
         kernel = study.kernel
         assert kernel.provenance.same_concept_different_derivation(
@@ -59,10 +60,12 @@ class TestGlobalChangeStudy:
         assert len([t for t in p6_tasks if t.succeeded]) == 2
 
     def test_04_desert_definitions_disagree(self, study):
-        results = study.session.execute("SELECT FROM hot_trade_wind_desert")
+        [result] = study.connection.execute(
+            "SELECT FROM hot_trade_wind_desert"
+        )
         fractions = {
-            r.details["class"]: float(np.mean(r.objects[0]["data"].data != 0))
-            for r in results
+            obj.class_name: float(np.mean(obj["data"].data != 0))
+            for obj in result.objects
         }
         assert len(fractions) == 4
         assert fractions["desert_rain250_c2"] > fractions["desert_rain200_c3"]
@@ -95,7 +98,7 @@ class TestGlobalChangeStudy:
         assert all(not r.reused for r in reruns)
 
     def test_07_interpolated_mid_year(self, study):
-        result = study.session.execute_one(
+        [result] = study.connection.execute(
             "SELECT FROM ndvi_c6 WHERE timestamp = '1988-01-01'"
         )
         assert result.path == "interpolate"
@@ -108,11 +111,12 @@ class TestGlobalChangeStudy:
         assert len(restored.derivations.tasks) == \
             len(study.kernel.derivations.tasks)
         # Restored kernel still answers the concept query by retrieval.
-        from repro.query.session import GaeaSession
-
-        session = GaeaSession(kernel=restored)
-        results = session.execute("SELECT FROM vegetation_change")
-        assert all(r.path == "retrieve" for r in results)
+        tasks = len(restored.derivations.tasks)
+        [result] = repro.connect(kernel=restored).execute(
+            "SELECT FROM vegetation_change"
+        )
+        assert result.path == "retrieve"
+        assert len(restored.derivations.tasks) == tasks
 
     def test_09_wal_survives_crash(self, study):
         engine = study.kernel.engine

@@ -30,7 +30,7 @@ class TestFullDerivationLoop:
     def test_deep_chain_derives_transitively(self, catalog):
         """desert_smoothed_c5 needs desert_rain250_c2 which needs rainfall:
         one query fires the whole chain."""
-        result = catalog.session.execute_one("SELECT FROM desert_smoothed_c5")
+        [result] = catalog.connection.execute("SELECT FROM desert_smoothed_c5")
         assert result.path == "derive"
         assert result.details["plan_steps"] == ["P2", "P5"]
         lineage = catalog.kernel.provenance.lineage(result.objects[0].oid)
@@ -38,29 +38,29 @@ class TestFullDerivationLoop:
         assert lineage.depth == 2
 
     def test_derivation_persists_to_storage(self, catalog):
-        catalog.session.execute_one("SELECT FROM desert_rain250_c2")
+        catalog.connection.execute("SELECT FROM desert_rain250_c2")
         relation = catalog.kernel.store.relation_for("desert_rain250_c2")
         rows = list(catalog.kernel.engine.scan(relation))
         assert len(rows) == 1
 
     def test_memoization_across_query_paths(self, catalog):
         """SELECT-derive then RUN with the same inputs reuses the task."""
-        first = catalog.session.execute_one("SELECT FROM desert_rain250_c2")
+        [first] = catalog.connection.execute("SELECT FROM desert_rain250_c2")
         producer = catalog.kernel.provenance.tasks.producer_of(
             first.objects[0].oid
         )
         rain_oid = producer.input_oids["rain"][0]
-        rerun = catalog.session.execute_one(
+        [rerun] = catalog.connection.execute(
             f"RUN P2 WITH rain = ({rain_oid})"
         )
         assert rerun.details["reused"]
         assert rerun.objects[0].oid == first.objects[0].oid
 
     def test_temporal_query_separates_years(self, catalog):
-        r88 = catalog.session.execute_one(
+        [r88] = catalog.connection.execute(
             "SELECT FROM land_cover_c20 WHERE timestamp = '1988-07-01'"
         )
-        r89 = catalog.session.execute_one(
+        [r89] = catalog.connection.execute(
             "SELECT FROM land_cover_c20 WHERE timestamp = '1989-07-01'"
         )
         assert r88.objects[0]["timestamp"] == AbsTime.from_ymd(1988, 7, 1)
@@ -69,10 +69,10 @@ class TestFullDerivationLoop:
 
     def test_interpolation_between_derived_years(self, catalog):
         for year in (1988, 1989):
-            catalog.session.execute_one(
+            catalog.connection.execute(
                 f"SELECT FROM ndvi_c6 WHERE timestamp = '{year}-07-01'"
             )
-        mid = catalog.session.execute_one(
+        [mid] = catalog.connection.execute(
             "SELECT FROM ndvi_c6 WHERE timestamp = '1989-01-01'"
         )
         assert mid.path == "interpolate"
@@ -93,7 +93,7 @@ class TestExperimentReproducibility:
         experiment = kernel.experiments.begin(
             name="land-cover-1988", concepts=set(),
         )
-        result = catalog.session.execute_one(
+        [result] = catalog.connection.execute(
             "SELECT FROM land_cover_c20 WHERE timestamp = '1988-07-01'"
         )
         producer = kernel.derivations.tasks.producer_of(
@@ -124,16 +124,18 @@ class TestExperimentReproducibility:
 
 class TestConceptLevelQueries:
     def test_desert_concept_query_covers_all_derivations(self, catalog):
-        results = catalog.session.execute("SELECT FROM hot_trade_wind_desert")
-        classes = {r.details["class"] for r in results}
+        [result] = catalog.connection.execute(
+            "SELECT FROM hot_trade_wind_desert"
+        )
+        classes = {obj.class_name for obj in result.objects}
         assert classes == {
             "desert_rain250_c2", "desert_rain200_c3",
             "desert_aridity_c4", "desert_smoothed_c5",
         }
 
     def test_different_cutoffs_classify_differently(self, catalog):
-        d250 = catalog.session.execute_one("SELECT FROM desert_rain250_c2")
-        d200 = catalog.session.execute_one("SELECT FROM desert_rain200_c3")
+        [d250] = catalog.connection.execute("SELECT FROM desert_rain250_c2")
+        [d200] = catalog.connection.execute("SELECT FROM desert_rain200_c3")
         m250 = d250.objects[0]["data"].data != 0
         m200 = d200.objects[0]["data"].data != 0
         # 200 mm deserts are a strict subset of 250 mm deserts here.
@@ -141,8 +143,8 @@ class TestConceptLevelQueries:
         assert m250.sum() > m200.sum()
 
     def test_provenance_distinguishes_the_variants(self, catalog):
-        d250 = catalog.session.execute_one("SELECT FROM desert_rain250_c2")
-        d200 = catalog.session.execute_one("SELECT FROM desert_rain200_c3")
+        [d250] = catalog.connection.execute("SELECT FROM desert_rain250_c2")
+        [d200] = catalog.connection.execute("SELECT FROM desert_rain200_c3")
         assert catalog.kernel.provenance.same_concept_different_derivation(
             d250.objects[0].oid, d200.objects[0].oid
         )
@@ -152,7 +154,7 @@ class TestFailureHandling:
     def test_underivable_when_no_base_data(self):
         empty = build_figure2()
         with pytest.raises(UnderivableError):
-            empty.session.execute("SELECT FROM land_cover_c20")
+            empty.connection.execute("SELECT FROM land_cover_c20")
 
     def test_failed_tasks_are_recorded(self, catalog):
         kernel = catalog.kernel
@@ -165,6 +167,6 @@ class TestFailureHandling:
         from repro.spatial import Box
 
         with pytest.raises(UnderivableError):
-            catalog.session.kernel.planner.retrieve(
+            catalog.kernel.planner.retrieve(
                 "land_cover_c20", spatial=Box(500, 500, 510, 510)
             )
