@@ -44,7 +44,7 @@ from ..errors import (
 from ..spatial.box import Box
 from ..storage.access import AccessPath, choose_access_path, choose_ordered_path
 from ..storage.catalog import IndexDef
-from ..storage.engine import Row, StorageEngine
+from ..storage.engine import StorageEngine
 from ..storage.transactions import Transaction
 from ..temporal.abstime import AbsTime
 
@@ -63,6 +63,11 @@ OID_COLUMN = "_oid"
 _ACTIVE_VIEW: ContextVar[tuple["ClassStore", Any] | None] = ContextVar(
     "repro_active_view", default=None
 )
+
+#: Value tuples the row views (:meth:`ClassStore.iter_scan` and what
+#: rides it) ask the engine for at a time: small, so a consumer that
+#: stops at its first row has fetched little.
+_ROW_VIEW_CHUNK = 64
 
 #: Comparison operators usable in range predicates (GaeaQL WHERE).
 COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
@@ -436,11 +441,6 @@ class ClassStore:
         obj_values = {a: stored[a] for a in cls.attribute_names}
         return SciObject(class_name=class_name, oid=oid, values=obj_values)
 
-    def _row_to_object(self, class_name: str, row: Any) -> SciObject:
-        cls = self.registry.get(class_name)
-        values = {a: row[a] for a in cls.attribute_names}
-        return SciObject(class_name=class_name, oid=row[OID_COLUMN], values=values)
-
     def get(self, oid: int) -> SciObject:
         """The object with surrogate id *oid*."""
         try:
@@ -457,20 +457,19 @@ class ClassStore:
             raise UnknownClassError(
                 f"no object with oid {oid} (version not visible)"
             ) from None
-        return self._row_to_object(class_name, row)
+        names = self.registry.get(class_name).attribute_names
+        return SciObject(class_name=class_name, oid=oid,
+                         values={a: row[a] for a in names})
 
     def objects(self, class_name: str) -> list[SciObject]:
         """All stored objects of *class_name*."""
-        self.registry.get(class_name)
-        relation = self.relation_for(class_name)
-        return [
-            self._row_to_object(class_name, row)
-            for row in self.engine.scan(relation, self._snapshot())
-        ]
+        return list(self.iter_scan(class_name))
 
     def count(self, class_name: str) -> int:
         """Number of stored objects of *class_name*."""
-        return len(self.objects(class_name))
+        self.registry.get(class_name)
+        return sum(map(len, self.engine.value_batches(
+            self.relation_for(class_name), self._snapshot())))
 
     # -- secondary attribute indexes -------------------------------------------
 
@@ -581,22 +580,6 @@ class ClassStore:
             needed_columns=tuple(projection) or None,
         )
 
-    def _rows_for_path(self, relation: str, path: AccessPath,
-                       snapshot: Any) -> Iterator[Row]:
-        if path.kind == "index-eq":
-            return self.engine.iter_lookup(relation, path.column,
-                                           path.argument, snapshot)
-        if path.kind == "index-range":
-            lo, hi = path.argument
-            return self.engine.iter_range(relation, path.column, lo, hi,
-                                          snapshot, reverse=path.descending)
-        if path.kind == "spatial-probe":
-            return self.engine.iter_spatial(relation, path.argument, snapshot)
-        if path.kind == "temporal-probe":
-            return self.engine.iter_temporal(relation, path.argument,
-                                             snapshot)
-        return self.engine.scan(relation, snapshot)
-
     def ordered_path(self, class_name: str, attr: str,
                      descending: bool = False,
                      filters: tuple[tuple[str, Any], ...] = (),
@@ -651,6 +634,63 @@ class ClassStore:
                                 temporal=temporal, filters=filters,
                                 ranges=ranges, projection=projection)
 
+    def _stored_values(self, class_name: str,
+                       spatial: Box | None, temporal: AbsTime | None,
+                       filters: tuple[tuple[str, Any], ...],
+                       ranges: tuple[tuple[str, str, Any], ...],
+                       access_path: AccessPath | None,
+                       chunk_rows: int) -> Iterator[list[tuple]]:
+        """The stored-read path: one scan's visible value tuples
+        (``_oid`` first, then the attributes in declaration order), in
+        chunks of at most *chunk_rows*.
+
+        Every stored row or batch stream is a view over this generator,
+        the only code that normalizes the predicates, re-validates the
+        access path, records the scan event (exactly one per call) and
+        turns the path into a TID stream for
+        :meth:`StorageEngine.value_batches`.  The tuples come straight
+        off the path with **no predicate re-checks**: pushdown only
+        prunes the candidates, consumers re-check.
+        """
+        cls = self.registry.get(class_name)
+        filters, ranges = self.normalize_predicates(cls, filters, ranges)
+        relation = self.relation_for(class_name)
+        snapshot = self._snapshot()
+        path = self.validated_path(class_name, spatial=spatial,
+                                   temporal=temporal, filters=filters,
+                                   ranges=ranges, access_path=access_path)
+        self._record_scan(class_name, spatial, temporal, filters, ranges)
+        if path.kind == "index-eq":
+            tids = self.engine.iter_lookup_tids(relation, path.column,
+                                                path.argument)
+        elif path.kind == "index-range":
+            lo, hi = path.argument
+            tids = self.engine.iter_range_tids(relation, path.column, lo, hi,
+                                               reverse=path.descending)
+        elif path.kind == "spatial-probe":
+            tids = self.engine.iter_spatial_tids(relation, path.argument)
+        elif path.kind == "temporal-probe":
+            tids = self.engine.iter_temporal_tids(relation, path.argument)
+        else:
+            tids = None  # full scan: the heap walk batches directly
+        yield from self.engine.value_batches(relation, snapshot,
+                                             batch_size=chunk_rows, tids=tids)
+
+    def _stored_objects(self, class_name: str,
+                        spatial: Box | None, temporal: AbsTime | None,
+                        filters: tuple[tuple[str, Any], ...],
+                        ranges: tuple[tuple[str, str, Any], ...],
+                        access_path: AccessPath | None,
+                        chunk_rows: int) -> Iterator[SciObject]:
+        """Row view of :meth:`_stored_values`: one object per tuple."""
+        names = self.registry.get(class_name).attribute_names
+        for chunk in self._stored_values(class_name, spatial, temporal,
+                                         filters, ranges, access_path,
+                                         chunk_rows):
+            for values in chunk:
+                yield SciObject(class_name=class_name, oid=values[0],
+                                values=dict(zip(names, values[1:])))
+
     def iter_scan(self, class_name: str,
                   spatial: Box | None = None,
                   temporal: AbsTime | None = None,
@@ -658,50 +698,11 @@ class ClassStore:
                   ranges: tuple[tuple[str, str, Any], ...] = (),
                   access_path: AccessPath | None = None
                   ) -> Iterator[SciObject]:
-        """The raw candidate stream of one stored-data scan.
-
-        Rows come straight off the (re-validated) access path with **no
-        predicate re-checks** — the physical operator layer layers
-        extent and attribute filters on top.  Exactly one scan event is
-        recorded per call, which is what the scan counters measure.
-        """
-        cls = self.registry.get(class_name)
-        filters, ranges = self.normalize_predicates(cls, filters, ranges)
-        yield from self._iter_scan_normalized(
-            class_name, spatial, temporal, filters, ranges, access_path
-        )
-
-    def _iter_scan_normalized(self, class_name: str,
-                              spatial: Box | None, temporal: AbsTime | None,
-                              filters: tuple[tuple[str, Any], ...],
-                              ranges: tuple[tuple[str, str, Any], ...],
-                              access_path: AccessPath | None
-                              ) -> Iterator[SciObject]:
-        """:meth:`iter_scan` body over already-normalized predicates."""
-        relation = self.relation_for(class_name)
-        snapshot = self._snapshot()
-        path = self.validated_path(class_name, spatial=spatial,
-                                   temporal=temporal, filters=filters,
-                                   ranges=ranges, access_path=access_path)
-        self._record_scan(class_name, spatial, temporal, filters, ranges)
-        for row in self._rows_for_path(relation, path, snapshot):
-            yield self._row_to_object(class_name, row)
-
-    def _tids_for_path(self, relation: str, path: AccessPath) -> Any:
-        """TID stream matching :meth:`_rows_for_path`'s visit order, or
-        None for a full scan (the heap walk batches directly)."""
-        if path.kind == "index-eq":
-            return self.engine.iter_lookup_tids(relation, path.column,
-                                                path.argument)
-        if path.kind == "index-range":
-            lo, hi = path.argument
-            return self.engine.iter_range_tids(relation, path.column, lo, hi,
-                                               reverse=path.descending)
-        if path.kind == "spatial-probe":
-            return self.engine.iter_spatial_tids(relation, path.argument)
-        if path.kind == "temporal-probe":
-            return self.engine.iter_temporal_tids(relation, path.argument)
-        return None
+        """The raw candidate stream of one stored-data scan, one
+        :class:`SciObject` per stored row (see :meth:`_stored_values`:
+        re-validated path, one scan event, no predicate re-checks)."""
+        return self._stored_objects(class_name, spatial, temporal, filters,
+                                    ranges, access_path, _ROW_VIEW_CHUNK)
 
     def iter_scan_batches(self, class_name: str,
                           spatial: Box | None = None,
@@ -710,145 +711,105 @@ class ClassStore:
                           ranges: tuple[tuple[str, str, Any], ...] = (),
                           access_path: AccessPath | None = None,
                           batch_size: int | None = None) -> Iterator["Batch"]:
-        """The columnar counterpart of :meth:`iter_scan`: the same raw
-        candidate stream (same path choice, same row order, one scan
-        event recorded, no predicate re-checks) delivered as
-        :class:`~repro.query.batch.Batch` slabs instead of per-row
-        ``SciObject`` instances.
-
-        Index paths stream TIDs off the chunked snapshot B-tree scans
-        and the engine fetches raw value tuples in batch-sized runs;
-        full scans batch straight off the heap walk.
-        """
+        """The columnar view of :meth:`_stored_values`: the same raw
+        candidate stream as :meth:`iter_scan`, in the same order,
+        delivered as :class:`~repro.query.batch.Batch` slabs."""
         from repro.query.batch import DEFAULT_BATCH_SIZE, Batch
 
-        size = batch_size or DEFAULT_BATCH_SIZE
-        cls = self.registry.get(class_name)
-        filters, ranges = self.normalize_predicates(cls, filters, ranges)
-        relation = self.relation_for(class_name)
-        snapshot = self._snapshot()
-        path = self.validated_path(class_name, spatial=spatial,
-                                   temporal=temporal, filters=filters,
-                                   ranges=ranges, access_path=access_path)
-        self._record_scan(class_name, spatial, temporal, filters, ranges)
-        tids = self._tids_for_path(relation, path)
-        for chunk in self.engine.value_batches(relation, snapshot,
-                                               batch_size=size, tids=tids):
-            yield Batch.from_values(class_name, cls.attributes, chunk)
+        attributes = self.registry.get(class_name).attributes
+        for chunk in self._stored_values(class_name, spatial, temporal,
+                                         filters, ranges, access_path,
+                                         batch_size or DEFAULT_BATCH_SIZE):
+            yield Batch.from_values(class_name, attributes, chunk)
 
     def iter_index_only_batches(self, class_name: str, path: AccessPath,
                                 batch_size: int | None = None
                                 ) -> Iterator["Batch"]:
-        """Covering-scan keys as single-column batches (see
-        :meth:`iter_index_only` for the scalar contract)."""
-        from repro.query.batch import DEFAULT_BATCH_SIZE, Batch, build_column
-
-        size = batch_size or DEFAULT_BATCH_SIZE
-        cls = self.registry.get(class_name)
-        column = path.column
-        type_name = "int4" if column == OID_COLUMN else cls.type_of(column)
-        keys: list[Any] = []
-        for row in self.iter_index_only(class_name, path):
-            keys.append(row[column])
-            if len(keys) >= size:
-                arr, mask = build_column(type_name, keys)
-                masks = {column: mask} if mask is not None else {}
-                yield Batch(length=len(keys), columns={column: arr},
-                            masks=masks, order=(column,))
-                keys = []
-        if keys:
-            arr, mask = build_column(type_name, keys)
-            masks = {column: mask} if mask is not None else {}
-            yield Batch(length=len(keys), columns={column: arr},
-                        masks=masks, order=(column,))
-
-    def iter_index_only(self, class_name: str, path: AccessPath
-                        ) -> Iterator[dict[str, Any]]:
-        """Stream covering-scan rows: ``{column: key}`` dicts straight
-        off the B-tree, never fetching heap values.
+        """Covering scan: the B-tree keys as single-column batches,
+        never fetching heap values (one scan event recorded).
 
         Only valid for an ``index_only`` path (the planner guarantees
         the key covers every requested attribute and every predicate).
         """
+        from repro.query.batch import DEFAULT_BATCH_SIZE, Batch, build_column
+
         if not path.index_only or path.column is None:
             raise StorageError(
-                "iter_index_only needs an index-only access path"
+                "an index-only scan needs an index-only access path"
             )
-        relation = self.relation_for(class_name)
+        column = path.column
+        type_name = "int4" if column == OID_COLUMN \
+            else self.registry.get(class_name).type_of(column)
         self._record_scan(class_name, None, None, (), ())
-        if path.kind == "index-eq":
-            pairs = self.engine.iter_index_keys(
-                relation, path.column, eq=path.argument,
-                snapshot=self._snapshot(),
-            )
-        else:
-            lo, hi = path.argument
-            pairs = self.engine.iter_index_keys(
-                relation, path.column, lo=lo, hi=hi,
-                snapshot=self._snapshot(),
-            )
-        for key, _ in pairs:
-            yield {path.column: key}
+        eq, lo, hi = (path.argument, None, None) \
+            if path.kind == "index-eq" else (None, *path.argument)
+        pairs = self.engine.iter_index_keys(
+            self.relation_for(class_name), column, eq=eq, lo=lo, hi=hi,
+            snapshot=self._snapshot(),
+        )
+        size = batch_size or DEFAULT_BATCH_SIZE
+        while keys := [key for key, _ in itertools.islice(pairs, size)]:
+            arr, mask = build_column(type_name, keys)
+            yield Batch(length=len(keys), columns={column: arr},
+                        masks={} if mask is None else {column: mask},
+                        order=(column,))
+
+    def iter_index_only(self, class_name: str, path: AccessPath
+                        ) -> Iterator[dict[str, Any]]:
+        """Row view of :meth:`iter_index_only_batches`: ``{column: key}``
+        dicts."""
+        for batch in self.iter_index_only_batches(class_name, path):
+            yield from batch.to_rows()
 
     def iter_find(self, class_name: str,
                   spatial: Box | None = None,
                   temporal: AbsTime | None = None,
-                  predicate: Callable[[SciObject], bool] | None = None,
                   filters: tuple[tuple[str, Any], ...] = (),
                   ranges: tuple[tuple[str, str, Any], ...] = (),
                   access_path: AccessPath | None = None
                   ) -> Iterator[SciObject]:
         """Stream matching objects through the cheapest access path.
 
-        The driving scan comes from *access_path* (a plan-time choice —
+        :meth:`iter_scan` (driven by *access_path* — a plan-time choice,
         re-chosen automatically when stale, i.e. when indexes were
-        created or dropped since) or from :meth:`choose_path`.  Every
-        predicate is re-checked per row, so pushdown only prunes the
+        created or dropped since — or by :meth:`choose_path`) with every
+        predicate re-checked per row, so pushdown only prunes the
         candidate stream, never changes the result.
         """
         cls = self.registry.get(class_name)
         filters, ranges = self.normalize_predicates(cls, filters, ranges)
-        for obj in self._iter_scan_normalized(class_name, spatial, temporal,
-                                              filters, ranges, access_path):
-            if not matches_extents(obj, cls, spatial, temporal):
-                continue
-            if not matches_predicates(obj, filters, ranges):
-                continue
-            if predicate is not None and not predicate(obj):
-                continue
-            yield obj
+        for obj in self.iter_scan(class_name, spatial, temporal, filters,
+                                  ranges, access_path):
+            if matches_extents(obj, cls, spatial, temporal) \
+                    and matches_predicates(obj, filters, ranges):
+                yield obj
 
     def find(self, class_name: str,
              spatial: Box | None = None,
              temporal: AbsTime | None = None,
-             predicate: Callable[[SciObject], bool] | None = None,
              filters: tuple[tuple[str, Any], ...] = (),
              ranges: tuple[tuple[str, str, Any], ...] = (),
              access_path: AccessPath | None = None) -> list[SciObject]:
-        """Spatio-temporal retrieval (paper §2.1.5 step 1), materialized.
-
-        Chooses the cheapest access path (extent index, attribute B-tree
-        or full scan) and applies everything else as residual predicates;
-        :meth:`iter_find` is the streaming variant.
-        """
-        return list(self.iter_find(
-            class_name, spatial=spatial, temporal=temporal,
-            predicate=predicate, filters=filters, ranges=ranges,
-            access_path=access_path,
-        ))
+        """Spatio-temporal retrieval (paper §2.1.5 step 1), materialized:
+        :meth:`iter_find` drained into a list."""
+        return list(self.iter_find(class_name, spatial, temporal, filters,
+                                   ranges, access_path))
 
     def exists(self, class_name: str,
                spatial: Box | None = None,
                temporal: AbsTime | None = None) -> bool:
         """Whether any stored object matches the extent predicates.
 
-        Short-circuits on the first streamed match — the cheap existence
-        probe the planner uses to distinguish "predicates filtered
-        everything out" from "nothing stored at these extents"."""
-        return next(
-            self.iter_find(class_name, spatial=spatial, temporal=temporal),
-            None,
-        ) is not None
+        Pulls one row at a time and stops at the first match — the cheap
+        existence probe the planner uses to distinguish "predicates
+        filtered everything out" from "nothing stored at these
+        extents"."""
+        cls = self.registry.get(class_name)
+        return any(
+            matches_extents(obj, cls, spatial, temporal)
+            for obj in self._stored_objects(class_name, spatial, temporal,
+                                            (), (), None, 1)
+        )
 
     # -- automatically defined retrieval functions (paper §2.1.2) -------------
 

@@ -32,7 +32,7 @@ from ..errors import (
 from .classes import ClassRegistry, ClassStore, NonPrimitiveClass, SciObject
 from .compound import CompoundProcess, CompoundRegistry
 from .derivation import Bindings, Process, ProcessRegistry
-from .petri import DerivationNet, Marking
+from .petri import DerivationNet
 from .tasks import Task, TaskLog
 
 __all__ = ["DerivationManager", "DerivationResult"]
@@ -95,12 +95,6 @@ class DerivationManager:
     def derivation_net(self) -> DerivationNet:
         """The class-level derivation net over all primitive processes."""
         return DerivationNet.from_processes(self.processes)
-
-    def class_marking(self) -> Marking:
-        """Current marking: token count = stored object count per class."""
-        return {
-            name: self.store.count(name) for name in self.classes.names()
-        }
 
     # -- execution -----------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from typing import Any, Iterator
 
 from ..errors import AssertionViolatedError, DerivationError, UnderivableError
 from ..spatial.box import Box
+from ..storage.access import AccessPath
 from ..temporal.abstime import AbsTime
 from .classes import SciObject, matches_extents, matches_predicates
 from .derivation import Bindings, CardinalityAssertion, Process
@@ -106,18 +107,42 @@ class RetrievalPlanner:
         retrieval — exactly what post-filtering produced before pushdown.
         """
         cls = self.manager.classes.get(class_name)
-        store = self.manager.store
-        filters, ranges = store.normalize_predicates(cls, filters, ranges)
+        filters, ranges = self.manager.store.normalize_predicates(
+            cls, filters, ranges)
+        _, found, answered = self._stored_step(
+            cls, spatial, temporal, filters, ranges,
+            spatial_coverage=spatial_coverage)
+        if answered:
+            return RetrievalResult(objects=tuple(found), path="retrieve")
+        return self.run_fallbacks(
+            class_name, spatial, temporal,
+            spatial_coverage=spatial_coverage,
+            filters=filters, ranges=ranges,
+            known_empty=True,
+        )
 
-        # Step 1: direct retrieval — ONE stored-data scan, counting both
-        # extent matches and predicate survivors as it streams, so the
-        # fallback decision below never re-reads the relation.
-        path = store.choose_path(class_name, spatial=spatial,
+    def _stored_step(self, cls, spatial: Box | None,
+                     temporal: AbsTime | None,
+                     filters: tuple[tuple[str, Any], ...],
+                     ranges: tuple[tuple[str, str, Any], ...],
+                     spatial_coverage: bool = False,
+                     projection: tuple[str, ...] = ()
+                     ) -> tuple[AccessPath, list[SciObject], bool]:
+        """Step 1, direct retrieval, over normalized predicates: ``(access
+        path, matching objects, answered)``.
+
+        ONE stored-data scan, counting both extent matches and predicate
+        survivors as it streams, so the fallback decision never re-reads
+        the relation.  *answered* is False when nothing stored covers
+        the extents — the case the §2.1.5 fallbacks exist for.
+        """
+        store = self.manager.store
+        path = store.choose_path(cls.name, spatial=spatial,
                                  temporal=temporal, filters=filters,
-                                 ranges=ranges)
+                                 ranges=ranges, projection=projection)
         extent_matches = 0
         found: list[SciObject] = []
-        for obj in store.iter_scan(class_name, spatial=spatial,
+        for obj in store.iter_scan(cls.name, spatial=spatial,
                                    temporal=temporal, filters=filters,
                                    ranges=ranges, access_path=path):
             if not matches_extents(obj, cls, spatial, temporal,
@@ -126,27 +151,18 @@ class RetrievalPlanner:
             extent_matches += 1
             if matches_predicates(obj, filters, ranges):
                 found.append(obj)
-        if found:
-            return RetrievalResult(objects=tuple(found), path="retrieve")
-        if filters or ranges:
-            # An attribute-driven index probe prunes the stream by the
-            # predicates themselves, so its emptiness says nothing about
-            # the extents; a short-circuiting existence probe settles it.
-            covered = extent_matches > 0 if path.observes_extents \
-                else self._extents_covered(cls, class_name, spatial,
-                                           temporal, spatial_coverage)
-            if covered:
-                # Stored data covers the extents; the attribute
-                # predicates filtered everything out.  Fallbacks are for
-                # missing *data*, not for unsatisfied predicates.
-                return RetrievalResult(objects=(), path="retrieve")
-
-        return self.run_fallbacks(
-            class_name, spatial, temporal,
-            spatial_coverage=spatial_coverage,
-            filters=filters, ranges=ranges,
-            known_empty=True,
-        )
+        if found or not (filters or ranges):
+            return path, found, bool(found)
+        # An attribute-driven index probe prunes the stream by the
+        # predicates themselves, so its emptiness says nothing about
+        # the extents; a short-circuiting existence probe settles it.
+        # When stored data covers the extents the attribute predicates
+        # filtered everything out, and the answer is empty: fallbacks
+        # are for missing *data*, not for unsatisfied predicates.
+        covered = extent_matches > 0 if path.observes_extents \
+            else self._extents_covered(cls, spatial, temporal,
+                                       spatial_coverage)
+        return path, found, covered
 
     def run_fallbacks(self, class_name: str,
                       spatial: Box | None, temporal: AbsTime | None,
@@ -207,7 +223,7 @@ class RetrievalPlanner:
             + (f" ({'; '.join(errors)})" if errors else "")
         )
 
-    def _extents_covered(self, cls, class_name: str,
+    def _extents_covered(self, cls,
                          spatial: Box | None, temporal: AbsTime | None,
                          spatial_coverage: bool) -> bool:
         """Whether stored data (ignoring attribute predicates) satisfies
@@ -223,9 +239,9 @@ class RetrievalPlanner:
             return any(
                 obj[cls.spatial_attr].contains(spatial)
                 for obj in self.manager.store.iter_find(
-                    class_name, spatial=spatial, temporal=temporal)
+                    cls.name, spatial=spatial, temporal=temporal)
             )
-        return self.manager.store.exists(class_name, spatial=spatial,
+        return self.manager.store.exists(cls.name, spatial=spatial,
                                          temporal=temporal)
 
     def interpolate(self, class_name: str,
@@ -667,20 +683,12 @@ class RetrievalPlanner:
         from (index probe vs. full scan), with its estimates.
         """
         cls = self.manager.classes.get(class_name)
-        access = self.manager.store.choose_path(
-            class_name, spatial=spatial, temporal=temporal,
-            filters=filters, ranges=ranges, projection=projection,
-        )
-        matches = sum(1 for _ in self.manager.store.iter_find(
-            class_name, spatial=spatial, temporal=temporal,
-            filters=filters, ranges=ranges, access_path=access,
-        ))
-        if matches:
-            return {"path": "retrieve", "matches": matches,
-                    "access": access.describe()}
-        if (filters or ranges) and self.manager.store.exists(
-                class_name, spatial=spatial, temporal=temporal):
-            return {"path": "retrieve", "matches": 0,
+        filters, ranges = self.manager.store.normalize_predicates(
+            cls, filters, ranges)
+        access, found, answered = self._stored_step(
+            cls, spatial, temporal, filters, ranges, projection=projection)
+        if answered:
+            return {"path": "retrieve", "matches": len(found),
                     "access": access.describe()}
         for step in self.fallback_order:
             if step == "interpolate" and temporal is not None \

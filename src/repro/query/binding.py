@@ -29,10 +29,6 @@ class ParamSignature:
     positional: int = 0
     names: frozenset[str] = frozenset()
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.positional and not self.names
-
     def describe(self) -> str:
         if self.positional:
             return f"{self.positional} positional parameter(s)"

@@ -66,24 +66,6 @@ class Accumulator:
         return self.high
 
 
-def column_refs(exprs: Iterable[Any]) -> list[ColumnRef]:
-    """Every column reference appearing in *exprs* (recursively)."""
-    found: list[ColumnRef] = []
-
-    def walk(expr: Any) -> None:
-        if isinstance(expr, ColumnRef):
-            found.append(expr)
-        elif isinstance(expr, OpCall):
-            for arg in expr.args:
-                walk(arg)
-        elif isinstance(expr, AggCall) and expr.arg is not None:
-            walk(expr.arg)
-
-    for expr in exprs:
-        walk(expr)
-    return found
-
-
 # ----------------------------------------------------------------------
 # Expression compilation
 # ----------------------------------------------------------------------

@@ -196,8 +196,10 @@ class _StoreScan(PhysicalOperator):
     """Common base of the stored-row scans: one recorded scan event.
 
     Batches come straight off the storage layer
-    (:meth:`ClassStore.iter_scan_batches`); per-row ``SciObject``
-    materialization is deferred to whoever drains the tree.
+    (:meth:`ClassStore.iter_scan_batches`), which is handed the
+    predicates the physical planner already normalized and the access
+    path it already validated; per-row ``SciObject`` materialization is
+    deferred to whoever drains the tree.
     """
 
     def __init__(self, ctx: ExecutionContext, class_name: str,
@@ -779,7 +781,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
             INDEX_PROBE_COST + per_probe_rows * INDEX_ROW_COST
         )
         # The probe access path varies only in its key: fix the shape
-        # once, so per-row probes skip normalization + path selection.
+        # once, so per-row probes skip path selection.
         self._probe_template: AccessPath | None = None
         if self.right_ref.attr != "oid":
             engine = ctx.kernel.store.engine

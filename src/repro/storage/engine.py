@@ -58,6 +58,23 @@ class _RelationState:
     temporal_column: str | None = None
 
 
+def _orders(tree: BTree, *keys: Any) -> bool:
+    """Whether *tree*'s key domain orders every probe key in *keys*
+    (``None`` is an open bound).  Index keys are type-validated on
+    insert, so comparing against one stored key decides it; an empty
+    tree compares nothing and so orders anything."""
+    bounds = tree.key_bounds()
+    if bounds is None:
+        return True
+    try:
+        for key in keys:
+            if key is not None:
+                key < bounds[0]  # noqa: B015 - evaluated for its TypeError
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass
 class StorageEngine:
     """In-memory no-overwrite storage engine with WAL-based recovery."""
@@ -375,7 +392,7 @@ class StorageEngine:
                 yield Row(relation=relation, tid=tid,
                           values=schema.as_dict(version.values))
 
-    def _iter_visible_tids(self, relation: str, tids: Iterator[TID] | set[TID],
+    def _iter_visible_tids(self, relation: str, tids: Iterator[TID],
                            snap: Snapshot) -> Iterator[Row]:
         """Stream visible rows for *tids*, skipping invisible versions."""
         for tid in tids:
@@ -435,98 +452,94 @@ class StorageEngine:
         if out:
             yield out
 
-    def iter_lookup_tids(self, relation: str, column: str, key: Any
-                         ) -> Iterator[TID]:
-        """TID stream of one equality probe, in the order
-        :meth:`iter_lookup` visits rows (visibility unchecked — the
-        batch fetch layer checks it)."""
-        state = self._state(relation)
-        tree = state.btrees.get(column)
+    def _btree(self, relation: str, column: str) -> BTree:
+        tree = self._state(relation).btrees.get(column)
         if tree is None:
             raise StorageError(f"no index on {relation}.{column}")
-        yield from sorted(tree.search(key))
+        return tree
+
+    def _range_buckets(self, relation: str, column: str, lo: Any, hi: Any,
+                       reverse: bool) -> Iterator[tuple[Any, set[TID]]]:
+        """``(key, TIDs)`` per key in ``[lo, hi]``, in (reversed) key
+        order, riding the chunked snapshot ``range_scan``."""
+        tree = self._btree(relation, column)
+        if not _orders(tree, lo, hi):
+            # A bound the key domain cannot order prunes nothing: the
+            # consumer's residual re-check then answers (or raises its
+            # typed error) exactly as it would over a full scan, so the
+            # index's presence never changes the result.
+            lo = hi = None
+        return tree.range_scan(lo, hi, reverse=reverse)
+
+    def iter_lookup_tids(self, relation: str, column: str, key: Any
+                         ) -> Iterator[TID]:
+        """TID stream of one equality probe, ascending (visibility
+        unchecked — the fetch layer checks it).  A key the tree's key
+        domain cannot order equals no stored key: the stream is empty,
+        as the same equality over a full scan would be."""
+        tree = self._btree(relation, column)
+        if _orders(tree, key):
+            yield from sorted(tree.search(key))
 
     def iter_range_tids(self, relation: str, column: str, lo: Any, hi: Any,
                         reverse: bool = False) -> Iterator[TID]:
-        """TID stream of one range probe in key order (``iter_range``'s
-        visit order), riding the chunked snapshot ``range_scan``."""
-        state = self._state(relation)
-        tree = state.btrees.get(column)
-        if tree is None:
-            raise StorageError(f"no index on {relation}.{column}")
-        for _, bucket in tree.range_scan(lo, hi, reverse=reverse):
+        """TID stream of one range probe in key order (descending with
+        *reverse*); ``None`` bounds are open-ended.  Key-ordered
+        streaming is the substrate of sort avoidance: an ``ORDER BY``
+        over an indexed column rides this instead of an explicit Sort."""
+        for _, bucket in self._range_buckets(relation, column, lo, hi,
+                                             reverse):
             yield from sorted(bucket)
 
     def iter_spatial_tids(self, relation: str, query: Box) -> Iterator[TID]:
-        """TID stream of a spatial-grid probe (``iter_spatial`` order)."""
+        """TID stream of a spatial-grid probe: extents overlapping
+        *query*'s grid cells."""
         state = self._state(relation)
         if state.spatial is None:
             raise StorageError(f"no spatial index on {relation}")
         yield from sorted(state.spatial.query(query))
 
     def iter_temporal_tids(self, relation: str, at: AbsTime) -> Iterator[TID]:
-        """TID stream of a timeline probe (``iter_temporal`` order)."""
+        """TID stream of a timeline probe: rows stamped exactly *at*."""
         state = self._state(relation)
         if state.temporal is None:
             raise StorageError(f"no temporal index on {relation}")
         yield from sorted(state.temporal.at(at))
 
+    # The ``Row`` views of the four probes: the same TID streams, fetched
+    # one visible row at a time (a consumer that stops early does no
+    # further work).
+
     def iter_lookup(self, relation: str, column: str, key: Any,
                     snapshot: Snapshot | None = None) -> Iterator[Row]:
-        """Stream the visible rows with ``column == key`` via the B-tree.
-
-        Rows are fetched one TID at a time, so a consumer that stops
-        early does no further work.
-        """
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        tree = state.btrees.get(column)
-        if tree is None:
-            raise StorageError(f"no index on {relation}.{column}")
-        yield from self._iter_visible_tids(relation,
-                                           iter(sorted(tree.search(key))),
-                                           snap)
+        """Stream the visible rows with ``column == key`` via the B-tree."""
+        yield from self._iter_visible_tids(
+            relation, self.iter_lookup_tids(relation, column, key),
+            snapshot or self.snapshot())
 
     def iter_range(self, relation: str, column: str, lo: Any, hi: Any,
                    snapshot: Snapshot | None = None,
                    reverse: bool = False) -> Iterator[Row]:
         """Stream visible rows with ``lo <= column <= hi`` in key order
-        (descending key order with *reverse*).
-
-        ``None`` bounds are open-ended.  Key-ordered streaming is the
-        substrate of sort avoidance: an ``ORDER BY`` over an indexed
-        column rides this iterator instead of an explicit Sort.
-        """
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        tree = state.btrees.get(column)
-        if tree is None:
-            raise StorageError(f"no index on {relation}.{column}")
-        for _, bucket in tree.range_scan(lo, hi, reverse=reverse):
-            yield from self._iter_visible_tids(relation,
-                                               iter(sorted(bucket)), snap)
+        (descending key order with *reverse*)."""
+        yield from self._iter_visible_tids(
+            relation,
+            self.iter_range_tids(relation, column, lo, hi, reverse=reverse),
+            snapshot or self.snapshot())
 
     def iter_spatial(self, relation: str, query: Box,
                      snapshot: Snapshot | None = None) -> Iterator[Row]:
         """Stream visible rows whose extent overlaps *query*."""
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        if state.spatial is None:
-            raise StorageError(f"no spatial index on {relation}")
         yield from self._iter_visible_tids(
-            relation, iter(sorted(state.spatial.query(query))), snap
-        )
+            relation, self.iter_spatial_tids(relation, query),
+            snapshot or self.snapshot())
 
     def iter_temporal(self, relation: str, at: AbsTime,
                       snapshot: Snapshot | None = None) -> Iterator[Row]:
         """Stream visible rows stamped exactly *at*."""
-        snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        if state.temporal is None:
-            raise StorageError(f"no temporal index on {relation}")
         yield from self._iter_visible_tids(
-            relation, iter(sorted(state.temporal.at(at))), snap
-        )
+            relation, self.iter_temporal_tids(relation, at),
+            snapshot or self.snapshot())
 
     def iter_index_keys(self, relation: str, column: str,
                         eq: Any = None,
@@ -543,20 +556,14 @@ class StorageEngine:
         ``None`` bounds open-ended.
         """
         snap = snapshot or self.snapshot()
-        state = self._state(relation)
-        tree = state.btrees.get(column)
-        if tree is None:
-            raise StorageError(f"no index on {relation}.{column}")
-        if eq is not None:
-            pairs: Iterator[tuple[Any, set[TID]]] = iter(
-                [(eq, tree.search(eq))]
-            )
-        else:
-            pairs = tree.range_scan(lo, hi, reverse=reverse)
-        for key, bucket in pairs:
+        heap = self._state(relation).heap
+        buckets = [(eq, self.iter_lookup_tids(relation, column, eq))] \
+            if eq is not None \
+            else self._range_buckets(relation, column, lo, hi, reverse)
+        for key, bucket in buckets:
             for tid in sorted(bucket):
                 try:
-                    version = state.heap.get(tid)
+                    version = heap.get(tid)
                 except TupleNotFoundError:
                     continue
                 if visible(version, snap):
@@ -651,10 +658,7 @@ class StorageEngine:
         ``histogram_buckets`` is the bucket count of the cached
         equi-depth histogram (0 for non-numeric key domains).
         """
-        state = self._state(relation)
-        tree = state.btrees.get(column)
-        if tree is None:
-            raise StorageError(f"no index on {relation}.{column}")
+        tree = self._btree(relation, column)
         histogram = tree.histogram()
         return {
             "entries": len(tree),

@@ -34,11 +34,6 @@ class SlottedPage:
         """Bytes still available on this page."""
         return self.capacity - self._used
 
-    @property
-    def slot_count(self) -> int:
-        """Number of slots ever allocated on this page."""
-        return len(self._slots)
-
     def fits(self, version: TupleVersion) -> bool:
         """Whether *version* fits in the remaining budget."""
         return version.size + _SLOT_OVERHEAD <= self.free_space

@@ -62,11 +62,6 @@ class TupleVersion:
         """Approximate serialized size in bytes (for page accounting)."""
         return self._size
 
-    @property
-    def is_dead(self) -> bool:
-        """True once a deleting transaction has been stamped."""
-        return self.xmax is not None
-
 
 def estimate_size(values: tuple[Any, ...]) -> int:
     """Approximate the serialized byte size of a value tuple.

@@ -144,9 +144,8 @@ class TestStore:
 
     def test_find_with_predicate(self, kernel, stored):
         kernel.store.store("landcover", _values(area="asia"))
-        found = kernel.store.find(
-            "landcover", predicate=lambda o: o["area"] == "asia"
-        )
+        found = [o for o in kernel.store.find("landcover")
+                 if o["area"] == "asia"]
         assert len(found) == 1 and found[0]["area"] == "asia"
 
     def test_count_and_objects(self, kernel, stored):

@@ -1,0 +1,79 @@
+"""The stored-read views stop fetching when their consumer stops.
+
+Row views ask ``StorageEngine.value_batches`` for small chunks, so an
+existence probe or a first-row fetch on a large class does not start
+assembling 1024-row chunks; a cursor's ``fetchone()`` on an indexed
+SELECT pulls no TID past its first batch.
+"""
+
+import pytest
+
+from repro import connect
+from repro.query.batch import DEFAULT_BATCH_SIZE
+
+ROWS = 20_000
+
+
+@pytest.fixture(scope="module")
+def conn():
+    connection = connect()
+    connection.cursor().execute(
+        "DEFINE CLASS big ( ATTRIBUTES: code = int4; tag = char16; )")
+    store = connection.kernel.store
+    store.begin_transaction()
+    for i in range(ROWS):
+        store.store("big", {"code": i, "tag": f"t{i % 7}"})
+    store.commit_transaction()
+    connection.cursor().execute("CREATE INDEX ON big (code)")
+    return connection
+
+
+def _counted(monkeypatch, engine, name):
+    """Count what the consumer pulls out of generator ``engine.<name>``:
+    returns the list of pulled items' sizes (1 for a non-list item)."""
+    pulled: list[int] = []
+    original = getattr(engine, name)
+
+    def counting(*args, **kwargs):
+        for item in original(*args, **kwargs):
+            pulled.append(len(item) if isinstance(item, list) else 1)
+            yield item
+
+    monkeypatch.setattr(engine, name, counting)
+    return pulled
+
+
+def test_exists_pulls_one_row(conn, monkeypatch):
+    store = conn.kernel.store
+    chunks = _counted(monkeypatch, store.engine, "value_batches")
+    assert store.exists("big")
+    assert chunks == [1]
+
+
+@pytest.mark.parametrize("kind, predicates", [
+    ("full-scan", {}),
+    ("full-scan", {"filters": (("tag", "t3"),)}),  # residual re-check
+    ("index-range", {"ranges": (("code", ">=", 15_000),)}),
+    ("index-eq", {"filters": (("code", 15_000),)}),
+])
+def test_first_found_row_pulls_one_small_chunk(conn, monkeypatch, kind,
+                                               predicates):
+    store = conn.kernel.store
+    assert store.choose_path("big", **predicates).kind == kind
+    chunks = _counted(monkeypatch, store.engine, "value_batches")
+    first = next(store.iter_find("big", **predicates))
+    assert first.class_name == "big"
+    assert len(chunks) == 1 and chunks[0] < DEFAULT_BATCH_SIZE / 8
+
+
+def test_fetchone_pulls_no_tid_past_the_first_batch(conn, monkeypatch):
+    engine = conn.kernel.store.engine
+    tids = _counted(monkeypatch, engine, "iter_range_tids")
+    cur = conn.cursor()
+    source = "SELECT FROM big WHERE code >= ?"
+    assert "index-range" in cur.explain(source, (15_000,))
+    tids.clear()  # the explain probed the store
+    row = cur.execute(source, (15_000,)).fetchone()
+    assert row["code"] == 15_000
+    assert len(tids) == DEFAULT_BATCH_SIZE
+    assert len(cur.fetchall()) == ROWS - 15_000 - 1

@@ -1,5 +1,6 @@
-"""The operator lint catches per-row dict building in batch loops and a
-second ``run`` implementation growing back."""
+"""The operator lint catches per-row dict building in batch loops, a
+second ``run`` implementation growing back, and a ``src/`` consumer of
+the engine's ``Row`` streams growing back."""
 
 import pathlib
 import subprocess
@@ -112,6 +113,42 @@ def test_base_class_run_is_the_only_one_allowed():
     assert lint_vectorized.check_source(good) == []
 
 
+def test_flags_row_stream_consumers():
+    bad = textwrap.dedent("""
+        class Store:
+            def rows(self, relation, path, snapshot):
+                if path.kind == "index-eq":
+                    return self.engine.iter_lookup(relation, path.column,
+                                                   path.argument, snapshot)
+                return self.engine.scan(relation, snapshot)
+
+        def probe(engine, box):
+            yield from engine.iter_spatial("r", box)
+    """)
+    violations = lint_vectorized.check_row_streams(bad)
+    assert [line for line, _ in violations] == [5, 7, 10]
+    assert "iter_lookup()" in violations[0][1]
+    assert "scan()" in violations[1][1]
+
+
+def test_row_stream_check_allows_tid_streams_and_other_scans():
+    good = textwrap.dedent("""
+        def read(self, relation, path, snapshot):
+            tids = self.engine.iter_lookup_tids(relation, path.column,
+                                                path.argument)
+            for tid, version in state.heap.scan():
+                pass
+            return self.engine.value_batches(relation, snapshot, tids=tids)
+    """)
+    assert lint_vectorized.check_row_streams(good) == []
+
+
+def test_no_source_module_reads_row_streams(monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    assert lint_vectorized.main([]) == 0
+    assert "clean" in capsys.readouterr().out
+
+
 def test_cli_exit_codes(tmp_path):
     clean = tmp_path / "clean.py"
     clean.write_text("def run_batches(self):\n    yield {}\n")
@@ -135,3 +172,13 @@ def test_cli_exit_codes(tmp_path):
     )
     assert bad.returncode == 1
     assert "per-row dict building" in bad.stderr
+
+    consumer = tmp_path / "consumer.py"
+    consumer.write_text("rows = store.engine.iter_range('r', 'k', 1, 2)\n")
+    leak = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "lint_vectorized.py"),
+         str(consumer)],
+        capture_output=True, text=True,
+    )
+    assert leak.returncode == 1
+    assert "consumer.py:1: iter_range() streams Row dicts" in leak.stderr

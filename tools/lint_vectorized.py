@@ -19,12 +19,21 @@ It also fails when any class other than ``PhysicalOperator`` defines
 path, so a second, row-at-a-time execution engine cannot grow back
 operator by operator.
 
+A third check guards the stored-read path: no module under
+``src/repro/`` may call the engine's ``Row``-yielding streams (``iter_lookup`` / ``iter_range`` /
+``iter_spatial`` / ``iter_temporal`` / ``engine.scan``).  Stored rows
+travel as value tuples through ``StorageEngine.value_batches`` and the
+one ``ClassStore`` generator over it; the ``Row`` views exist for tests
+and tooling and must not grow a ``src/`` consumer back.
+
 Usage::
 
     python tools/lint_vectorized.py [path ...]
 
-Defaults to ``src/repro/query/operators.py``.  Exits non-zero and
-prints one ``file:line: message`` per violation.
+Defaults to ``src/repro/query/operators.py`` for the operator checks
+and every module under ``src/repro/`` for the ``Row``-stream check;
+explicit paths get both.  Exits non-zero and prints one
+``file:line: message`` per violation.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ import pathlib
 import sys
 
 DEFAULT_TARGETS = ("src/repro/query/operators.py",)
+SOURCE_ROOT = "src/repro"
+ROW_STREAMS = frozenset(
+    {"iter_lookup", "iter_range", "iter_spatial", "iter_temporal"})
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor,
           ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
@@ -102,24 +114,55 @@ def check_source(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
-def check_paths(paths: list[str]) -> list[str]:
-    """Formatted ``file:line: message`` violations across *paths*."""
+def _is_engine(node: ast.AST) -> bool:
+    """Whether *node* reads as the storage engine: ``engine`` or
+    ``<anything>.engine``."""
+    return (isinstance(node, ast.Name) and node.id == "engine") \
+        or (isinstance(node, ast.Attribute) and node.attr == "engine")
+
+
+def check_row_streams(source: str, filename: str = "<string>"
+                      ) -> list[tuple[int, str]]:
+    """``(line, message)`` for every call of a ``Row``-yielding engine
+    stream in *source*."""
+    violations = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        name = node.func.attr
+        if name in ROW_STREAMS \
+                or (name == "scan" and _is_engine(node.func.value)):
+            violations.append(
+                (node.lineno,
+                 f"{name}() streams Row dicts — read stored rows through "
+                 "ClassStore (value_batches), not the Row views"))
+    return sorted(violations)
+
+
+def check_paths(paths: list[str], check=check_source) -> list[str]:
+    """Formatted ``file:line: message`` violations of *check* across
+    *paths*."""
     out = []
     for path in paths:
         text = pathlib.Path(path).read_text()
-        for line, message in check_source(text, filename=path):
+        for line, message in check(text, filename=path):
             out.append(f"{path}:{line}: {message}")
     return out
 
 
 def main(argv: list[str]) -> int:
     targets = argv or list(DEFAULT_TARGETS)
-    problems = check_paths(targets)
+    sources = argv or sorted(
+        str(path) for path in pathlib.Path(SOURCE_ROOT).rglob("*.py"))
+    problems = check_paths(targets) \
+        + check_paths(sources, check_row_streams)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"lint_vectorized: {len(targets)} file(s) clean")
+    print(f"lint_vectorized: {len(set(targets) | set(sources))} "
+          "file(s) clean")
     return 0
 
 
