@@ -159,12 +159,12 @@ def test_expK_index_order_beats_explicit_sort():
     after_plan = cur.explain(TOPK_QUERY)
     assert "(ordered desc)" in after_plan
     # Sort avoidance: no Sort remains on the stored path — any Sort
-    # left in the tree belongs to a derive/interpolate fallback child
-    # (whose output the index cannot order).
+    # left in the tree belongs to the §2.1.5 fallback leaf (whose
+    # output the index cannot order).
     lines = after_plan.splitlines()
     for i, line in enumerate(lines):
         if "Sort(" in line:
-            assert "Derive(" in lines[i + 1] or "Interpolate(" in lines[i + 1]
+            assert "Fallback(" in lines[i + 1]
     ordered_time = _timed(lambda: cur.execute(TOPK_QUERY).fetchall())
     got = [row["value"] for row in cur.execute(TOPK_QUERY).fetchall()]
     assert got == expected

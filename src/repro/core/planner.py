@@ -17,7 +17,7 @@ manager so every firing leaves a task record.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
 from ..errors import AssertionViolatedError, DerivationError, UnderivableError
@@ -37,6 +37,11 @@ RetrievalPath = str  # "retrieve" | "interpolate" | "derive"
 
 _DEFAULT_FALLBACKS: tuple[str, ...] = ("interpolate", "derive")
 
+#: What "this step cannot answer" looks like; the ladder moves on to the
+#: next step (anything else is a real error and propagates).
+_STEP_FAILURES = (InterpolationError, UnderivableError,
+                  AssertionViolatedError)
+
 #: Shared per-class stored-supply counts, keyed by
 #: ``(class_name, str(spatial), str(temporal))``.  One query execution
 #: (e.g. a concept union over several derivable members) passes the same
@@ -48,7 +53,9 @@ MarkingCache = dict
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """Outcome of a planned retrieval."""
+    """Outcome of a planned retrieval: the one §2.1.5 record — which
+    step answered, with which tasks — shared by the planner's object
+    API and the query layer's operators."""
 
     objects: tuple[SciObject, ...]
     path: RetrievalPath
@@ -118,7 +125,6 @@ class RetrievalPlanner:
             class_name, spatial, temporal,
             spatial_coverage=spatial_coverage,
             filters=filters, ranges=ranges,
-            known_empty=True,
         )
 
     def _stored_step(self, cls, spatial: Box | None,
@@ -133,8 +139,7 @@ class RetrievalPlanner:
 
         ONE stored-data scan, counting both extent matches and predicate
         survivors as it streams, so the fallback decision never re-reads
-        the relation.  *answered* is False when nothing stored covers
-        the extents — the case the §2.1.5 fallbacks exist for.
+        the relation.
         """
         store = self.manager.store
         path = store.choose_path(cls.name, spatial=spatial,
@@ -151,181 +156,163 @@ class RetrievalPlanner:
             extent_matches += 1
             if matches_predicates(obj, filters, ranges):
                 found.append(obj)
-        if found or not (filters or ranges):
-            return path, found, bool(found)
-        # An attribute-driven index probe prunes the stream by the
-        # predicates themselves, so its emptiness says nothing about
-        # the extents; a short-circuiting existence probe settles it.
-        # When stored data covers the extents the attribute predicates
-        # filtered everything out, and the answer is empty: fallbacks
-        # are for missing *data*, not for unsatisfied predicates.
-        covered = extent_matches > 0 if path.observes_extents \
-            else self._extents_covered(cls, spatial, temporal,
-                                       spatial_coverage)
-        return path, found, covered
+        return path, found, self.stored_answers(
+            cls.name, spatial, temporal, bool(filters or ranges),
+            len(found), extent_matches if path.observes_extents else None,
+            spatial_coverage)
+
+    def stored_answers(self, class_name: str, spatial: Box | None,
+                       temporal: AbsTime | None,
+                       has_predicates: bool, found: int,
+                       extent_matches: int | None = None,
+                       spatial_coverage: bool = False) -> bool:
+        """The step-1 verdict after a stored scan that *found* so many
+        rows: True when stored data answers the query — rows found, or
+        the extents are covered and the attribute predicates rejected
+        everything (an empty answer) — False when nothing stored covers
+        the extents, the one case steps 2–3 exist for: fallbacks are for
+        missing *data*, not for unsatisfied predicates.
+
+        *extent_matches* is the scan's own count of extent candidates
+        when its access path streams them all
+        (:attr:`AccessPath.observes_extents`).  An attribute-index probe
+        prunes by the predicates themselves, so its emptiness says
+        nothing about the extents (pass None): one short-circuiting
+        existence probe settles it.
+        """
+        if found or not has_predicates:
+            return found > 0
+        if extent_matches is not None:
+            return extent_matches > 0
+        store = self.manager.store
+        spatial_attr = self.manager.classes.get(class_name).spatial_attr
+        if spatial_coverage and spatial is not None \
+                and spatial_attr is not None:
+            # The direct path keeps only objects whose extent *contains*
+            # the query box, so mere overlap must not count as coverage
+            # — it would suppress the mosaic-interpolation fallback.
+            return any(
+                obj[spatial_attr].contains(spatial)
+                for obj in store.iter_find(class_name, spatial=spatial,
+                                           temporal=temporal)
+            )
+        return store.exists(class_name, spatial=spatial, temporal=temporal)
 
     def run_fallbacks(self, class_name: str,
                       spatial: Box | None, temporal: AbsTime | None,
                       spatial_coverage: bool = False,
                       filters: tuple[tuple[str, Any], ...] = (),
                       ranges: tuple[tuple[str, str, Any], ...] = (),
-                      known_empty: bool = False,
                       marking_cache: MarkingCache | None = None
                       ) -> RetrievalResult:
-        """Steps 2–3 of §2.1.5 in the configured fallback order.
+        """Steps 2–3 of §2.1.5 in the configured fallback order, for a
+        query :meth:`stored_answers` judged "nothing stored here".  The
+        one walk over ``fallback_order``: :meth:`retrieve`, the query
+        layer's ``Fallback`` leaf and the index-nested-loop join's probe
+        side all come through here.
 
-        With *known_empty* the caller asserts that no stored object of
-        *class_name* matches the query extents (it has already executed
-        the stored-data scan), letting the derivation step skip its own
-        re-scans of the target relation.  Normalized attribute
-        predicates are re-applied to whatever the fallbacks produce.
+        The first step that produces objects answers; a step that does
+        not apply or cannot produce any is skipped, and when all are the
+        query is unsatisfiable.  The derivation is told that no stored
+        object matches the extents, so it never re-scans the target
+        relation.  Normalized attribute predicates are re-applied to
+        whatever the answering step produced.
         """
-        cls = self.manager.classes.get(class_name)
-
-        def filtered(result: RetrievalResult) -> RetrievalResult:
-            """Apply pushed predicates to fallback-produced objects."""
-            if not (filters or ranges):
-                return result
-            kept = tuple(
-                obj for obj in result.objects
-                if matches_predicates(obj, filters, ranges)
-            )
-            return RetrievalResult(objects=kept, path=result.path,
-                                   tasks=result.tasks,
-                                   plan_steps=result.plan_steps)
-
         errors: list[str] = []
         for step in self.fallback_order:
             try:
-                if step == "interpolate":
-                    if temporal is not None and cls.temporal_attr is not None:
-                        try:
-                            return filtered(self._interpolate(
-                                class_name, spatial, temporal))
-                        except InterpolationError as exc:
-                            if not (spatial_coverage and spatial is not None):
-                                raise
-                            errors.append(f"interpolate(temporal): {exc}")
-                    if spatial_coverage and spatial is not None:
-                        return filtered(self._interpolate_spatial(
-                            class_name, spatial, temporal))
-                    continue
-                return filtered(self._derive(
-                    class_name, spatial, temporal,
-                    spatial_coverage=spatial_coverage,
-                    known_empty=known_empty,
-                    marking_cache=marking_cache))
-            except (InterpolationError, UnderivableError,
-                    AssertionViolatedError) as exc:
+                if step == "derive":
+                    result = self.derive(
+                        class_name, spatial, temporal,
+                        spatial_coverage=spatial_coverage,
+                        known_empty=True, marking_cache=marking_cache)
+                else:
+                    result = self._interpolate_step(
+                        class_name, spatial, temporal, spatial_coverage)
+            except _STEP_FAILURES as exc:
                 errors.append(f"{step}: {exc}")
+                continue
+            if not (filters or ranges):
+                return result
+            return replace(result, objects=tuple(
+                obj for obj in result.objects
+                if matches_predicates(obj, filters, ranges)
+            ))
         raise UnderivableError(
             f"cannot satisfy query on {class_name!r}"
             + (f" ({'; '.join(errors)})" if errors else "")
         )
 
-    def _extents_covered(self, cls,
-                         spatial: Box | None, temporal: AbsTime | None,
-                         spatial_coverage: bool) -> bool:
-        """Whether stored data (ignoring attribute predicates) satisfies
-        the extent requirements of this retrieval.
+    # -- step 2: interpolation ------------------------------------------------------
 
-        Under *spatial_coverage* the direct path keeps only objects
-        whose extent *contains* the query box, so mere overlap must not
-        count as coverage — otherwise overlapping partial neighbours
-        would suppress the mosaic-interpolation fallback.
+    def _interpolate_step(self, class_name: str, spatial: Box | None,
+                          temporal: AbsTime | None,
+                          spatial_coverage: bool) -> RetrievalResult:
+        """Step 2 as the ladder runs it: temporal interpolation, then —
+        for a coverage query — mosaicking the partial neighbours."""
+        try:
+            return self.interpolate(class_name, spatial, temporal)
+        except InterpolationError:
+            if not (spatial_coverage and spatial is not None):
+                raise
+        return self._interpolate_spatial(class_name, spatial, temporal)
+
+    def _interpolation_inputs(self, cls, spatial: Box | None,
+                              temporal: AbsTime | None
+                              ) -> tuple[SciObject, SciObject]:
+        """The two stored snapshots temporal interpolation would blend;
+        side-effect free, so :meth:`explain` asks exactly what
+        :meth:`interpolate` asks.
+
+        Raises :class:`InterpolationError` when step 2 does not apply:
+        the query has no timestamp, the class no temporal extent, or no
+        stored snapshots bracket the timestamp *at the query region*.
         """
-        if spatial_coverage and spatial is not None \
-                and cls.spatial_attr is not None:
-            return any(
-                obj[cls.spatial_attr].contains(spatial)
-                for obj in self.manager.store.iter_find(
-                    cls.name, spatial=spatial, temporal=temporal)
-            )
-        return self.manager.store.exists(cls.name, spatial=spatial,
-                                         temporal=temporal)
-
-    def interpolate(self, class_name: str,
-                    spatial: Box | None = None,
-                    temporal: AbsTime | None = None) -> RetrievalResult:
-        """Force the temporal-interpolation path (§2.1.5 step 2).
-
-        The public entry point the ``Interpolate`` physical operator
-        drives; raises :class:`InterpolationError` when the class has no
-        temporal extent, the query no timestamp, or no snapshots bracket
-        it.
-        """
-        cls = self.manager.classes.get(class_name)
         if temporal is None:
             raise InterpolationError(
-                f"retrieval of {class_name!r} has no timestamp to "
+                f"retrieval of {cls.name!r} has no timestamp to "
                 "interpolate at"
             )
         if cls.temporal_attr is None:
             raise InterpolationError(
-                f"class {class_name!r} has no temporal extent"
+                f"class {cls.name!r} has no temporal extent"
             )
-        return self._interpolate(class_name, spatial, temporal)
-
-    def derive(self, class_name: str,
-               spatial: Box | None = None,
-               temporal: AbsTime | None = None,
-               spatial_coverage: bool = False,
-               known_empty: bool = False,
-               marking_cache: MarkingCache | None = None
-               ) -> RetrievalResult:
-        """Force the derivation path, skipping direct retrieval.
-
-        The public face of the §2.1.5 step-3 machinery, used by the
-        ``DERIVE`` statement and the ``Derive`` physical operator:
-        recompute the objects through the derivation net even when
-        matching data is already stored.  See :meth:`run_fallbacks` for
-        *known_empty* and *marking_cache*.
-        """
-        return self._derive(class_name, spatial, temporal,
-                            spatial_coverage=spatial_coverage,
-                            known_empty=known_empty,
-                            marking_cache=marking_cache)
-
-    # -- step 2: interpolation ------------------------------------------------------
-
-    def _interpolate(self, class_name: str, spatial: Box | None,
-                     temporal: AbsTime) -> RetrievalResult:
-        # Like derivation, interpolation stores its output and wants the
-        # latest committed brackets — suspend any reader pin.
-        with self.manager.store.write_view():
-            return self._interpolate_live(class_name, spatial, temporal)
-
-    def _interpolate_live(self, class_name: str, spatial: Box | None,
-                          temporal: AbsTime) -> RetrievalResult:
-        cls = self.manager.classes.get(class_name)
-        relation = self.manager.store.relation_for(class_name)
-        timeline = self.manager.store.engine.timeline_of(relation)
+        store = self.manager.store
+        timeline = store.engine.timeline_of(store.relation_for(cls.name))
         before_t, after_t = timeline.bracketing(temporal)
         if before_t is None or after_t is None:
             raise InterpolationError(
-                f"no snapshots bracket {temporal} in {class_name!r}"
+                f"no snapshots bracket {temporal} in {cls.name!r}"
             )
-
-        def matching(at: AbsTime) -> list[SciObject]:
-            return self.manager.store.find(class_name, spatial=spatial,
-                                           temporal=at)
-
-        candidates_lo = matching(before_t)
-        candidates_hi = matching(after_t)
-        if not candidates_lo or not candidates_hi:
+        before = store.find(cls.name, spatial=spatial, temporal=before_t)
+        after = store.find(cls.name, spatial=spatial, temporal=after_t)
+        if not before or not after:
             raise InterpolationError(
-                f"bracketing snapshots of {class_name!r} do not cover the "
+                f"bracketing snapshots of {cls.name!r} do not cover the "
                 "requested region"
             )
-        values = self.interpolator.interpolate(
-            cls, candidates_lo[0], candidates_hi[0], temporal
-        )
-        obj = self.manager.store.store(class_name, values)
+        return before[0], after[0]
+
+    def interpolate(self, class_name: str,
+                    spatial: Box | None = None,
+                    temporal: AbsTime | None = None) -> RetrievalResult:
+        """Force the temporal-interpolation path (§2.1.5 step 2); raises
+        :class:`InterpolationError` when it does not apply (see
+        :meth:`_interpolation_inputs`)."""
+        cls = self.manager.classes.get(class_name)
+        store = self.manager.store
+        # Like derivation, interpolation stores its output and wants the
+        # latest committed brackets — suspend any reader pin.
+        with store.write_view():
+            before, after = self._interpolation_inputs(cls, spatial,
+                                                       temporal)
+            obj = store.store(class_name, self.interpolator.interpolate(
+                cls, before, after, temporal))
         # Interpolation is itself a derivation (§2.1.5: "a generic
         # derivation process"), so it leaves a task record too.
         task = self.manager.tasks.record(
             "interpolate-temporal",
-            {"before": candidates_lo[0], "after": candidates_hi[0]},
+            {"before": before, "after": after},
             output_oids=(obj.oid,),
             parameters={"__interpolation__": "temporal",
                         "target": str(temporal)},
@@ -340,13 +327,6 @@ class RetrievalPlanner:
         Requires an image-typed ``data`` attribute; every other
         non-extent attribute must agree across the pieces.
         """
-        with self.manager.store.write_view():
-            return self._interpolate_spatial_live(class_name, region,
-                                                  temporal)
-
-    def _interpolate_spatial_live(self, class_name: str, region: Box,
-                                  temporal: AbsTime | None
-                                  ) -> RetrievalResult:
         from ..gis.mosaic import covers, mosaic
 
         cls = self.manager.classes.get(class_name)
@@ -360,29 +340,30 @@ class RetrievalPlanner:
                 f"class {class_name!r} has no image 'data' attribute to "
                 "mosaic"
             )
-        candidates = self.manager.store.find(class_name, spatial=region,
-                                             temporal=temporal)
-        extents = [obj[cls.spatial_attr] for obj in candidates]
-        if not covers(extents, region):
-            raise InterpolationError(
-                f"stored {class_name!r} objects do not jointly cover the "
-                "requested region"
-            )
-        pieces = [
-            (obj["data"], obj[cls.spatial_attr]) for obj in candidates
-        ]
-        values: dict[str, object] = {"data": mosaic(pieces, region)}
-        values[cls.spatial_attr] = region
-        for attr, _ in cls.attributes:
-            if attr in ("data", cls.spatial_attr):
-                continue
-            first = candidates[0][attr]
-            if any(obj[attr] != first for obj in candidates[1:]):
+        with self.manager.store.write_view():
+            candidates = self.manager.store.find(class_name, spatial=region,
+                                                 temporal=temporal)
+            extents = [obj[cls.spatial_attr] for obj in candidates]
+            if not covers(extents, region):
                 raise InterpolationError(
-                    f"attribute {attr!r} differs across mosaic pieces"
+                    f"stored {class_name!r} objects do not jointly cover the "
+                    "requested region"
                 )
-            values[attr] = first
-        obj = self.manager.store.store(class_name, values)
+            pieces = [
+                (obj["data"], obj[cls.spatial_attr]) for obj in candidates
+            ]
+            values: dict[str, object] = {"data": mosaic(pieces, region)}
+            values[cls.spatial_attr] = region
+            for attr, _ in cls.attributes:
+                if attr in ("data", cls.spatial_attr):
+                    continue
+                first = candidates[0][attr]
+                if any(obj[attr] != first for obj in candidates[1:]):
+                    raise InterpolationError(
+                        f"attribute {attr!r} differs across mosaic pieces"
+                    )
+                values[attr] = first
+            obj = self.manager.store.store(class_name, values)
         task = self.manager.tasks.record(
             "interpolate-spatial",
             {"pieces": candidates},
@@ -395,12 +376,24 @@ class RetrievalPlanner:
 
     # -- step 3: derivation ------------------------------------------------------------
 
-    def _derive(self, class_name: str, spatial: Box | None,
-                temporal: AbsTime | None,
-                spatial_coverage: bool = False,
-                known_empty: bool = False,
-                marking_cache: MarkingCache | None = None
-                ) -> RetrievalResult:
+    def derive(self, class_name: str,
+               spatial: Box | None = None,
+               temporal: AbsTime | None = None,
+               spatial_coverage: bool = False,
+               known_empty: bool = False,
+               marking_cache: MarkingCache | None = None
+               ) -> RetrievalResult:
+        """Force the derivation path (§2.1.5 step 3), skipping direct
+        retrieval: recompute the objects through the derivation net even
+        when matching data is already stored (the ``DERIVE`` statement).
+
+        With *known_empty* the caller asserts that no stored object of
+        *class_name* matches the query extents (it has already executed
+        the stored-data scan), letting the derivation skip its own
+        re-scans of the target relation.  *marking_cache* shares the
+        backward-planning supply probes across the derivations of one
+        query execution.
+        """
         # Derivation stores objects and re-reads them mid-flight; a
         # reader's pinned snapshot must not apply inside (it would hide
         # what the net just fired).  The pin is restored on return.
@@ -410,6 +403,19 @@ class RetrievalPlanner:
                 spatial_coverage=spatial_coverage,
                 known_empty=known_empty, marking_cache=marking_cache,
             )
+
+    def _derivation_plan(self, class_name: str, spatial: Box | None,
+                         temporal: AbsTime | None, stored_targets: int,
+                         marking_cache: MarkingCache | None = None):
+        """The Petri-net backward plan that would produce *class_name*
+        at these extents, given *stored_targets* objects of it already
+        there; side-effect free (shared with :meth:`explain`).  Raises
+        :class:`UnderivableError` when no firing sequence exists."""
+        marking = self._query_marking(
+            spatial, temporal, known={class_name: stored_targets},
+            cache=marking_cache)
+        return self.manager.derivation_net().backward_plan(class_name,
+                                                           marking)
 
     def _derive_live(self, class_name: str, spatial: Box | None,
                      temporal: AbsTime | None,
@@ -434,12 +440,9 @@ class RetrievalPlanner:
         # With `known_empty` the caller has already executed the
         # stored-data scan and found nothing at these extents, so the
         # target count is known without touching the relation again.
-        known = {class_name: 0} if known_empty else None
-        marking = self._query_marking(spatial, temporal, known=known,
-                                      cache=marking_cache)
-        if not known_empty:
-            marking[class_name] = len(matching_target())
-        plan = net.backward_plan(class_name, marking)
+        plan = self._derivation_plan(
+            class_name, spatial, temporal,
+            0 if known_empty else len(matching_target()), marking_cache)
         # Demand per class: the largest threshold any planned consumer
         # places on it (the target itself needs one object).  A step is
         # fired enough times, over distinct bindings, to close the gap
@@ -687,29 +690,25 @@ class RetrievalPlanner:
             cls, filters, ranges)
         access, found, answered = self._stored_step(
             cls, spatial, temporal, filters, ranges, projection=projection)
+        report: dict[str, object] = {"access": access.describe()}
         if answered:
-            return {"path": "retrieve", "matches": len(found),
-                    "access": access.describe()}
-        for step in self.fallback_order:
-            if step == "interpolate" and temporal is not None \
-                    and cls.temporal_attr is not None:
-                relation = self.manager.store.relation_for(class_name)
-                timeline = self.manager.store.engine.timeline_of(relation)
-                before_t, after_t = timeline.bracketing(temporal)
-                if before_t is not None and after_t is not None:
-                    return {
-                        "path": "interpolate",
-                        "bracket": (str(before_t), str(after_t)),
-                        "access": access.describe(),
-                    }
-            if step == "derive":
-                net = self.manager.derivation_net()
-                marking = self._query_marking(spatial, temporal)
-                marking[class_name] = 0  # no stored object matched
+            return {"path": "retrieve", "matches": len(found), **report}
+        # The ladder's own applicability tests, minus the effects — and,
+        # like the steps themselves, on the live view.
+        with self.manager.store.write_view():
+            for step in self.fallback_order:
                 try:
-                    plan = net.backward_plan(class_name, marking)
-                except UnderivableError:
+                    if step == "derive":
+                        plan = self._derivation_plan(class_name, spatial,
+                                                     temporal, 0)
+                        return {"path": "derive",
+                                "plan": list(plan.steps), **report}
+                    before, after = self._interpolation_inputs(
+                        cls, spatial, temporal)
+                    return {"path": "interpolate",
+                            "bracket": (str(before[cls.temporal_attr]),
+                                        str(after[cls.temporal_attr])),
+                            **report}
+                except _STEP_FAILURES:
                     continue
-                return {"path": "derive", "plan": list(plan.steps),
-                        "access": access.describe()}
-        return {"path": "unsatisfiable", "access": access.describe()}
+        return {"path": "unsatisfiable", **report}

@@ -3,11 +3,11 @@
 A SELECT or DERIVE has one operator tree (:mod:`repro.query.operators`),
 compiled per execution from the cached logical plan by
 :class:`repro.query.physical.PhysicalPlanner`: a stored-data scan under
-a ``FallbackSwitch`` whose interpolate/derive children consume the
-scan's "nothing stored here" outcome instead of re-scanning, a concept
-source as one cost-ordered ``ConceptUnion``, the algebra operators on
-top.  :meth:`Executor.iter_group` streams that tree's rows — the path
-behind :meth:`repro.query.client.Cursor.fetchone` —
+a ``FallbackSwitch`` whose ``Fallback`` leaf hands §2.1.5 steps 2–3 to
+the retrieval planner only when nothing stored covers the extents, a
+concept source as one cost-ordered ``ConceptUnion``, the algebra
+operators on top.  :meth:`Executor.iter_group` streams that tree's
+rows — the path behind :meth:`repro.query.client.Cursor.fetchone` —
 :meth:`Executor.execute` drains it into a :class:`QueryResult`, and
 EXPLAIN renders it.
 """
@@ -37,8 +37,6 @@ from .ast import (
     Statement,
 )
 from .operators import (
-    Derive,
-    FallbackSwitch,
     HeapScan,
     IndexOnlyScan,
     IndexScan,
@@ -81,18 +79,15 @@ def _tree_walk(op: PhysicalOperator) -> Iterator[PhysicalOperator]:
 
 def _tree_outcome(tree: PhysicalOperator) -> tuple[str, tuple[str, ...],
                                                    str | None]:
-    """``(path, plan_steps, access)`` of a drained retrieval tree."""
+    """``(path, plan_steps, access)`` of a drained retrieval tree, read
+    off the operators' §2.1.5 outcome records."""
     path = ""
     plan_steps: tuple[str, ...] = ()
     access: str | None = None
     for op in _tree_walk(tree):
-        if isinstance(op, FallbackSwitch):
-            path = op.path_taken or path
-            plan_steps = plan_steps or op.plan_steps
-        elif isinstance(op, Derive) and not op.known_empty:
-            path = path or "derive"
-            if op.result is not None:
-                plan_steps = plan_steps or op.result.plan_steps
+        if op.result is not None:
+            path = op.result.path
+            plan_steps = plan_steps or op.result.plan_steps
         if isinstance(op, (HeapScan, IndexScan, IndexOnlyScan)) \
                 and access is None:
             access = op.path.describe()
@@ -140,7 +135,8 @@ class Executor:
         return str(explanation["path"]), str(explanation.get("access"))
 
     def _explain(self, node: ExplainNode) -> QueryResult:
-        """EXPLAIN: the §2.1.5 path summary plus the full operator tree."""
+        """EXPLAIN: one ``retrieve <class>: path=... access=...`` line
+        per retrieval leg, then the statement's operator tree."""
         inner = node.inner
         paths: dict[str, str] = {}
         access: dict[str, str] = {}
@@ -149,7 +145,9 @@ class Executor:
             for leg in inner.legs:
                 path, access_dump = self.explain_node(leg)
                 paths[leg.class_name] = path
-                line = f"{leg.class_name}: path={path}"
+                line = f"retrieve {leg.class_name}: path={path}"
+                if leg.concept:
+                    line += f" via concept {leg.concept}"
                 if access_dump is not None:
                     access[leg.class_name] = access_dump
                     line += f" access={access_dump}"
@@ -165,34 +163,18 @@ class Executor:
         )
 
     def render_plan(self, nodes: list[PlanNode]) -> list[str]:
-        """Cursor-level plan dump: summary lines plus operator trees.
-
-        One ``retrieve <class>: path=... access=...`` line per
-        retrieval leg (the contract of ``Cursor.explain``), each
-        statement's operator tree beneath its legs.
-        """
+        """Cursor-level plan dump: each statement's EXPLAIN text (an
+        ``EXPLAIN`` statement renders as the statement it wraps)."""
         lines: list[str] = []
         for node in nodes:
-            if isinstance(node, ExplainNode):
-                node = node.inner
-            if isinstance(node, QueryNode):
-                lines.extend(self._summary_line(leg) for leg in node.legs)
-            elif isinstance(node.statement, RunProcess):
-                lines.append(f"run {node.statement.process}")
-            else:
+            if isinstance(node, StatementNode) \
+                    and not isinstance(node.statement, RunProcess):
                 lines.append(f"statement {type(node.statement).__name__}")
                 continue
-            lines.extend(render_tree(self._tree(node)))
+            if not isinstance(node, ExplainNode):
+                node = ExplainNode(inner=node)
+            lines.append(self._explain(node).message)
         return lines
-
-    def _summary_line(self, node: RetrieveNode) -> str:
-        path, access = self.explain_node(node)
-        line = f"retrieve {node.class_name}: path={path}"
-        if node.concept:
-            line += f" via concept {node.concept}"
-        if access is not None:
-            line += f" access={access}"
-        return line
 
     # -- retrieval ------------------------------------------------------------
 

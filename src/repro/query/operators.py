@@ -22,19 +22,21 @@ The operators:
   ORDER BY / LIMIT / GROUP BY algebra;
 * :class:`HashJoin` / :class:`IndexNestedLoopJoin` — two-source
   equi-joins;
-* :class:`Interpolate` / :class:`Derive` — the §2.1.5 fallbacks as
-  operators, driving the retrieval planner's public entry points;
-* :class:`FallbackSwitch` — threads "the stored retrieval was empty"
-  from the already-executed scan child into the fallback children, so
-  falling back never re-scans the stored relation;
+* :class:`FallbackSwitch` — one stored scan; only when the retrieval
+  planner's verdict on it is "nothing stored here" does its
+  :class:`Fallback` leaf make the one
+  :meth:`~repro.core.planner.RetrievalPlanner.run_fallbacks` call
+  (§2.1.5 steps 2–3 live in :mod:`repro.core.planner`, not here);
+* :class:`Derive` — the forced ``DERIVE`` statement;
 * :class:`ConceptUnion` — one plan for a concept query: member
   subtrees ordered by estimated cost, sharing one execution context
   (and so one derivation-marking probe cache);
 * :class:`Run` — process execution (``RUN``) as a leaf operator.
 
 Operator instances are built fresh per execution and are stateful:
-after a drain, counters (``rows_out``) and outcomes (``path_taken``,
-``plan_steps``, ``tasks``) describe what actually happened.
+after a drain, counters (``rows_out``) and the §2.1.5 outcome record
+(``result``, a :class:`~repro.core.planner.RetrievalResult`) describe
+what actually happened.
 
 There is one execution engine: every operator implements
 :meth:`~PhysicalOperator.run_batches`, streaming columnar
@@ -53,14 +55,9 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..core.classes import SciObject, matches_extents, matches_predicates
-from ..core.interpolation import InterpolationError
 from ..core.metadata_manager import MetadataManager
 from ..core.planner import MarkingCache, RetrievalResult
-from ..errors import (
-    AssertionViolatedError,
-    UnderivableError,
-    UnknownClassError,
-)
+from ..errors import UnderivableError, UnknownClassError
 from ..spatial.box import Box
 from ..storage.access import AccessPath, INDEX_PROBE_COST, INDEX_ROW_COST
 from ..temporal.abstime import AbsTime
@@ -88,13 +85,12 @@ __all__ = [
     "HashAggregate",
     "HashJoin",
     "IndexNestedLoopJoin",
-    "Interpolate",
     "Derive",
+    "Fallback",
     "FallbackSwitch",
     "ConceptUnion",
     "Run",
     "render_tree",
-    "INTERPOLATE_COST",
     "DERIVE_COST",
     "FILTER_ROW_COST",
     "SORT_ROW_COST",
@@ -102,11 +98,9 @@ __all__ = [
     "JOIN_ROW_COST",
 ]
 
-#: Cost guesses for the fallback operators.  Interpolation prices two
-#: bracketing index probes plus the blend; derivation is dominated by
-#: process execution, far above any scan — the constants only need to
-#: order alternatives sensibly in plan dumps.
-INTERPOLATE_COST = 40.0
+#: Cost guess for the planner-answered leaves: derivation is dominated
+#: by process execution, far above any scan — the constant only needs
+#: to order alternatives sensibly in plan dumps.
 DERIVE_COST = 400.0
 # Per-row costs of the array-at-a-time operators, in the access paths'
 # units (one sequentially scanned row = 1.0): a whole batch shares one
@@ -128,7 +122,7 @@ JOIN_ROW_COST = 0.05
 class ExecutionContext:
     """Shared state of one query execution (one tree drain).
 
-    The marking cache lets several :class:`Derive` operators under one
+    The marking cache lets several :class:`Fallback` leaves under one
     tree (a concept union whose members all fall back) share the
     backward-planning supply probes; any firing clears it.
     """
@@ -144,12 +138,15 @@ class PhysicalOperator:
     time and stream columnar batches from :meth:`run_batches`, counting
     what they actually produce in ``rows_out``.  :meth:`run` is the row
     view of that stream and is never overridden
-    (``tools/lint_vectorized.py`` enforces it).
+    (``tools/lint_vectorized.py`` enforces it).  ``result`` is the
+    §2.1.5 outcome record of a drained retrieval — set by
+    :class:`FallbackSwitch` and :class:`Derive`, None everywhere else.
     """
 
     estimated_rows: float = 0.0
     estimated_cost: float = 0.0
     rows_out: int = 0
+    result: RetrievalResult | None = None
 
     @property
     def children(self) -> tuple["PhysicalOperator", ...]:
@@ -418,12 +415,6 @@ class Sort(PhysicalOperator):
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    @property
-    def step(self) -> str:
-        """Delegate to the child so a Sort-wrapped fallback (sort
-        avoidance ordering the derive path) stays a legal fallback."""
-        return getattr(self.child, "step", "sort")
 
     def label(self) -> str:
         rendered = []
@@ -827,52 +818,34 @@ class IndexNestedLoopJoin(PhysicalOperator):
         )
 
     def _attempt_probe_fallback(self) -> None:
-        """One-shot §2.1.5 fallback for probe misses: interpolate and
-        derive the right class at the join's extents, in the planner's
-        ``fallback_order``.  Result objects are kept aside (the
-        statement snapshot predates them, so a re-probe through storage
-        would not see them) and matched directly on later misses."""
+        """One-shot §2.1.5 for probe misses.  A miss is an unsatisfied
+        predicate unless nothing stored covers the join's extents; only
+        then do steps 2–3 run for the right class.  Their objects are
+        kept aside (the statement snapshot predates them, so a re-probe
+        through storage would not see them) and matched by key on this
+        and later misses."""
         self._fallback_tried = True
         planner = self.ctx.kernel.planner
-        cls = self.ctx.kernel.classes.get(self.right_class)
-        for step in planner.fallback_order:
-            try:
-                if step == "interpolate":
-                    if self.temporal is None or cls.temporal_attr is None:
-                        continue
-                    result = planner.interpolate(
-                        self.right_class, spatial=self.spatial,
-                        temporal=self.temporal,
-                    )
-                else:
-                    result = planner.derive(
-                        self.right_class, spatial=self.spatial,
-                        temporal=self.temporal,
-                        marking_cache=self.ctx.marking_cache,
-                    )
-            except (UnderivableError, InterpolationError,
-                    AssertionViolatedError):
-                continue
-            self.probe_fallback = step
-            self._fallback_objects = list(result.objects)
+        if planner.stored_answers(self.right_class, self.spatial,
+                                  self.temporal, has_predicates=True,
+                                  found=0):
             return
+        try:
+            result = planner.run_fallbacks(
+                self.right_class, self.spatial, self.temporal,
+                filters=self.filters, ranges=self.ranges,
+                marking_cache=self.ctx.marking_cache,
+            )
+        except UnderivableError:
+            return
+        self.probe_fallback = result.path
+        self._fallback_objects = list(result.objects)
 
     def _fallback_matches(self, key: Any) -> list[SciObject]:
-        """Fallback-produced right rows matching *key* under the probe's
-        own extent + attribute predicates."""
-        cls = self.ctx.kernel.classes.get(self.right_class)
-        out = []
-        for obj in self._fallback_objects:
-            value = obj.oid if self.right_ref.attr == "oid" \
-                else obj.get(self.right_ref.attr)
-            if value != key:
-                continue
-            if not matches_extents(obj, cls, self.spatial, self.temporal):
-                continue
-            if not matches_predicates(obj, self.filters, self.ranges):
-                continue
-            out.append(obj)
-        return out
+        """Fallback-produced right rows whose join attribute is *key*."""
+        attr = self.right_ref.attr
+        return [obj for obj in self._fallback_objects
+                if (obj.oid if attr == "oid" else obj.get(attr)) == key]
 
     def run_batches(self) -> Iterator[Batch]:
         right_cls = self.ctx.kernel.classes.get(self.right_class)
@@ -907,13 +880,13 @@ class IndexNestedLoopJoin(PhysicalOperator):
                 yield out
 
 
-# -- fallback operators -------------------------------------------------------
+# -- planner-answered leaves and the fallback switch --------------------------
 
 
-class Interpolate(PhysicalOperator):
-    """§2.1.5 step 2 as an operator: temporal interpolation."""
-
-    step = "interpolate"
+class _PlannerLeaf(PhysicalOperator):
+    """A leaf the retrieval planner answers: one
+    :class:`~repro.core.planner.RetrievalResult`, kept as ``result``,
+    whose objects stream as one batch."""
 
     def __init__(self, ctx: ExecutionContext, class_name: str,
                  spatial: Box | None, temporal: AbsTime | None):
@@ -921,163 +894,118 @@ class Interpolate(PhysicalOperator):
         self.class_name = class_name
         self.spatial = spatial
         self.temporal = temporal
-        self.result: RetrievalResult | None = None
-        self.estimated_rows = 1.0
-        self.estimated_cost = INTERPOLATE_COST
-
-    def label(self) -> str:
-        return f"Interpolate({self.class_name} at {self.temporal})"
-
-    def run_batches(self) -> Iterator[Batch]:
-        self.result = self.ctx.kernel.planner.interpolate(
-            self.class_name, spatial=self.spatial, temporal=self.temporal
-        )
-        if self.result.objects:
-            self.rows_out += len(self.result.objects)
-            yield Batch.from_objects(
-                self.result.objects,
-                self.ctx.kernel.classes.get(self.class_name),
-            )
-
-
-class Derive(PhysicalOperator):
-    """§2.1.5 step 3 as an operator: Petri-net backward derivation.
-
-    With ``known_empty`` the operator consumes the fact that the
-    already-executed scan child found nothing at the query extents, so
-    the planner skips every re-scan of the target relation; the shared
-    execution context additionally dedupes the marking probes across
-    sibling Derive operators (concept unions).
-    """
-
-    step = "derive"
-
-    def __init__(self, ctx: ExecutionContext, class_name: str,
-                 spatial: Box | None, temporal: AbsTime | None,
-                 known_empty: bool = False):
-        self.ctx = ctx
-        self.class_name = class_name
-        self.spatial = spatial
-        self.temporal = temporal
-        self.known_empty = known_empty
-        self.result: RetrievalResult | None = None
         self.estimated_rows = 1.0
         self.estimated_cost = DERIVE_COST
 
-    @property
-    def plan_steps(self) -> tuple[str, ...]:
-        return self.result.plan_steps if self.result is not None else ()
-
     def label(self) -> str:
-        return f"Derive({self.class_name})"
+        return f"{type(self).__name__}({self.class_name})"
+
+    def _ask_planner(self) -> RetrievalResult:
+        raise NotImplementedError
 
     def run_batches(self) -> Iterator[Batch]:
-        self.result = self.ctx.kernel.planner.derive(
-            self.class_name, spatial=self.spatial, temporal=self.temporal,
-            known_empty=self.known_empty,
-            marking_cache=self.ctx.marking_cache,
-        )
+        self.result = self._ask_planner()
         if self.result.objects:
             self.rows_out += len(self.result.objects)
             yield Batch.from_objects(
                 self.result.objects,
                 self.ctx.kernel.classes.get(self.class_name),
             )
+
+
+class Derive(_PlannerLeaf):
+    """The forced ``DERIVE`` statement: Petri-net backward derivation
+    even when matching data is already stored."""
+
+    def _ask_planner(self) -> RetrievalResult:
+        return self.ctx.kernel.planner.derive(
+            self.class_name, spatial=self.spatial, temporal=self.temporal,
+            marking_cache=self.ctx.marking_cache,
+        )
+
+
+class Fallback(_PlannerLeaf):
+    """§2.1.5 steps 2–3 for a retrieval whose stored scan found nothing
+    at the extents: one ``run_fallbacks`` call, which walks the
+    planner's fallback order, lets the derivation inherit the scan's
+    emptiness instead of re-scanning, and re-checks the (normalized)
+    attribute predicates."""
+
+    def __init__(self, ctx: ExecutionContext, class_name: str,
+                 spatial: Box | None, temporal: AbsTime | None,
+                 filters: tuple[tuple[str, Any], ...],
+                 ranges: tuple[tuple[str, str, Any], ...]):
+        super().__init__(ctx, class_name, spatial, temporal)
+        self.filters = filters
+        self.ranges = ranges
+
+    def _ask_planner(self) -> RetrievalResult:
+        return self.ctx.kernel.planner.run_fallbacks(
+            self.class_name, self.spatial, self.temporal,
+            filters=self.filters, ranges=self.ranges,
+            marking_cache=self.ctx.marking_cache,
+        )
+
+
+#: The outcome record of a retrieval its stored scan answered (the rows
+#: themselves only ever stream as batches).
+_STORED = RetrievalResult(objects=(), path="retrieve")
 
 
 class FallbackSwitch(PhysicalOperator):
     """Stored retrieval with §2.1.5 fallbacks, scan-once semantics.
 
     Streams the stored child; only when it is exhausted *empty* does
-    the switch consult the child's own row counters (or, for scans
-    whose probe consumed the attribute predicates, one short-circuiting
-    existence probe) to decide between "predicates rejected everything"
-    (empty result) and "nothing stored at these extents" (run the
-    fallback children, which inherit the emptiness fact instead of
-    re-scanning).  ``path_taken`` records the §2.1.5 path after a
-    drain.
+    the switch hand the scan's own counters to the retrieval planner's
+    step-1 verdict (``RetrievalPlanner.stored_answers``): "predicates
+    rejected everything" is an empty answer, "nothing stored at these
+    extents" runs the :class:`Fallback` leaf.  ``extent_counter`` is the operator whose
+    ``rows_out`` counts the scan's extent matches — None when the
+    access path prunes by attribute before extents are seen.  With
+    *sort_keys* (an ordered index scan replaced the statement's Sort)
+    the leaf — whose output the index cannot order — gets a Sort of its
+    own, so the order contract holds on every path.
     """
 
-    def __init__(self, class_name: str,
-                 stored: PhysicalOperator,
-                 extent_counter: PhysicalOperator,
-                 fallbacks: tuple[PhysicalOperator, ...],
-                 has_attr_predicates: bool,
-                 observes_extents: bool,
-                 exists_probe: Callable[[], bool],
-                 residual: Callable[[Batch], np.ndarray] | None = None):
-        self.class_name = class_name
+    def __init__(self, stored: PhysicalOperator,
+                 extent_counter: PhysicalOperator | None,
+                 fallback: Fallback,
+                 sort_keys: tuple[tuple[Any, bool], ...] | None = None):
         self.stored = stored
         self.extent_counter = extent_counter
-        self.fallbacks = fallbacks
-        self.has_attr_predicates = has_attr_predicates
-        self.observes_extents = observes_extents
-        self.exists_probe = exists_probe
-        self.residual = residual
-        self.path_taken: str | None = None
+        self.fallback = fallback
+        self.fallback_tree: PhysicalOperator = fallback
+        if sort_keys is not None:
+            self.fallback_tree = Sort(fallback, sort_keys,
+                                      fallback.ctx.kernel.operators)
         self.estimated_rows = stored.estimated_rows
         self.estimated_cost = stored.estimated_cost
 
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.stored, *self.fallbacks)
-
-    @property
-    def plan_steps(self) -> tuple[str, ...]:
-        for fallback in self.fallbacks:
-            if isinstance(fallback, Sort):  # sort-avoidance order wrapper
-                fallback = fallback.child
-            if isinstance(fallback, Derive):
-                return fallback.plan_steps
-        return ()
+        return (self.stored, self.fallback_tree)
 
     def label(self) -> str:
-        return f"FallbackSwitch({self.class_name})"
-
-    def _fallback_batches(self) -> list[Batch]:
-        """Run the §2.1.5 fallback children, residual-filtered; sets
-        ``path_taken``.  Raises when every fallback fails."""
-        errors: list[str] = []
-        for fallback in self.fallbacks:
-            try:
-                batches = list(fallback.run_batches())
-            except (InterpolationError, UnderivableError,
-                    AssertionViolatedError) as exc:
-                errors.append(f"{fallback.step}: {exc}")
-                continue
-            self.path_taken = fallback.step
-            if self.residual is not None:
-                batches = [batch.take(self.residual(batch))
-                           for batch in batches]
-            return batches
-        raise UnderivableError(
-            f"cannot satisfy query on {self.class_name!r}"
-            + (f" ({'; '.join(errors)})" if errors else "")
-        )
-
-    def _should_fall_back(self) -> bool:
-        """After an empty stored drain: missing data, or predicates?"""
-        if self.has_attr_predicates:
-            covered = self.extent_counter.rows_out > 0 \
-                if self.observes_extents else self.exists_probe()
-            if covered:
-                # Stored data covers the extents; the predicates
-                # rejected it all.  Fallbacks are for missing data.
-                return False
-        return True
+        return f"FallbackSwitch({self.fallback.class_name})"
 
     def run_batches(self) -> Iterator[Batch]:
         for batch in self.stored.run_batches():
             if batch.length:
                 self.rows_out += batch.length
                 yield batch
-        if self.rows_out or not self._should_fall_back():
-            self.path_taken = "retrieve"
+        asked = self.fallback
+        counter = self.extent_counter
+        if asked.ctx.kernel.planner.stored_answers(
+                asked.class_name, asked.spatial, asked.temporal,
+                bool(asked.filters or asked.ranges), self.rows_out,
+                None if counter is None else counter.rows_out):
+            self.result = _STORED
             return
-        for batch in self._fallback_batches():
-            if batch.length:
-                self.rows_out += batch.length
-                yield batch
+        batches = list(self.fallback_tree.run_batches())
+        self.result = asked.result
+        for batch in batches:
+            self.rows_out += batch.length
+            yield batch
 
 
 class ConceptUnion(PhysicalOperator):

@@ -7,9 +7,9 @@ fingerprints) is one node per statement: a
 compiles those nodes into :mod:`.operators` trees per execution:
 
 * each retrieval leg becomes scan → extent filter → predicate filter
-  under a :class:`~.operators.FallbackSwitch` whose fallback children
-  (:class:`~.operators.Interpolate`, :class:`~.operators.Derive`)
-  consume the switch's "stored scan was empty" fact;
+  under a :class:`~.operators.FallbackSwitch` whose one
+  :class:`~.operators.Fallback` leaf hands §2.1.5 steps 2–3 to the
+  retrieval planner when nothing stored covers the extents;
 * a ``DERIVE`` leg becomes a :class:`~.operators.Derive` root;
 * a concept source's legs are one :class:`~.operators.ConceptUnion`
   ordered by estimated cost, sharing a single
@@ -38,15 +38,15 @@ from .operators import (
     Derive,
     ExecutionContext,
     ExprProject,
-    Filter,
+    Fallback,
     FallbackSwitch,
+    Filter,
     HashAggregate,
     HashJoin,
     HeapScan,
     IndexNestedLoopJoin,
     IndexOnlyScan,
     IndexScan,
-    Interpolate,
     Limit,
     PhysicalOperator,
     Project,
@@ -83,18 +83,14 @@ class PhysicalPlanner:
 
     def build_retrieve(self, node: RetrieveNode,
                        ctx: ExecutionContext | None = None,
-                       fallback_order: tuple[tuple[Any, bool], ...]
-                       | None = None
+                       sort_keys: tuple[tuple[Any, bool], ...] | None = None
                        ) -> PhysicalOperator:
         """The operator tree of one (bound) retrieval node.
 
-        *fallback_order* is set when an ordered index scan replaced an
-        explicit Sort (sort avoidance): the interpolate/derive fallback
-        children — whose output order the index cannot guarantee — each
-        get their own small Sort so the tree's order contract holds on
-        every path.  These Sorts are never top-K-bounded: the
-        FallbackSwitch applies residual predicates *after* a fallback
-        runs, so truncating early could drop qualifying rows.
+        *sort_keys* is set when an ordered index scan replaced an
+        explicit Sort (sort avoidance): the fallback leaf — whose
+        output order the index cannot guarantee — gets a Sort of its
+        own, so the tree's order contract holds on every path.
         """
         ctx = ctx or self.context()
         store = self.kernel.store
@@ -104,9 +100,7 @@ class PhysicalPlanner:
         )
         if node.force_derivation:
             tree: PhysicalOperator = Derive(
-                ctx, node.class_name, node.spatial, node.temporal,
-                known_empty=False,
-            )
+                ctx, node.class_name, node.spatial, node.temporal)
             tree = self._attr_filter(tree, filters, ranges)
             return self._project(tree, node)
 
@@ -116,53 +110,22 @@ class PhysicalPlanner:
             projection=node.projection,
         )
         if path.index_only:
-            scan: PhysicalOperator = IndexOnlyScan(
+            stored: PhysicalOperator = IndexOnlyScan(
                 ctx, node.class_name, path, batch_size=self.batch_size,
             )
-            extent_counter = scan
-            stored = self._attr_filter(scan, filters, ranges)
-            observes_extents = False  # probe consumed the predicates
         else:
             scan_cls = HeapScan if path.kind == "full-scan" else IndexScan
-            scan = scan_cls(ctx, node.class_name, path,
-                            spatial=node.spatial, temporal=node.temporal,
-                            filters=filters, ranges=ranges,
-                            batch_size=self.batch_size)
-            stored = extent_counter = self._extent_filter(scan, cls, node)
-            stored = self._attr_filter(stored, filters, ranges)
-            observes_extents = path.observes_extents
-
-        fallbacks: list[PhysicalOperator] = []
-        for step in self.kernel.planner.fallback_order:
-            if step == "interpolate":
-                if node.temporal is not None \
-                        and cls.temporal_attr is not None:
-                    fallbacks.append(Interpolate(
-                        ctx, node.class_name, node.spatial, node.temporal
-                    ))
-            else:
-                fallbacks.append(Derive(
-                    ctx, node.class_name, node.spatial, node.temporal,
-                    known_empty=True,
-                ))
-        if fallback_order is not None:
-            fallbacks = [
-                Sort(fallback, fallback_order, self.kernel.operators)
-                for fallback in fallbacks
-            ]
-
+            stored = scan_cls(ctx, node.class_name, path,
+                              spatial=node.spatial, temporal=node.temporal,
+                              filters=filters, ranges=ranges,
+                              batch_size=self.batch_size)
+            stored = self._extent_filter(stored, cls, node)
         tree = FallbackSwitch(
-            class_name=node.class_name,
-            stored=stored,
-            extent_counter=extent_counter,
-            fallbacks=tuple(fallbacks),
-            has_attr_predicates=bool(filters or ranges),
-            observes_extents=observes_extents,
-            exists_probe=(lambda s=store, n=node: s.exists(
-                n.class_name, spatial=n.spatial, temporal=n.temporal
-            )),
-            residual=compile_predicate_mask(filters, ranges)
-            if filters or ranges else None,
+            stored=self._attr_filter(stored, filters, ranges),
+            extent_counter=stored if path.observes_extents else None,
+            fallback=Fallback(ctx, node.class_name, node.spatial,
+                              node.temporal, filters, ranges),
+            sort_keys=sort_keys,
         )
         return self._project(tree, node)
 
@@ -333,8 +296,7 @@ class PhysicalPlanner:
         if ordered is None:
             return explicit
         ordered_tree = self.build_retrieve(
-            replace(node, access_path=ordered), ctx,
-            fallback_order=keys,
+            replace(node, access_path=ordered), ctx, sort_keys=keys,
         )
         if ordered_tree.estimated_cost < explicit.estimated_cost:
             return ordered_tree

@@ -148,7 +148,9 @@ class TestOperatorTrees:
         dump = conn.cursor().explain("SELECT FROM mask")
         assert "FallbackSwitch(mask)" in dump
         assert "HeapScan(cls_mask)" in dump
-        assert "Derive(mask)" in dump
+        # steps 2-3 are one leaf, whatever the planner's fallback order
+        assert dump.count("Fallback(mask)") == 1
+        assert "Derive(" not in dump and "Interpolate(" not in dump
         assert "cost~" in dump and "rows~" in dump
 
     def test_explain_derive_renders_tree(self, conn):

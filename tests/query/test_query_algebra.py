@@ -338,11 +338,11 @@ class TestIntrospection:
         assert strict < loose == 30
 
     def test_fallback_sort_is_never_bounded(self, conn):
-        # Sort avoidance wraps derive/interpolate fallbacks in a Sort of
-        # their own.  That Sort must not be top-K-bounded: the
-        # FallbackSwitch applies residual predicates only *after* the
-        # fallback runs, so truncating early could drop qualifying rows.
+        # Sort avoidance gives the Fallback leaf one Sort of its own
+        # (the index cannot order what steps 2-3 produce).  That Sort
+        # is not top-K-bounded; the Limit above bounds the stream.
         from repro.query import FallbackSwitch, Sort
+        from repro.query.operators import Fallback
 
         cur = conn.cursor()
         cur.execute("CREATE INDEX ON raster (ndvi)")
@@ -353,13 +353,12 @@ class TestIntrospection:
         assert "(ordered)" in "\n".join(
             op.label() for op in _walk(tree)
         )
-        fallback_sorts = [
-            fallback
-            for op in _walk(tree) if isinstance(op, FallbackSwitch)
-            for fallback in op.fallbacks if isinstance(fallback, Sort)
-        ]
-        assert fallback_sorts
-        assert all(sort.top_k is None for sort in fallback_sorts)
+        (switch,) = [op for op in _walk(tree)
+                     if isinstance(op, FallbackSwitch)]
+        (sort,) = [op for op in _walk(tree) if isinstance(op, Sort)]
+        assert switch.children[1] is sort
+        assert isinstance(sort.child, Fallback)
+        assert sort.top_k is None
 
     def test_oid_pseudo_attribute_projects(self, conn):
         cur = conn.cursor()

@@ -1,6 +1,7 @@
 """The operator lint catches per-row dict building in batch loops, a
-second ``run`` implementation growing back, and a ``src/`` consumer of
-the engine's ``Row`` streams growing back."""
+second ``run`` implementation growing back, a ``src/`` consumer of
+the engine's ``Row`` streams growing back, and a second home for the
+§2.1.5 fallback ladder growing back."""
 
 import pathlib
 import subprocess
@@ -143,6 +144,48 @@ def test_row_stream_check_allows_tid_streams_and_other_scans():
     assert lint_vectorized.check_row_streams(good) == []
 
 
+def test_flags_a_second_fallback_ladder():
+    bad = textwrap.dedent("""
+        def probe_fallback(self, planner):
+            for step in planner.fallback_order:
+                try:
+                    return planner.derive(self.right_class)
+                except (UnderivableError, InterpolationError):
+                    continue
+
+        def blend(self):
+            try:
+                return self.interpolate()
+            except interpolation.InterpolationError as exc:
+                raise ExecutionError(str(exc))
+    """)
+    violations = lint_vectorized.check_fallback_ladder(bad)
+    assert [line for line, _ in violations] == [3, 6, 12]
+    assert ".fallback_order" in violations[0][1]
+    assert "InterpolationError" in violations[1][1]
+
+
+def test_fallback_ladder_check_allows_callers_of_the_ladder():
+    good = textwrap.dedent("""
+        def probe_fallback(self, planner):
+            planner.fallback_order = ("derive", "interpolate")
+            try:
+                return planner.run_fallbacks(self.right_class, None, None)
+            except UnderivableError:
+                raise InterpolationError("raising it is fine")
+    """)
+    assert lint_vectorized.check_fallback_ladder(good) == []
+
+
+def test_planner_is_the_ladders_only_home(monkeypatch):
+    monkeypatch.chdir(REPO)
+    planner = "src/repro/core/planner.py"
+    assert lint_vectorized.check_paths(
+        [planner], lint_vectorized.check_fallback_ladder)
+    assert lint_vectorized.main([]) == 0
+    assert lint_vectorized.main([planner]) == 0
+
+
 def test_no_source_module_reads_row_streams(monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     assert lint_vectorized.main([]) == 0
@@ -182,3 +225,13 @@ def test_cli_exit_codes(tmp_path):
     )
     assert leak.returncode == 1
     assert "consumer.py:1: iter_range() streams Row dicts" in leak.stderr
+
+    ladder = tmp_path / "ladder.py"
+    ladder.write_text("steps = kernel.planner.fallback_order\n")
+    second_home = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "lint_vectorized.py"),
+         str(ladder)],
+        capture_output=True, text=True,
+    )
+    assert second_home.returncode == 1
+    assert "ladder.py:1: reads .fallback_order" in second_home.stderr

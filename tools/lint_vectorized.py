@@ -26,14 +26,20 @@ travel as value tuples through ``StorageEngine.value_batches`` and the
 one ``ClassStore`` generator over it; the ``Row`` views exist for tests
 and tooling and must not grow a ``src/`` consumer back.
 
+A fourth check keeps §2.1.5 in one home: no module under ``src/repro/``
+other than ``core/planner.py`` may read ``.fallback_order`` or name
+``InterpolationError`` in an ``except`` clause.  Walking the fallback
+steps and deciding which failures skip one is
+``RetrievalPlanner.run_fallbacks``' job; everything else calls it.
+
 Usage::
 
     python tools/lint_vectorized.py [path ...]
 
 Defaults to ``src/repro/query/operators.py`` for the operator checks
-and every module under ``src/repro/`` for the ``Row``-stream check;
-explicit paths get both.  Exits non-zero and prints one
-``file:line: message`` per violation.
+and every module under ``src/repro/`` for the ``Row``-stream and
+fallback-ladder checks; explicit paths get all of them.  Exits non-zero
+and prints one ``file:line: message`` per violation.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ DEFAULT_TARGETS = ("src/repro/query/operators.py",)
 SOURCE_ROOT = "src/repro"
 ROW_STREAMS = frozenset(
     {"iter_lookup", "iter_range", "iter_spatial", "iter_temporal"})
+LADDER_HOME = "core/planner.py"
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor,
           ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
@@ -140,6 +147,31 @@ def check_row_streams(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
+def check_fallback_ladder(source: str, filename: str = "<string>"
+                          ) -> list[tuple[int, str]]:
+    """``(line, message)`` for every read of ``.fallback_order`` and
+    every ``except`` clause naming ``InterpolationError`` in *source*."""
+    violations = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Attribute) \
+                and node.attr == "fallback_order" \
+                and isinstance(node.ctx, ast.Load):
+            violations.append(
+                (node.lineno,
+                 "reads .fallback_order — the §2.1.5 ladder lives in "
+                 f"{LADDER_HOME}; call RetrievalPlanner.run_fallbacks"))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None \
+                and any(getattr(name, "id", getattr(name, "attr", None))
+                        == "InterpolationError"
+                        for name in ast.walk(node.type)):
+            violations.append(
+                (node.lineno,
+                 "except clause names InterpolationError — which failures "
+                 f"skip a §2.1.5 step is decided in {LADDER_HOME}; call "
+                 "RetrievalPlanner.run_fallbacks"))
+    return sorted(violations)
+
+
 def check_paths(paths: list[str], check=check_source) -> list[str]:
     """Formatted ``file:line: message`` violations of *check* across
     *paths*."""
@@ -156,7 +188,10 @@ def main(argv: list[str]) -> int:
     sources = argv or sorted(
         str(path) for path in pathlib.Path(SOURCE_ROOT).rglob("*.py"))
     problems = check_paths(targets) \
-        + check_paths(sources, check_row_streams)
+        + check_paths(sources, check_row_streams) \
+        + check_paths([path for path in sources
+                       if not path.endswith(LADDER_HOME)],
+                      check_fallback_ladder)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
