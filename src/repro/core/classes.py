@@ -58,8 +58,8 @@ OID_COLUMN = "_oid"
 #: thread-local so each server worker thread (and each task, under an
 #: event loop) carries its own pin.  Note PEP 567's generator caveat:
 #: a pin set *inside* a generator leaks across its yields, so consumers
-#: wrap each ``next()`` call (see ``query.client.Cursor``), never the
-#: generator body.
+#: wrap each *batch* pull (see ``query.client.Cursor._stream``) and
+#: release the pin before they yield.
 _ACTIVE_VIEW: ContextVar[tuple["ClassStore", Any] | None] = ContextVar(
     "repro_active_view", default=None
 )

@@ -25,10 +25,10 @@ What the layer provides:
 * ``?`` positional and ``:name`` named placeholders separate the plan
   from its bind values;
 * every SELECT/DERIVE is one plan node and one operator tree, whichever
-  call submits it: cursors stream the tree's rows as they are pulled
-  (``fetchone``/``fetchmany``/iteration), ``run()`` drains the same
-  tree into one result, ``explain()`` renders it — each under one
-  statement snapshot;
+  call submits it: the tree's batches reach the cursor, whose fetch
+  calls and iteration slice rows off the current one, ``run()`` drains
+  the same tree into one result, ``explain()`` renders it — each under
+  one statement snapshot;
 * ``begin``/``commit``/``rollback`` scope object stores in storage-level
   transactions (single writer per kernel), and several connections can
   share one kernel (``connect(kernel=...)``).
@@ -40,7 +40,8 @@ the scientific object is the natural row of this data model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from itertools import islice
+from typing import Any, Callable, Iterator
 
 from ..core.metadata_manager import MetadataManager, WORLD, open_kernel
 from ..errors import InterfaceError
@@ -256,6 +257,68 @@ class Connection:
         self.close()
 
 
+class _RowBuffer:
+    """The one fetch implementation, behind local and remote cursors.
+
+    Slices the current *page* of rows: one batch's lazy ``to_rows()``
+    for a local cursor (a row is built when it is fetched), one
+    ``fetch`` frame for a remote one.  ``refill(want)`` returns the next
+    page as an iterator, None at the end of the stream; *want* is how
+    many rows the fetch still lacks (None: draining).  Without a
+    *refill* — no ``execute()`` yet, or closed — every fetch raises.
+    """
+
+    def __init__(self, refill: Callable[[int | None], Any] | None = None):
+        self._refill = refill
+        self._error = "no execute() has been issued"
+        self._page: Iterator[Any] = iter(())
+        self.fetched = 0
+        #: True once a fetch has found the end of the stream.
+        self.exhausted = refill is None
+
+    def close(self) -> None:
+        self._refill, self._error = None, "cursor is closed"
+        self._page = iter(())
+        self.exhausted = True
+
+    def _turn_page(self, want: int | None) -> bool:
+        """Replace the spent page with the next one, if there is one."""
+        # with no stream the page is empty, so every fetch lands here
+        if self._refill is None:
+            raise InterfaceError(self._error)
+        page = None if self.exhausted else self._refill(want)
+        if page is not None:
+            self._page = page
+        self.exhausted = page is None
+        return not self.exhausted
+
+    def take(self, count: int | None) -> list[Any]:
+        """Up to *count* rows; every remaining row for None."""
+        out: list[Any] = []
+        while count is None or len(out) < count:
+            want = None if count is None else count - len(out)
+            out.extend(islice(self._page, want))
+            if len(out) != count and not self._turn_page(want):
+                break
+        self.fetched += len(out)
+        return out
+
+    def __iter__(self) -> Iterator[Any]:
+        while True:
+            # Always the current page: a fetch (or close) interleaved
+            # with this iteration may have replaced it.
+            row = next(self._page, self)
+            if row is not self:
+                self.fetched += 1
+                yield row
+            elif not self._turn_page(None):
+                return
+
+    @property
+    def rowcount(self) -> int:
+        return self.fetched if self.exhausted else -1
+
+
 class Cursor:
     """A streaming result handle (PEP-249 shaped).
 
@@ -276,9 +339,7 @@ class Cursor:
         #: execution order.
         self.results: list[QueryResult] = []
         self.description: list[tuple] | None = None
-        self._rows: Iterator[Any] | None = None
-        self._fetched = 0
-        self._exhausted = True
+        self._rows = _RowBuffer()
         self._closed = False
 
     # -- execution -------------------------------------------------------------
@@ -290,15 +351,15 @@ class Cursor:
 
     def _execute_nodes(self, nodes: list[PlanNode]) -> Cursor:
         self.results = []
-        self._fetched = 0
         self._describe(nodes)
         boundary = 0
         while boundary < len(nodes) \
                 and not isinstance(nodes[boundary], QueryNode):
             self.results.append(self._run_node(nodes[boundary]))
             boundary += 1
-        self._exhausted = boundary >= len(nodes)
-        self._rows = self._stream(nodes[boundary:])
+        pages = self._stream(nodes[boundary:])
+        self._rows = _RowBuffer(lambda want: next(pages, None))
+        self._rows.exhausted = boundary >= len(nodes)
         return self
 
     def executemany(self, operation: str | PreparedStatement,
@@ -359,12 +420,11 @@ class Cursor:
         """
         nodes = self._bound_nodes(operation, params)
         self.results = []
-        self._rows = None
-        self._exhausted = True
+        self._rows = _RowBuffer()
         self._describe(nodes)
         out = [self._run_node(node) for node in nodes]
         self.results = [r for r in out if r.kind != "objects"]
-        self._fetched = sum(
+        self._rows.fetched = sum(
             len(r.objects) for r in out if r.kind == "objects"
         )
         return out
@@ -373,52 +433,27 @@ class Cursor:
 
     def fetchone(self) -> Any | None:
         """The next object, or None when the stream is exhausted."""
-        self._check_open()
-        if self._rows is None:
-            raise InterfaceError("no execute() has been issued")
-        for obj in self._rows:
-            self._fetched += 1
-            return obj
-        self._exhausted = True
-        return None
+        rows = self._rows.take(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: int | None = None) -> list[Any]:
         """Up to *size* objects (default ``arraysize``)."""
-        count = self.arraysize if size is None else size
-        out = []
-        while len(out) < count:
-            obj = self.fetchone()
-            if obj is None:
-                break
-            out.append(obj)
-        return out
+        return self._rows.take(self.arraysize if size is None else size)
 
     def fetchall(self) -> list[Any]:
         """Every remaining object (drains the stream)."""
-        out = []
-        while True:
-            obj = self.fetchone()
-            if obj is None:
-                return out
-            out.append(obj)
+        return self._rows.take(None)
 
     def __iter__(self) -> Iterator[Any]:
-        while True:
-            obj = self.fetchone()
-            if obj is None:
-                return
-            yield obj
+        return iter(self._rows)
 
     @property
     def rowcount(self) -> int:
         """Objects produced so far; -1 while the stream is still open."""
-        if not self._exhausted:
-            return -1
-        return self._fetched
+        return self._rows.rowcount
 
     def close(self) -> None:
-        self._rows = None
-        self._exhausted = True
+        self._rows.close()
         self._closed = True
 
     # -- internals ---------------------------------------------------------------
@@ -468,17 +503,25 @@ class Cursor:
             ]
             return
 
-    def _stream(self, nodes: list[PlanNode]) -> Iterator[Any]:
+    def _stream(self, nodes: list[PlanNode]) -> Iterator[Iterator[Any]]:
         """Drive the plan lazily, one statement's operator tree at a
-        time, each under its own statement snapshot."""
-        executor = self.connection.executor
+        time, each under its own statement snapshot: one page of rows
+        per batch.  The pin wraps each batch pull and is released before
+        the ``yield`` — held across it, it would leak into whatever code
+        consumes the cursor (PEP 567, see ``classes._ACTIVE_VIEW``)."""
+        store = self.connection.kernel.store
         for node in nodes:
-            if isinstance(node, QueryNode):
-                snapshot = self.connection._statement_snapshot()
-                yield from self._pinned(executor.iter_group(node), snapshot)
-            else:
+            if not isinstance(node, QueryNode):
                 self.results.append(self._run_node(node))
-        self._exhausted = True
+                continue
+            snapshot = self.connection._statement_snapshot()
+            batches = self.connection.executor.iter_group(node)
+            while True:
+                with store.read_view(snapshot):
+                    batch = next(batches, None)
+                if batch is None:
+                    break
+                yield batch.to_rows()
 
     def _run_node(self, node: PlanNode) -> QueryResult:
         """Run one plan node to completion.
@@ -493,24 +536,6 @@ class Cursor:
                     self.connection._statement_snapshot()):
                 return executor.execute(node)
         return executor.execute(node)
-
-    def _pinned(self, rows: Iterator[Any], snapshot: Any) -> Iterator[Any]:
-        """Drive *rows* with *snapshot* pinned around each ``next()``.
-
-        The pin must wrap the individual ``next()`` calls, not this
-        generator's body: a ContextVar set inside a generator leaks to
-        the caller across yields (PEP 567 has no per-generator context),
-        so a ``with read_view(...)`` around a ``yield from`` would bleed
-        the pin into whatever code consumes the cursor.
-        """
-        store = self.connection.kernel.store
-        while True:
-            with store.read_view(snapshot):
-                try:
-                    obj = next(rows)
-                except StopIteration:
-                    return
-            yield obj
 
     def _check_open(self) -> None:
         if self._closed:

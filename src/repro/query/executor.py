@@ -7,7 +7,7 @@ a ``FallbackSwitch`` whose ``Fallback`` leaf hands §2.1.5 steps 2–3 to
 the retrieval planner only when nothing stored covers the extents, a
 concept source as one cost-ordered ``ConceptUnion``, the algebra
 operators on top.  :meth:`Executor.iter_group` streams that tree's
-rows — the path behind :meth:`repro.query.client.Cursor.fetchone` —
+batches — :class:`repro.query.client.Cursor` slices its rows off them —
 :meth:`Executor.execute` drains it into a :class:`QueryResult`, and
 EXPLAIN renders it.
 """
@@ -36,6 +36,7 @@ from .ast import (
     Show,
     Statement,
 )
+from .batch import Batch
 from .operators import (
     HeapScan,
     IndexOnlyScan,
@@ -202,21 +203,15 @@ class Executor:
                 self._require_bound(leg)
         return self.physical.build(node)
 
-    def iter_group(self, node: QueryNode) -> Iterator[Any]:
-        """Stream one SELECT/DERIVE's rows lazily.
-
-        Direct retrievals ride the plan's recorded access path (re-priced
-        by the store when indexes changed since planning) and stream row
-        by row, so ``fetchone`` on a selective indexed retrieval touches
-        only the rows the index yields.  Only when nothing is stored for
-        the extents does the tree's FallbackSwitch run the §2.1.5
-        interpolate/derive sequence — consuming the already-executed
-        scan's emptiness instead of re-scanning.  A concept source
-        streams as one cost-ordered union; the algebra clauses stream
-        through their operators (a LIMIT stops the scans early, a
-        blocking Sort/HashAggregate materializes only its own input).
-        """
-        yield from self._tree(node).run()
+    def iter_group(self, node: QueryNode) -> Iterator[Batch]:
+        """Stream one SELECT/DERIVE's batches lazily: the tree is built
+        at the first pull and does only the work the batches pulled so
+        far need — ``fetchone`` on a selective indexed retrieval touches
+        the first batch the index yields, the FallbackSwitch runs the
+        §2.1.5 fallbacks only once its scan has finished empty, a LIMIT
+        stops the scans early, a blocking Sort/HashAggregate
+        materializes only its own input."""
+        yield from self._tree(node).run_batches()
 
     def _query(self, node: QueryNode) -> QueryResult:
         """Drain one SELECT/DERIVE's tree into an objects result."""

@@ -23,6 +23,7 @@ from typing import Any, Iterator
 
 from .. import errors
 from ..errors import GaeaError, InterfaceError
+from ..query.client import _RowBuffer
 from .protocol import decode_value, encode_value, recv_frame, send_frame
 
 __all__ = ["RemoteConnection", "RemoteCursor", "remote_connect"]
@@ -143,7 +144,10 @@ class RemoteConnection:
 
 
 class RemoteCursor:
-    """A streaming result handle over the wire (PEP-249 shaped)."""
+    """A streaming result handle over the wire (PEP-249 shaped): the
+    local cursor's row buffer, refilled one ``fetch`` frame at a time —
+    one row for ``fetchone()``, the rows it still lacks for
+    ``fetchmany(n)``, ``_FETCH_BATCH`` pages when draining."""
 
     arraysize = 1
 
@@ -153,9 +157,8 @@ class RemoteCursor:
         #: Non-object results, as ``{"kind", "message", "path"}`` dicts.
         self.results: list[dict[str, Any]] = []
         self._cursor_id: int | None = None
-        self._buffer: list[Any] = []
-        self._exhausted = True
-        self._fetched = 0
+        self._rows = _RowBuffer()
+        self._done = True  # the server has reported the stream's end
         self._closed = False
 
     def execute(self, source: str, params: Any = None) -> "RemoteCursor":
@@ -172,9 +175,8 @@ class RemoteCursor:
             if ok.get("description") else None
         )
         self.results = list(ok.get("results", []))
-        self._buffer = []
-        self._exhausted = False
-        self._fetched = 0
+        self._rows = _RowBuffer(self._fetch_page)
+        self._done = False
         return self
 
     def executemany(self, source: str, seq_of_params: Any) -> "RemoteCursor":
@@ -193,58 +195,37 @@ class RemoteCursor:
 
     # -- fetching ------------------------------------------------------------
 
-    def _fill(self, count: int) -> None:
-        if self._exhausted or self._cursor_id is None:
-            return
+    def _fetch_page(self, want: int | None) -> Iterator[Any] | None:
+        """The row buffer's refill: one ``fetch`` frame."""
+        if self._done:
+            return None
         ok = self.connection.request({
-            "op": "fetch", "cursor": self._cursor_id, "count": count,
+            "op": "fetch", "cursor": self._cursor_id,
+            "count": _FETCH_BATCH if want is None else want,
         })
-        self._buffer.extend(decode_value(row) for row in ok["rows"])
         # The server re-ships the cursor's full message list (statements
         # past a retrieval run as the stream drains); keep the superset.
         if len(ok.get("results", [])) > len(self.results):
             self.results = list(ok["results"])
-        if ok["done"]:
-            self._exhausted = True
+        self._done = ok["done"]
+        return iter([decode_value(row) for row in ok["rows"]])
 
     def fetchone(self) -> Any | None:
-        self._check_open()
-        if self._cursor_id is None:
-            raise InterfaceError("no execute() has been issued")
-        if not self._buffer:
-            self._fill(1)
-        if not self._buffer:
-            return None
-        self._fetched += 1
-        return self._buffer.pop(0)
+        rows = self._rows.take(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: int | None = None) -> list[Any]:
-        count = self.arraysize if size is None else size
-        while len(self._buffer) < count and not self._exhausted:
-            self._fill(count - len(self._buffer))
-        out, self._buffer = self._buffer[:count], self._buffer[count:]
-        self._fetched += len(out)
-        return out
+        return self._rows.take(self.arraysize if size is None else size)
 
     def fetchall(self) -> list[Any]:
-        while not self._exhausted:
-            self._fill(_FETCH_BATCH)
-        out, self._buffer = self._buffer, []
-        self._fetched += len(out)
-        return out
+        return self._rows.take(None)
 
     def __iter__(self) -> Iterator[Any]:
-        while True:
-            obj = self.fetchone()
-            if obj is None:
-                return
-            yield obj
+        return iter(self._rows)
 
     @property
     def rowcount(self) -> int:
-        if not self._exhausted or self._buffer:
-            return -1
-        return self._fetched
+        return self._rows.rowcount
 
     def close(self) -> None:
         if self._closed:
@@ -257,8 +238,7 @@ class RemoteCursor:
                 })
             except (GaeaError, OSError):
                 pass
-        self._buffer = []
-        self._exhausted = True
+        self._rows.close()
 
     def _check_open(self) -> None:
         if self._closed:

@@ -1,7 +1,8 @@
 """The operator lint catches per-row dict building in batch loops, a
 second ``run`` implementation growing back, a ``src/`` consumer of
-the engine's ``Row`` streams growing back, and a second home for the
-§2.1.5 fallback ladder growing back."""
+the engine's ``Row`` streams growing back, a second home for the
+§2.1.5 fallback ladder growing back, and a fetch call regressing to a
+loop over ``fetchone()``."""
 
 import pathlib
 import subprocess
@@ -177,6 +178,46 @@ def test_fallback_ladder_check_allows_callers_of_the_ladder():
     assert lint_vectorized.check_fallback_ladder(good) == []
 
 
+def test_flags_fetchone_in_loop_context():
+    bad = textwrap.dedent("""
+        class Cursor:
+            def fetchmany(self, size):
+                out = []
+                while len(out) < size:
+                    obj = self.fetchone()
+                    if obj is None:
+                        break
+                    out.append(obj)
+                return out
+
+            def __iter__(self):
+                for _ in range(self.limit):
+                    yield self.fetchone()
+
+        def fetch_op(cursor, count):
+            return [cursor.fetchone() for _ in range(count)]
+    """)
+    violations = lint_vectorized.check_fetch_loops(bad)
+    assert [line for line, _ in violations] == [6, 14, 17]
+    assert "fetchone() called per iteration" in violations[0][1]
+
+
+def test_fetch_loop_check_allows_single_calls_and_sliced_fetches():
+    good = textwrap.dedent("""
+        class Cursor:
+            def fetchone(self):
+                rows = self._rows.take(1)
+                return rows[0] if rows else None
+
+        def first_rows(cursors):
+            def first(cursor):
+                return cursor.fetchone()
+            for cursor in cursors:
+                yield first(cursor), cursor.fetchmany(8)
+    """)
+    assert lint_vectorized.check_fetch_loops(good) == []
+
+
 def test_planner_is_the_ladders_only_home(monkeypatch):
     monkeypatch.chdir(REPO)
     planner = "src/repro/core/planner.py"
@@ -235,3 +276,13 @@ def test_cli_exit_codes(tmp_path):
     )
     assert second_home.returncode == 1
     assert "ladder.py:1: reads .fallback_order" in second_home.stderr
+
+    fetcher = tmp_path / "fetcher.py"
+    fetcher.write_text("rows = [cur.fetchone() for _ in range(9)]\n")
+    per_row = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "lint_vectorized.py"),
+         str(fetcher)],
+        capture_output=True, text=True,
+    )
+    assert per_row.returncode == 1
+    assert "fetcher.py:1: fetchone() called per iteration" in per_row.stderr

@@ -32,14 +32,21 @@ other than ``core/planner.py`` may read ``.fallback_order`` or name
 steps and deciding which failures skip one is
 ``RetrievalPlanner.run_fallbacks``' job; everything else calls it.
 
+A fifth check keeps the fetch path sliced: no module under
+``src/repro/`` may call ``.fetchone(`` inside loop context.  The
+cursors' one row buffer answers ``fetchmany`` / ``fetchall`` /
+iteration / the server's fetch op by slicing the current batch; a loop
+over ``fetchone()`` is the signature of one of them regressing to a
+call (and, over the wire, a round trip) per row.
+
 Usage::
 
     python tools/lint_vectorized.py [path ...]
 
 Defaults to ``src/repro/query/operators.py`` for the operator checks
-and every module under ``src/repro/`` for the ``Row``-stream and
-fallback-ladder checks; explicit paths get all of them.  Exits non-zero
-and prints one ``file:line: message`` per violation.
+and every module under ``src/repro/`` for the ``Row``-stream,
+fallback-ladder and fetch-loop checks; explicit paths get all of them.
+Exits non-zero and prints one ``file:line: message`` per violation.
 """
 
 from __future__ import annotations
@@ -70,13 +77,22 @@ def _dict_violation(node: ast.AST) -> str | None:
     return None
 
 
+def _fetchone_violation(node: ast.AST) -> str | None:
+    """A message if *node* is a ``<cursor>.fetchone(...)`` call."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "fetchone":
+        return ("fetchone() called per iteration — slice the cursor's row "
+                "buffer (fetchmany/fetchall/iteration), one call per page")
+    return None
+
+
 def _scan_loop_context(node: ast.AST, violations: list[tuple[int, str]],
-                       in_loop: bool) -> None:
-    """Walk *node*, recording populated-dict construction under loops."""
+                       in_loop: bool, violation=_dict_violation) -> None:
+    """Walk *node*, recording what *violation* names under loops."""
     for child in ast.iter_child_nodes(node):
         child_in_loop = in_loop or isinstance(child, _LOOPS)
         if child_in_loop:
-            message = _dict_violation(child)
+            message = violation(child)
             # A DictComp is itself loop context, but only flag it when
             # it executes repeatedly (i.e. it sits under another loop).
             if message is not None and (in_loop
@@ -85,9 +101,9 @@ def _scan_loop_context(node: ast.AST, violations: list[tuple[int, str]],
                 violations.append((child.lineno, message))
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested helpers get their own fresh context.
-            _scan_loop_context(child, violations, in_loop=False)
+            _scan_loop_context(child, violations, False, violation)
         else:
-            _scan_loop_context(child, violations, child_in_loop)
+            _scan_loop_context(child, violations, child_in_loop, violation)
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -172,6 +188,16 @@ def check_fallback_ladder(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
+def check_fetch_loops(source: str, filename: str = "<string>"
+                      ) -> list[tuple[int, str]]:
+    """``(line, message)`` for every ``.fetchone(`` call under a
+    ``for``/``while``/comprehension in *source*."""
+    violations: list[tuple[int, str]] = []
+    _scan_loop_context(ast.parse(source, filename=filename), violations,
+                       False, _fetchone_violation)
+    return sorted(violations)
+
+
 def check_paths(paths: list[str], check=check_source) -> list[str]:
     """Formatted ``file:line: message`` violations of *check* across
     *paths*."""
@@ -189,6 +215,7 @@ def main(argv: list[str]) -> int:
         str(path) for path in pathlib.Path(SOURCE_ROOT).rglob("*.py"))
     problems = check_paths(targets) \
         + check_paths(sources, check_row_streams) \
+        + check_paths(sources, check_fetch_loops) \
         + check_paths([path for path in sources
                        if not path.endswith(LADDER_HOME)],
                       check_fallback_ladder)
