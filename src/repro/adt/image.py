@@ -49,6 +49,9 @@ class Image:
 
     data: np.ndarray
     filepath: str = ""
+    #: Bands a composite concatenates side by side along the column axis
+    #: (set by :func:`repro.gis.composite.composite`); 0 = not recorded.
+    bands: int = 0
     _key: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -94,7 +97,7 @@ class Image:
 
     @staticmethod
     def from_array(array: np.ndarray, pixtype: str | None = None,
-                   filepath: str = "") -> "Image":
+                   filepath: str = "", bands: int = 0) -> "Image":
         """Build an image from *array*, optionally casting to *pixtype*."""
         if pixtype is not None:
             if pixtype not in PIXTYPE_DTYPES:
@@ -102,7 +105,7 @@ class Image:
             array = np.asarray(array).astype(PIXTYPE_DTYPES[pixtype])
         else:
             array = np.asarray(array)
-        return Image(data=array, filepath=filepath)
+        return Image(data=array, filepath=filepath, bands=bands)
 
     @staticmethod
     def zeros(nrow: int, ncol: int, pixtype: str = "float4") -> "Image":
@@ -152,7 +155,8 @@ class Image:
         """Content-based identity key (see :func:`repro.adt.values.value_key`)."""
         if self._key is None:
             object.__setattr__(
-                self, "_key", ("image", _value_key(self.data), self.filepath)
+                self, "_key",
+                ("image", _value_key(self.data), self.filepath, self.bands)
             )
         return self._key
 

@@ -795,6 +795,34 @@ class ClassStore:
         return list(self.iter_find(class_name, spatial, temporal, filters,
                                    ranges, access_path))
 
+    def _matching_values(self, class_name: str, spatial: Box | None,
+                         temporal: AbsTime | None, chunk_rows: int
+                         ) -> Iterator[tuple]:
+        """Value tuples of the stored objects matching the extent
+        predicates: :func:`matches_extents` read off the raw tuples, for
+        callers that want oids or a verdict and no :class:`SciObject`."""
+        cls = self.registry.get(class_name)
+        names = cls.attribute_names
+        box_at = names.index(cls.spatial_attr) + 1 \
+            if spatial is not None and cls.spatial_attr is not None else 0
+        time_at = names.index(cls.temporal_attr) + 1 \
+            if temporal is not None and cls.temporal_attr is not None else 0
+        for chunk in self._stored_values(class_name, spatial, temporal,
+                                         (), (), None, chunk_rows):
+            for values in chunk:
+                if (not box_at or values[box_at].overlaps(spatial)) \
+                        and (not time_at or values[time_at] == temporal):
+                    yield values
+
+    def find_oids(self, class_name: str,
+                  spatial: Box | None = None,
+                  temporal: AbsTime | None = None) -> list[int]:
+        """Oids of the objects :meth:`find` would return, in the same
+        order, without building them — what a supply count or an
+        exclusion set needs."""
+        return [values[0] for values in self._matching_values(
+            class_name, spatial, temporal, _ROW_VIEW_CHUNK)]
+
     def exists(self, class_name: str,
                spatial: Box | None = None,
                temporal: AbsTime | None = None) -> bool:
@@ -804,12 +832,8 @@ class ClassStore:
         existence probe the planner uses to distinguish "predicates
         filtered everything out" from "nothing stored at these
         extents"."""
-        cls = self.registry.get(class_name)
-        return any(
-            matches_extents(obj, cls, spatial, temporal)
-            for obj in self._stored_objects(class_name, spatial, temporal,
-                                            (), (), None, 1)
-        )
+        return next(self._matching_values(class_name, spatial, temporal, 1),
+                    None) is not None
 
     # -- automatically defined retrieval functions (paper §2.1.2) -------------
 

@@ -61,6 +61,10 @@ class DerivationManager:
     processes: ProcessRegistry = field(init=False)
     compounds: CompoundRegistry = field(default_factory=CompoundRegistry)
     tasks: TaskLog = field(default_factory=TaskLog)
+    #: ``derivation_net()``'s result and the registry sizes it was built
+    #: at (both registries only ever grow).
+    _net: tuple[tuple[int, int], DerivationNet] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.processes = ProcessRegistry(classes=self.classes)
@@ -93,8 +97,13 @@ class DerivationManager:
         return self.compounds.define(compound)
 
     def derivation_net(self) -> DerivationNet:
-        """The class-level derivation net over all primitive processes."""
-        return DerivationNet.from_processes(self.processes)
+        """The class-level derivation net over all primitive processes:
+        built once per registry change and shared, so treat it as
+        read-only."""
+        sizes = (len(self.processes.names()), len(self.classes.names()))
+        if self._net is None or self._net[0] != sizes:
+            self._net = (sizes, DerivationNet.from_processes(self.processes))
+        return self._net[1]
 
     # -- execution -----------------------------------------------------------------
 

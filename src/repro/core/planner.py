@@ -42,13 +42,28 @@ _DEFAULT_FALLBACKS: tuple[str, ...] = ("interpolate", "derive")
 _STEP_FAILURES = (InterpolationError, UnderivableError,
                   AssertionViolatedError)
 
-#: Shared per-class stored-supply counts, keyed by
-#: ``(class_name, str(spatial), str(temporal))``.  One query execution
-#: (e.g. a concept union over several derivable members) passes the same
-#: cache to every derivation so the backward-planning marking probes run
-#: once per input class instead of once per member; the cache must be
-#: cleared whenever a derivation actually fires (stored supply changed).
+#: Shared stored-supply counts: ``{class_name: {(str(spatial),
+#: str(temporal)): count}}``.  One query execution (e.g. a concept union
+#: over several derivable members) passes the same cache to every
+#: derivation so the backward-planning marking probes run once per input
+#: class instead of once per member; a derivation that fires drops the
+#: classes it produced into (their stored supply changed).
 MarkingCache = dict
+
+
+class _AskedMarking(dict):
+    """A Petri marking that is asked, not built: ``get`` probes a place
+    the first time the backward search reads it, so planning costs one
+    supply probe per place the plan visits, not one per catalog class."""
+
+    def __init__(self, known: dict[str, int], probe) -> None:
+        super().__init__(known)
+        self._probe = probe
+
+    def get(self, place: str, default: int = 0) -> int:
+        if place not in self:
+            self[place] = self._probe(place)
+        return self[place]
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,6 @@ class RetrievalPlanner:
         default_factory=TemporalInterpolator
     )
     fallback_order: tuple[str, ...] = _DEFAULT_FALLBACKS
-    time_tolerance_days: int = 0
 
     def __post_init__(self) -> None:
         bad = set(self.fallback_order) - {"interpolate", "derive"}
@@ -411,11 +425,18 @@ class RetrievalPlanner:
         at these extents, given *stored_targets* objects of it already
         there; side-effect free (shared with :meth:`explain`).  Raises
         :class:`UnderivableError` when no firing sequence exists."""
-        marking = self._query_marking(
-            spatial, temporal, known={class_name: stored_targets},
-            cache=marking_cache)
-        return self.manager.derivation_net().backward_plan(class_name,
-                                                           marking)
+        extents = (str(spatial), str(temporal))
+
+        def supply(place: str) -> int:
+            counts = {} if marking_cache is None \
+                else marking_cache.setdefault(place, {})
+            if extents not in counts:
+                counts[extents] = len(self._supply(
+                    place, spatial, temporal, self.manager.store.find_oids))
+            return counts[extents]
+
+        return self.manager.derivation_net().backward_plan(
+            class_name, _AskedMarking({class_name: stored_targets}, supply))
 
     def _derive_live(self, class_name: str, spatial: Box | None,
                      temporal: AbsTime | None,
@@ -436,7 +457,7 @@ class RetrievalPlanner:
 
         net = self.manager.derivation_net()
         # The target is counted strictly against the query extents;
-        # inputs use the lenient candidate rule of `_candidates_for`.
+        # inputs use the lenient rule of `_supply`.
         # With `known_empty` the caller has already executed the
         # stored-data scan and found nothing at these extents, so the
         # target count is known without touching the relation again.
@@ -462,22 +483,24 @@ class RetrievalPlanner:
                 # The caller's scan found nothing at these extents with
                 # no timestamp restriction — the any-time supply check
                 # below would re-read the same emptiness.
-                existing: list[SciObject] = []
+                existing: list[int] = []
             else:
-                existing = self.manager.store.find(
-                    out_cls, spatial=spatial, temporal=None
-                )
+                existing = self.manager.store.find_oids(out_cls,
+                                                        spatial=spatial)
             needed = max(demand.get(out_cls, 1) - len(existing), 1)
             results = self._execute_with_search(
                 process, spatial, temporal, count=needed,
-                exclude_oids={obj.oid for obj in existing},
+                exclude_oids=set(existing),
             )
             tasks.extend(r.task for r in results)
             if out_cls == class_name:
                 target_outputs.extend(r.output for r in results)
         if marking_cache is not None and tasks:
-            # Firing changed stored supply; cached counts are stale.
-            marking_cache.clear()
+            # Firing changed the stored supply of what it produced only.
+            for process_name in plan.steps:
+                marking_cache.pop(
+                    self.manager.processes.get(process_name).output_class,
+                    None)
         if known_empty:
             # Nothing was stored at these extents before firing, so the
             # answer is exactly the fired outputs that match them — no
@@ -541,65 +564,24 @@ class RetrievalPlanner:
             f"derivations, achieved {len(results)}"
         )
 
-    def _query_marking(self, spatial: Box | None,
-                       temporal: AbsTime | None,
-                       known: dict[str, int] | None = None,
-                       cache: MarkingCache | None = None) -> dict[str, int]:
-        """Class-level marking restricted to the query extents.
+    def _supply(self, class_name: str, spatial: Box | None,
+                temporal: AbsTime | None, read):
+        """What a derivation at these extents may consume of
+        *class_name*, through *read* (:meth:`ClassStore.find` for the
+        objects to bind, :meth:`ClassStore.find_oids` to count them).
 
-        Mirrors :meth:`_candidates_for`: exact temporal matches are
-        preferred, falling back to any stored object when none match —
-        derivations may legitimately consume inputs at other timestamps
-        (e.g. a change process spanning years).
-
-        *known* supplies counts the caller has already established
-        (classes it just scanned), and *cache* shares per-class counts
-        across derivations of one query execution — a concept union
-        whose members share input classes probes each input once.
+        The exact-extent matches — one timeline/grid probe — when there
+        are any; else everything stored at the region whatever its
+        time: derivations may legitimately consume inputs at other
+        timestamps (e.g. a change process spanning years).
         """
-        marking: dict[str, int] = {}
-        extent_key = (str(spatial), str(temporal))
-        for name in self.manager.classes.names():
-            if known is not None and name in known:
-                marking[name] = known[name]
-                continue
-            cache_key = (name, extent_key)
-            if cache is not None and cache_key in cache:
-                marking[name] = cache[cache_key]
-                continue
-            cls = self.manager.classes.get(name)
-            objs = self.manager.store.find(
-                name, spatial=spatial if cls.spatial_attr else None,
-            )
-            if temporal is not None and cls.temporal_attr is not None:
-                exact = [
-                    obj for obj in objs
-                    if abs(obj[cls.temporal_attr].days - temporal.days)
-                    <= self.time_tolerance_days
-                ]
-                objs = exact or objs
-            marking[name] = len(objs)
-            if cache is not None:
-                cache[cache_key] = marking[name]
-        return marking
-
-    def _candidates_for(self, arg, spatial: Box | None,
-                        temporal: AbsTime | None) -> list[SciObject]:
-        arg_cls = self.manager.classes.get(arg.class_name)
-        candidates = self.manager.store.find(
-            arg.class_name,
-            spatial=spatial if arg_cls.spatial_attr else None,
-            temporal=None,
-        )
-        if temporal is not None and arg_cls.temporal_attr is not None:
-            exact = [
-                obj for obj in candidates
-                if abs(obj[arg_cls.temporal_attr].days - temporal.days)
-                <= self.time_tolerance_days
-            ]
-            candidates = exact or candidates
-        candidates.sort(key=lambda obj: obj.oid)
-        return candidates
+        cls = self.manager.classes.get(class_name)
+        region = spatial if cls.spatial_attr else None
+        if temporal is not None and cls.temporal_attr is not None:
+            exact = read(class_name, spatial=region, temporal=temporal)
+            if exact:
+                return exact
+        return read(class_name, spatial=region)
 
     def _binding_options(self, process: Process, spatial: Box | None,
                          temporal: AbsTime | None) -> Iterator[Bindings]:
@@ -613,7 +595,10 @@ class RetrievalPlanner:
         """
         per_arg: list[list[object]] = []
         for arg in process.arguments:
-            candidates = self._candidates_for(arg, spatial, temporal)
+            candidates = sorted(
+                self._supply(arg.class_name, spatial, temporal,
+                             self.manager.store.find),
+                key=lambda obj: obj.oid)
             if not candidates:
                 raise UnderivableError(
                     f"no stored objects of {arg.class_name!r} to bind "

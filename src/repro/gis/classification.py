@@ -24,6 +24,22 @@ from .composite import decompose
 __all__ = ["kmeans", "unsuperclassify", "superclassify"]
 
 
+def _nearest_center(centers: np.ndarray, norms: np.ndarray,
+                    twice_t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Index of the nearest centre per sample — the one copy of the
+    squared distance ``‖x‖² − 2x·c + ‖c‖²``.
+
+    *norms* is ``‖x‖²`` per sample and *twice_t* is ``(2·x)ᵀ``, both
+    fixed for a sample set, so callers hoist them out of their loops;
+    *sq* is a reusable ``(k, n)`` buffer.  The layout is ``(k, n)`` so
+    every inner NumPy loop runs over the samples, not the few centres.
+    """
+    np.matmul(centers, twice_t, out=sq)
+    np.subtract(norms, sq, out=sq)
+    sq += np.sum(centers**2, axis=1)[:, None]
+    return sq.argmin(axis=0)
+
+
 def kmeans(samples: np.ndarray, k: int, seed: int = 0,
            max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means: returns (labels, centers).
@@ -32,6 +48,13 @@ def kmeans(samples: np.ndarray, k: int, seed: int = 0,
     farthest-point seeding from a deterministic RNG, so classification is
     reproducible — a property the derivation manager's memoization and
     the EXP-C reproducibility experiment rely on.
+
+    Lloyd iterations stop when the labels repeat (or at *max_iter*).  A
+    class that ends an iteration with no members keeps its previous
+    centre.  Member sums run in sample order per band, so labels and
+    centres are bit-identical to the plain per-class loop kept as the
+    reference in ``tests/gis/test_classification.py`` (which also says
+    why single-band float centres may differ in the last bit).
     """
     if samples.ndim != 2:
         raise SignatureMismatchError("kmeans: samples must be 2-D")
@@ -45,50 +68,57 @@ def kmeans(samples: np.ndarray, k: int, seed: int = 0,
     for i in range(1, k):
         centers[i] = samples[int(np.argmax(dist))]
         dist = np.minimum(dist, np.sum((samples - centers[i]) ** 2, axis=1))
-    labels = np.zeros(n, dtype=np.int32)
-    for _ in range(max_iter):
-        sq = (
-            np.sum(samples**2, axis=1)[:, None]
-            - 2.0 * samples @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
-        new_labels = np.argmin(sq, axis=1).astype(np.int32)
-        if np.array_equal(new_labels, labels) and _ > 0:
+    norms = np.sum(samples**2, axis=1)
+    twice_t = (2.0 * samples).T
+    bands = np.ascontiguousarray(samples.T)
+    sq = np.empty((k, n))
+    labels = np.zeros(n, dtype=np.intp)
+    for iteration in range(max_iter):
+        new_labels = _nearest_center(centers, norms, twice_t, sq)
+        if iteration > 0 and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for i in range(k):
-            member = samples[labels == i]
-            if len(member):
-                centers[i] = member.mean(axis=0)
-    return labels, centers
+        members = np.bincount(labels, minlength=k)
+        occupied = members > 0
+        members = members[occupied]
+        for band, column in enumerate(bands):
+            sums = np.bincount(labels, weights=column, minlength=k)
+            centers[occupied, band] = sums[occupied] / members
+    return labels.astype(np.int32), centers
+
+
+def _band_vectors(composite_img: Image, nbands: int
+                  ) -> tuple[np.ndarray, tuple[int, int]]:
+    """The composite's per-pixel band vectors as ``(nrow * ncol, nbands)``
+    float64 samples, plus the scene shape."""
+    stack = np.stack([b.data.astype(np.float64)
+                      for b in decompose(composite_img, nbands)], axis=-1)
+    return stack.reshape(-1, nbands), stack.shape[:2]
 
 
 def unsuperclassify(composite_img: Image, numclass: int) -> Image:
     """The paper's ``unsuperclassify`` operator.
 
     Takes a band composite (see :mod:`repro.gis.composite`) and the class
-    count; returns an int2 label raster.  The band count is inferred from
-    the composite's aspect ratio against a square-scene assumption when
-    possible, falling back to treating the whole composite as one band —
-    callers produced by :func:`composite` always decompose exactly.
+    count; returns an int2 label raster of the scene shape.  The band
+    count travels with the composite (:attr:`Image.bands`); only an
+    image that carries none has it guessed from its aspect ratio.
     """
-    nbands = _infer_band_count(composite_img)
-    bands = decompose(composite_img, nbands)
-    stack = np.stack([b.data.astype(np.float64) for b in bands], axis=-1)
-    nrow, ncol, _ = stack.shape
-    samples = stack.reshape(nrow * ncol, nbands)
+    nbands = composite_img.bands or _infer_band_count(composite_img)
+    samples, shape = _band_vectors(composite_img, nbands)
     labels, _ = kmeans(samples, numclass, seed=numclass)
-    return Image.from_array(labels.reshape(nrow, ncol), "int2")
+    return Image.from_array(labels.reshape(shape), "int2")
 
 
 def _infer_band_count(composite_img: Image) -> int:
-    """Infer how many equal-width bands a composite concatenates.
+    """Guess how many equal-width bands an untagged composite
+    concatenates, assuming square scenes.
 
-    Composites built by :func:`repro.gis.composite.composite` put *b*
-    same-width scenes side by side, so ``ncol = b * width``.  We pick the
-    largest *b* <= 8 that divides the width evenly and leaves scenes at
-    least as tall as wide... unless the image is wider than tall by an
-    exact small factor, which is the definitive signal.
+    Composites put *b* same-width scenes side by side, so
+    ``ncol = b * width``: an image wider than tall by an exact small
+    factor is taken as that many square scenes, otherwise the largest
+    *b* <= 8 dividing the width wins.  Wrong for non-square scenes —
+    which is why :func:`repro.gis.composite.composite` records the count.
     """
     nrow, ncol = composite_img.shape
     if ncol % nrow == 0 and 1 <= ncol // nrow <= 16:
@@ -108,15 +138,8 @@ def superclassify(composite_img: Image, signatures: np.ndarray) -> Image:
     """
     if signatures.ndim != 2:
         raise SignatureMismatchError("superclassify: signatures must be 2-D")
-    nbands = signatures.shape[1]
-    bands = decompose(composite_img, nbands)
-    stack = np.stack([b.data.astype(np.float64) for b in bands], axis=-1)
-    nrow, ncol, _ = stack.shape
-    samples = stack.reshape(nrow * ncol, nbands)
-    sq = (
-        np.sum(samples**2, axis=1)[:, None]
-        - 2.0 * samples @ signatures.T
-        + np.sum(signatures**2, axis=1)[None, :]
-    )
-    labels = np.argmin(sq, axis=1).astype(np.int16)
-    return Image.from_array(labels.reshape(nrow, ncol), "int2")
+    samples, shape = _band_vectors(composite_img, signatures.shape[1])
+    labels = _nearest_center(
+        signatures, np.sum(samples**2, axis=1), (2.0 * samples).T,
+        np.empty((len(signatures), len(samples))))
+    return Image.from_array(labels.reshape(shape), "int2")

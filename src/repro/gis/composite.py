@@ -22,8 +22,9 @@ def composite(bands: list[Image]) -> Image:
     """Stack same-shaped bands into one image.
 
     The output has the bands side by side along the column axis:
-    shape ``(nrow, ncol * nbands)``.  The band count is recoverable from
-    the shape ratio, keeping the composite a legal 2-D ``image`` value.
+    shape ``(nrow, ncol * nbands)`` — still a legal 2-D ``image`` value —
+    and carries the band count (:attr:`Image.bands`), since the shape
+    alone cannot tell three 32x48 scenes from eight 32x18 ones.
     """
     if not bands:
         raise SignatureMismatchError("composite: no input bands")
@@ -36,7 +37,7 @@ def composite(bands: list[Image]) -> Image:
     stacked = np.concatenate(
         [band.data.astype(np.float64) for band in bands], axis=1
     )
-    return Image.from_array(stacked, "float4")
+    return Image.from_array(stacked, "float4", bands=len(bands))
 
 
 def band_count(composite_img: Image, nrow: int, ncol: int) -> int:
@@ -48,8 +49,12 @@ def band_count(composite_img: Image, nrow: int, ncol: int) -> int:
     return composite_img.ncol // ncol
 
 
-def decompose(composite_img: Image, nbands: int) -> list[Image]:
-    """Recover the band list from a composite."""
+def decompose(composite_img: Image, nbands: int | None = None
+              ) -> list[Image]:
+    """Recover the band list from a composite (*nbands* defaults to the
+    count the composite carries)."""
+    if nbands is None:
+        nbands = composite_img.bands
     if nbands < 1 or composite_img.ncol % nbands != 0:
         raise SignatureMismatchError(
             f"decompose: {nbands} bands do not divide width "

@@ -124,7 +124,7 @@ class ExecutionContext:
 
     The marking cache lets several :class:`Fallback` leaves under one
     tree (a concept union whose members all fall back) share the
-    backward-planning supply probes; any firing clears it.
+    backward-planning supply probes; a firing drops what it produced.
     """
 
     kernel: MetadataManager

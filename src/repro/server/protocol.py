@@ -26,7 +26,8 @@ Python value     wire form
 ``Box``          ``{"$box": [xmin, ymin, xmax, ymax, ref_system]}``
 ``AbsTime``      ``{"$abstime": days}``
 ``Image``        ``{"$image": {"pixtype", "shape", "filepath", "data"}}``
-                 (``data`` is base64 of the row-major pixel buffer)
+                 (``data`` is base64 of the row-major pixel buffer;
+                 a composite also carries its ``"bands"`` count)
 ``SciObject``    ``{"$object": {"class", "oid", "values"}}``
 numpy scalar     the equivalent Python scalar (``.item()``)
 anything else    ``{"$opaque": {"type", "repr"}}`` — lossy, display only
@@ -94,6 +95,7 @@ def encode_value(value: Any) -> Any:
             "pixtype": value.pixtype,
             "shape": list(value.data.shape),
             "filepath": value.filepath,
+            "bands": value.bands,
             "data": base64.b64encode(
                 np.ascontiguousarray(value.data).tobytes()
             ).decode("ascii"),
@@ -130,7 +132,8 @@ def decode_value(value: Any) -> Any:
             base64.b64decode(spec["data"]), dtype=dtype
         ).reshape(spec["shape"])
         return Image.from_array(array, pixtype=spec["pixtype"],
-                                filepath=spec["filepath"])
+                                filepath=spec["filepath"],
+                                bands=spec.get("bands", 0))
     if "$object" in value:
         spec = value["$object"]
         return SciObject(

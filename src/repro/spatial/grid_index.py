@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator
+from itertools import product
+from typing import Any, Hashable
 
 from ..errors import SpatialError
 from .box import Box
@@ -69,8 +70,9 @@ class GridIndex:
 
     # -- cell math ----------------------------------------------------------
 
-    def _cell_span(self, box: Box) -> Iterator[tuple[int, int]]:
-        """All cell coordinates intersecting *box* (clamped to the grid)."""
+    def _cell_ranges(self, box: Box) -> tuple[range, range]:
+        """The column and row index ranges of the cells intersecting
+        *box* (clamped to the grid); their product is the cells."""
         cell_w = self.universe.width / self.nx
         cell_h = self.universe.height / self.ny
         ix_lo = int((box.xmin - self.universe.xmin) / cell_w)
@@ -81,9 +83,7 @@ class GridIndex:
         ix_hi = max(0, min(self.nx - 1, ix_hi))
         iy_lo = max(0, min(self.ny - 1, iy_lo))
         iy_hi = max(0, min(self.ny - 1, iy_hi))
-        for ix in range(ix_lo, ix_hi + 1):
-            for iy in range(iy_lo, iy_hi + 1):
-                yield (ix, iy)
+        return range(ix_lo, ix_hi + 1), range(iy_lo, iy_hi + 1)
 
     # -- mutation -----------------------------------------------------------
 
@@ -100,8 +100,13 @@ class GridIndex:
             if not self.universe.overlaps(box):
                 self._outside.add(entry_id)
                 return
-            for cell in self._cell_span(box):
-                self._cells.setdefault(cell, set()).add(entry_id)
+            cells = self._cells
+            for cell in product(*self._cell_ranges(box)):
+                bucket = cells.get(cell)
+                if bucket is None:
+                    cells[cell] = {entry_id}
+                else:
+                    bucket.add(entry_id)
 
     def remove(self, entry_id: Hashable) -> None:
         """Drop *entry_id* from the index."""
@@ -112,12 +117,13 @@ class GridIndex:
             if entry_id in self._outside:
                 self._outside.discard(entry_id)
                 return
-            for cell in self._cell_span(box):
-                bucket = self._cells.get(cell)
+            cells = self._cells
+            for cell in product(*self._cell_ranges(box)):
+                bucket = cells.get(cell)
                 if bucket is not None:
                     bucket.discard(entry_id)
                     if not bucket:
-                        del self._cells[cell]
+                        del cells[cell]
 
     # -- queries ------------------------------------------------------------
 
@@ -125,8 +131,8 @@ class GridIndex:
         """Ids of every indexed extent overlapping *box*."""
         with self._lock:
             candidates: set[Hashable] = set(self._outside)
-            for cell in self._cell_span(box):
-                candidates |= self._cells.get(cell, set())
+            for cell in product(*self._cell_ranges(box)):
+                candidates.update(self._cells.get(cell, ()))
             return {
                 entry_id
                 for entry_id in candidates
@@ -144,7 +150,7 @@ class GridIndex:
         """
         with self._lock:
             total = len(self._outside)
-            for cell in self._cell_span(box):
+            for cell in product(*self._cell_ranges(box)):
                 total += len(self._cells.get(cell, ()))
             return min(total, len(self._entries))
 

@@ -165,71 +165,79 @@ class TestConceptPlanCache:
         assert conn.plan_cache.invalidations == invalidations + 1
 
 
+MASKS_DDL = """
+DEFINE CLASS field (
+  ATTRIBUTES: data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+);
+DEFINE CLASS mask_lo (
+  ATTRIBUTES: data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+  DERIVED BY: maskify_lo
+);
+DEFINE CLASS mask_hi (
+  ATTRIBUTES: data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+  DERIVED BY: maskify_hi
+);
+DEFINE PROCESS maskify_lo
+OUTPUT mask_lo
+ARGUMENT ( field src )
+TEMPLATE {
+  MAPPINGS:
+    mask_lo.data = img_threshold(src.data, 0.25);
+    mask_lo.spatialextent = src.spatialextent;
+    mask_lo.timestamp = src.timestamp;
+};
+DEFINE PROCESS maskify_hi
+OUTPUT mask_hi
+ARGUMENT ( field src )
+TEMPLATE {
+  MAPPINGS:
+    mask_hi.data = img_threshold(src.data, 0.75);
+    mask_hi.spatialextent = src.spatialextent;
+    mask_hi.timestamp = src.timestamp;
+};
+DEFINE CONCEPT masks MEMBERS mask_lo, mask_hi
+"""
+
+
+def _field_scans(*statements):
+    """Stored scans of the shared input class ``field`` while a fresh
+    two-mask catalog runs *statements*, plus the rows they returned."""
+    connection = repro.connect(universe=UNIVERSE)
+    cur = connection.cursor()
+    cur.execute(MASKS_DDL)
+    store = connection.kernel.store
+    store.store("field", {
+        "data": Image.from_array(np.full((4, 4), 0.5), "float4"),
+        "spatialextent": Box(0, 0, 10, 10),
+        "timestamp": AbsTime(0),
+    })
+    store.scan_log = []
+    rows = [obj for source in statements
+            for obj in cur.execute(source).fetchall()]
+    return sum(entry[0] == "field" for entry in store.scan_log), rows
+
+
 class TestSharedDerivationProbes:
     def test_union_members_share_marking_probes(self):
-        """Two derivable members falling back under one union share the
-        backward-planning supply probes of their common input class."""
-        connection = repro.connect(universe=UNIVERSE)
-        cur = connection.cursor()
-        cur.execute("""
-        DEFINE CLASS field (
-          ATTRIBUTES: data = image;
-          SPATIAL EXTENT: spatialextent = box;
-          TEMPORAL EXTENT: timestamp = abstime;
-        );
-        DEFINE CLASS mask_lo (
-          ATTRIBUTES: data = image;
-          SPATIAL EXTENT: spatialextent = box;
-          TEMPORAL EXTENT: timestamp = abstime;
-          DERIVED BY: maskify_lo
-        );
-        DEFINE CLASS mask_hi (
-          ATTRIBUTES: data = image;
-          SPATIAL EXTENT: spatialextent = box;
-          TEMPORAL EXTENT: timestamp = abstime;
-          DERIVED BY: maskify_hi
-        );
-        DEFINE PROCESS maskify_lo
-        OUTPUT mask_lo
-        ARGUMENT ( field src )
-        TEMPLATE {
-          MAPPINGS:
-            mask_lo.data = img_threshold(src.data, 0.25);
-            mask_lo.spatialextent = src.spatialextent;
-            mask_lo.timestamp = src.timestamp;
-        };
-        DEFINE PROCESS maskify_hi
-        OUTPUT mask_hi
-        ARGUMENT ( field src )
-        TEMPLATE {
-          MAPPINGS:
-            mask_hi.data = img_threshold(src.data, 0.75);
-            mask_hi.spatialextent = src.spatialextent;
-            mask_hi.timestamp = src.timestamp;
-        };
-        DEFINE CONCEPT masks MEMBERS mask_lo, mask_hi
-        """)
-        connection.kernel.store.store("field", {
-            "data": Image.from_array(np.full((4, 4), 0.5), "float4"),
-            "spatialextent": Box(0, 0, 10, 10),
-            "timestamp": AbsTime(0),
-        })
-        store = connection.kernel.store
-        store.scan_log = []
-        rows = cur.execute("SELECT FROM masks").fetchall()
+        """Two derivable members falling back under one union both
+        derive from their common input class."""
+        _, rows = _field_scans("SELECT FROM masks")
         assert {obj.class_name for obj in rows} == {"mask_lo", "mask_hi"}
 
-    def test_marking_cache_dedupes_supply_probes(self, conn):
-        """A warm marking cache answers a second backward-planning
-        marking without touching the store (the sharing a concept
-        union's execution context provides to its Derive operators)."""
-        planner = conn.kernel.planner
-        store = conn.kernel.store
-        cache = {}
-        store.scan_log = []
-        first = planner._query_marking(None, None, cache=cache)
-        cold_scans = len(store.scan_log)
-        assert cold_scans > 0
-        second = planner._query_marking(None, None, cache=cache)
-        assert second == first
-        assert len(store.scan_log) == cold_scans  # zero new scans
+    def test_marking_cache_dedupes_supply_probes(self):
+        """A concept union whose members share an input class probes
+        that class's supply once: each member still reads ``field`` to
+        bind its argument, but the second member's backward-planning
+        marking is answered from the statement's marking cache — one
+        read fewer than the same members asked for one by one.  Firing
+        the first member drops only what it produced from the cache."""
+        union, rows = _field_scans("SELECT FROM masks")
+        apart, _ = _field_scans("SELECT FROM mask_lo", "SELECT FROM mask_hi")
+        assert len(rows) == 2
+        assert (union, apart) == (3, 4)
