@@ -127,18 +127,16 @@ def test_expF_wal_recovery(benchmark):
 
 
 def test_expF_no_overwrite_versioning(benchmark):
-    """Update churn: versions accumulate, visibility filters correctly."""
+    """Abort churn: dead versions accumulate (nothing is ever overwritten
+    or removed), visibility, recovery and a later index build skip them."""
     engine = _engine(rows=100, index=False)
 
     def churn():
-        tids = [row.tid for row in engine.scan("scenes")][:10]
         tx = engine.begin()
-        new_tids = [
-            engine.update("scenes", tid, _row(1000 + i), tx)
-            for i, tid in enumerate(tids)
-        ]
-        engine.commit(tx)
-        return new_tids
+        tids = [engine.insert("scenes", _row(1000 + i), tx)
+                for i in range(10)]
+        engine.abort(tx)
+        return tids
 
     # Fixed rounds: every round adds versions the next round's scan
     # must walk, so an auto-calibrated round count only measures its
@@ -146,4 +144,8 @@ def test_expF_no_overwrite_versioning(benchmark):
     benchmark.pedantic(churn, rounds=5, iterations=1)
     stats = engine.stats("scenes")
     assert stats["visible_rows"] == 100
-    assert stats["versions"] > 100
+    assert stats["versions"] > stats["visible_rows"]
+    recovered = StorageEngine.recover(engine.wal, engine.types)
+    assert recovered.stats("scenes")["versions"] == 100
+    engine.create_index("scenes", "area")
+    assert engine.index_stats("scenes", "area")["entries"] == 100

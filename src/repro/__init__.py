@@ -6,7 +6,7 @@ The package rebuilds the Gaea kernel from scratch in Python:
 * :mod:`repro.adt` — system-level semantics: the ADT facility (primitive
   classes, operators, compound-operator dataflow networks);
 * :mod:`repro.spatial` / :mod:`repro.temporal` — the two classic extents;
-* :mod:`repro.storage` — the POSTGRES-substitute no-overwrite engine;
+* :mod:`repro.storage` — the POSTGRES-substitute append-only engine;
 * :mod:`repro.core` — the paper's contribution: concepts, processes,
   tasks, Petri-net derivation modeling, the retrieval planner, the
   experiment manager, and the metadata-manager facade;

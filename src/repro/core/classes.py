@@ -30,6 +30,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterator
 
 from ..adt.registry import TypeRegistry
@@ -154,9 +155,10 @@ class NonPrimitiveClass:
         """Base classes hold data from outside the system (paper §1)."""
         return self.derived_by is None
 
-    @property
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
-        """Attribute names in declaration order."""
+        """Attribute names in declaration order (computed once: the
+        definition is frozen)."""
         return tuple(name for name, _ in self.attributes)
 
     def type_of(self, attr: str) -> str:
@@ -273,6 +275,10 @@ class ClassStore:
     current_tx: Transaction | None = field(default=None)
     #: Oids stored under the open transaction (purged on rollback).
     _tx_oids: list[int] = field(default_factory=list)
+    #: Called with the purged oids after a rollback (the task log
+    #: forgets their tasks).  Not pickled: owners re-register on load.
+    _rollback_hooks: list[Callable[[list[int]], None]] = field(
+        default_factory=list, repr=False, compare=False)
     #: Stored-data scans started, per class (cheap, always on).
     scan_counts: dict[str, int] = field(default_factory=dict)
     #: When set (e.g. by a test fixture) every scan appends
@@ -292,19 +298,21 @@ class ClassStore:
         state = dict(self.__dict__)
         del state["_writer_gate"]
         del state["_stats_lock"]
+        del state["_rollback_hooks"]
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._writer_gate = threading.RLock()
         self._stats_lock = threading.Lock()
+        self._rollback_hooks = []
 
     @staticmethod
     def relation_for(class_name: str) -> str:
         """Storage relation name backing *class_name*."""
         return f"cls_{class_name}"
 
-    # -- transaction scoping (no-overwrite MVCC under the objects) -------------
+    # -- transaction scoping (append-only MVCC under the objects) --------------
 
     def begin_transaction(self) -> Transaction:
         """Start an explicit transaction scoping subsequent object work.
@@ -336,18 +344,26 @@ class ClassStore:
 
     def rollback_transaction(self) -> None:
         """Abort the explicit transaction; its object versions stay dead
-        forever (no-overwrite storage).  Oids allocated under the
+        forever (append-only storage).  Oids allocated under the
         transaction are dropped from the object index so later lookups
         fail with the documented :class:`UnknownClassError` instead of
-        pointing at permanently invisible row versions."""
+        pointing at permanently invisible row versions, and the rollback
+        hooks drop what was recorded about them."""
         with self._writer_gate:
             if self.current_tx is None:
                 raise TransactionError("no transaction is active")
             self.engine.abort(self.current_tx)
             self.current_tx = None
-            for oid in self._tx_oids:
+            dropped, self._tx_oids = self._tx_oids, []
+            for oid in dropped:
                 self._oid_index.pop(oid, None)
-            self._tx_oids = []
+            for hook in self._rollback_hooks:
+                hook(dropped)
+
+    def on_rollback(self, hook: Callable[[list[int]], None]) -> None:
+        """Register *hook* to run, with the oids a rolled-back
+        transaction had stored, after every rollback."""
+        self._rollback_hooks.append(hook)
 
     @contextmanager
     def read_view(self, snapshot: Any) -> Iterator[None]:
@@ -411,35 +427,32 @@ class ClassStore:
 
     def store(self, class_name: str, values: dict[str, Any]) -> SciObject:
         """Insert an object of *class_name*; returns it with a fresh oid."""
-        cls = self.registry.get(class_name)
-        missing = [a for a in cls.attribute_names if a not in values]
+        names = self.registry.get(class_name).attribute_names
+        missing = [a for a in names if a not in values]
         if missing:
             raise DerivationError(
                 f"object of {class_name!r} is missing attribute(s): {missing}"
             )
-        extra = [a for a in values if a not in cls.attribute_names]
+        extra = [a for a in values if a not in names]
         if extra:
             raise DerivationError(
                 f"object of {class_name!r} has unknown attribute(s): {extra}"
             )
         oid = next(self._oid_counter)
-        row = (oid,) + tuple(values[a] for a in cls.attribute_names)
+        row = (oid,) + tuple(values[a] for a in names)
         relation = self.relation_for(class_name)
         tx = self.current_tx
         if tx is not None:
             tid = self.engine.insert(relation, row, tx)
             self._tx_oids.append(oid)
-            write_view = self.engine.snapshot(tx)
         else:
             tid = self.engine.insert_row(relation, row)
-            write_view = self.engine.snapshot()
         self._oid_index[oid] = (class_name, tid)
-        # Re-fetch under the *write-side* snapshot, not `_snapshot()`:
-        # a derivation running while a reader pin is active must still
-        # see the row it just inserted.
-        stored = self.engine.fetch(relation, tid, write_view)
-        obj_values = {a: stored[a] for a in cls.attribute_names}
-        return SciObject(class_name=class_name, oid=oid, values=obj_values)
+        # The object is the normalized tuple the engine just stored —
+        # read off the heap, whatever snapshot a reader has pinned.
+        stored = self.engine._state(relation).heap.get(tid).values
+        return SciObject(class_name=class_name, oid=oid,
+                         values=dict(zip(names, stored[1:])))
 
     def get(self, oid: int) -> SciObject:
         """The object with surrogate id *oid*."""

@@ -17,8 +17,6 @@ caller opts out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
 from typing import Any, Callable
 
 from ..adt.operators import OperatorRegistry
@@ -27,7 +25,6 @@ from ..errors import (
     GaeaError,
     InteractionRequiredError,
     TaskExecutionError,
-    UnknownClassError,
 )
 from .classes import ClassRegistry, ClassStore, NonPrimitiveClass, SciObject
 from .compound import CompoundProcess, CompoundRegistry
@@ -68,6 +65,8 @@ class DerivationManager:
 
     def __post_init__(self) -> None:
         self.processes = ProcessRegistry(classes=self.classes)
+        # Late-bound: `load_kernel` replaces `tasks` after construction.
+        self.store.on_rollback(lambda oids: self.tasks.discard_outputs(oids))
 
     def __getstate__(self) -> dict:
         """Kernel checkpoints cannot pickle operator implementations; the
@@ -143,16 +142,11 @@ class DerivationManager:
         if reuse:
             memoized = self._find_reusable(process, bindings, resolved)
             if memoized is not None:
-                try:
-                    output = self.store.get(memoized.output_oids[0])
-                except UnknownClassError:
-                    # The recorded output no longer exists — e.g. its
-                    # transaction rolled back in the no-overwrite store.
-                    # The task log is history, not truth: recompute.
-                    pass
-                else:
-                    return DerivationResult(output=output, task=memoized,
-                                            reused=True)
+                # A logged task's outputs exist: a rollback discards the
+                # tasks of the objects it discards.
+                return DerivationResult(
+                    output=self.store.get(memoized.output_oids[0]),
+                    task=memoized, reused=True)
         try:
             attributes = process.evaluate(bindings, self.operators,
                                           parameter_overrides=overrides)

@@ -146,14 +146,16 @@ class RetrievalPlanner:
                      filters: tuple[tuple[str, Any], ...],
                      ranges: tuple[tuple[str, str, Any], ...],
                      spatial_coverage: bool = False,
-                     projection: tuple[str, ...] = ()
+                     projection: tuple[str, ...] = (),
+                     limit: int | None = None
                      ) -> tuple[AccessPath, list[SciObject], bool]:
         """Step 1, direct retrieval, over normalized predicates: ``(access
         path, matching objects, answered)``.
 
         ONE stored-data scan, counting both extent matches and predicate
         survivors as it streams, so the fallback decision never re-reads
-        the relation.
+        the relation.  The scan stops at *limit* matches: one is enough
+        to know that stored data answers.
         """
         store = self.manager.store
         path = store.choose_path(cls.name, spatial=spatial,
@@ -170,6 +172,8 @@ class RetrievalPlanner:
             extent_matches += 1
             if matches_predicates(obj, filters, ranges):
                 found.append(obj)
+                if len(found) == limit:
+                    break
         return path, found, self.stored_answers(
             cls.name, spatial, temporal, bool(filters or ranges),
             len(found), extent_matches if path.observes_extents else None,
@@ -673,11 +677,12 @@ class RetrievalPlanner:
         cls = self.manager.classes.get(class_name)
         filters, ranges = self.manager.store.normalize_predicates(
             cls, filters, ranges)
-        access, found, answered = self._stored_step(
-            cls, spatial, temporal, filters, ranges, projection=projection)
+        access, _, answered = self._stored_step(
+            cls, spatial, temporal, filters, ranges, projection=projection,
+            limit=1)
         report: dict[str, object] = {"access": access.describe()}
         if answered:
-            return {"path": "retrieve", "matches": len(found), **report}
+            return {"path": "retrieve", **report}
         # The ladder's own applicability tests, minus the effects — and,
         # like the steps themselves, on the live view.
         with self.manager.store.write_view():

@@ -67,7 +67,9 @@ class ProvenanceBrowser:
     store: ClassStore
 
     def lineage(self, oid: int) -> Lineage:
-        """Full derivation history of *oid* (cycle-safe)."""
+        """Full derivation history of the stored object *oid*
+        (cycle-safe); an oid that names no object raises."""
+        self.store.get(oid)
         steps: list[Task] = []
         seen_tasks: set[int] = set()
         base: set[int] = set()

@@ -6,8 +6,9 @@ the output class."  Tasks are the object-level half of the derivation
 relationship: the class level is a template (a *process*), the data-object
 level "will record the actual derivation relationship among data objects".
 
-The :class:`TaskLog` keeps every task ever run (Gaea never forgets a
-derivation) and supports memoization: re-deriving the same process over
+The :class:`TaskLog` keeps every task whose outputs exist — a task whose
+transaction rolled back is discarded with the objects it produced — and
+supports memoization: re-deriving the same process over
 the same inputs returns the recorded result instead of recomputing —
 "experiment management also helps avoid unnecessary duplication of
 experiments" (paper §1).
@@ -88,9 +89,9 @@ class Task:
 
 @dataclass
 class TaskLog:
-    """Append-only log of every task, with memoization lookup."""
+    """Log of every task, in execution order, with memoization lookup."""
 
-    _tasks: list[Task] = field(default_factory=list)
+    _tasks: dict[int, Task] = field(default_factory=dict)  # by task_id
     _ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
     _memo: dict[tuple, int] = field(default_factory=dict)  # key -> task_id
     _by_output: dict[int, int] = field(default_factory=dict)  # oid -> task_id
@@ -99,7 +100,7 @@ class TaskLog:
         return len(self._tasks)
 
     def __iter__(self) -> Iterator[Task]:
-        return iter(self._tasks)
+        return iter(self._tasks.values())
 
     def record(self, process_name: str, bindings: Bindings,
                output_oids: tuple[int, ...],
@@ -114,7 +115,7 @@ class TaskLog:
             status=TaskStatus.COMPLETED,
             parameters=dict(parameters or {}),
         )
-        self._tasks.append(task)
+        self._tasks[task.task_id] = task
         self._memo[bindings_key(process_name, bindings)] = task.task_id
         for oid in output_oids:
             self._by_output[oid] = task.task_id
@@ -131,15 +132,32 @@ class TaskLog:
             status=TaskStatus.FAILED,
             error=error,
         )
-        self._tasks.append(task)
+        self._tasks[task.task_id] = task
         return task
+
+    def discard_outputs(self, oids: list[int]) -> None:
+        """Forget the tasks that produced *oids*, with their memo and
+        producer entries: the transaction that stored those objects
+        rolled back, so the derivations never happened.  (Failure
+        records have no outputs and stay.)"""
+        dropped = {self._by_output[oid] for oid in oids
+                   if oid in self._by_output}
+        if not dropped:
+            return
+        for task_id in dropped:
+            del self._tasks[task_id]
+        self._memo = {key: task_id for key, task_id in self._memo.items()
+                      if task_id not in dropped}
+        self._by_output = {oid: task_id
+                           for oid, task_id in self._by_output.items()
+                           if task_id not in dropped}
 
     def get(self, task_id: int) -> Task:
         """The task with the given id."""
-        for task in self._tasks:
-            if task.task_id == task_id:
-                return task
-        raise TaskExecutionError(f"unknown task id {task_id}")
+        try:
+            return self._tasks[task_id]
+        except KeyError:
+            raise TaskExecutionError(f"unknown task id {task_id}") from None
 
     def find_memoized(self, process_name: str, bindings: Bindings
                       ) -> Task | None:
@@ -154,15 +172,15 @@ class TaskLog:
 
     def tasks_of_process(self, process_name: str) -> list[Task]:
         """All tasks instantiating *process_name*."""
-        return [t for t in self._tasks if t.process_name == process_name]
+        return [t for t in self if t.process_name == process_name]
 
     def completed(self) -> list[Task]:
         """All successful tasks."""
-        return [t for t in self._tasks if t.succeeded]
+        return [t for t in self if t.succeeded]
 
     def failed(self) -> list[Task]:
         """All failed tasks."""
-        return [t for t in self._tasks if not t.succeeded]
+        return [t for t in self if not t.succeeded]
 
 
 def _bindings_to_oids(bindings: Bindings) -> dict[str, tuple[int, ...]]:

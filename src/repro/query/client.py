@@ -169,7 +169,7 @@ class Connection:
         Objects stored until :meth:`commit` are visible to this kernel's
         readers mid-flight (they share the writer's snapshot) but are
         permanently discarded by :meth:`rollback` — the storage layer is
-        no-overwrite MVCC, so rolled-back versions simply never commit.
+        append-only MVCC, so rolled-back versions simply never commit.
 
         With *read_only* the connection instead pins a snapshot of
         everything committed right now and returns None: no storage
@@ -383,11 +383,11 @@ class Cursor:
                 params: Any = None) -> str:
         """A plan dump for *operation* without returning any rows.
 
-        Pricing probes the store's statistics (and scans once per
-        retrieval to resolve the §2.1.5 logical path, under the same
-        snapshot a SELECT issued now would read) but has no side
-        effects — no derivations run and nothing is materialized for
-        the caller.
+        Pricing probes the store's statistics (and reads each
+        retrieval's stored scan up to its first match to resolve the
+        §2.1.5 logical path, under the same snapshot a SELECT issued
+        now would read) but has no side effects — no derivations run
+        and nothing is materialized for the caller.
 
         Each retrieval gets a summary line with the logical path and
         the cost-based physical access path (e.g.

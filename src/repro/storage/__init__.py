@@ -1,6 +1,6 @@
 """Storage substrate: the POSTGRES-substitute backend.
 
-A no-overwrite (MVCC-lite) in-memory storage engine with slotted-page heap
+An append-only (MVCC-lite) in-memory storage engine with slotted-page heap
 files, a system catalog typed by the ADT layer, B-tree / grid / timeline
 indexes, transactions with snapshot visibility, and a write-ahead log with
 replay-based recovery.

@@ -324,10 +324,10 @@ class BTree:
     def delete(self, key: Any, entry: Hashable) -> None:
         """Remove *entry* from *key*'s bucket.
 
-        A B-tree used by a no-overwrite engine rarely removes keys; when a
-        bucket empties we leave the key with an empty set and filter on
-        read — physical compaction is a vacuum concern, not a correctness
-        one.  Raises when the pair is absent.
+        The append-only engine removes entries only when an insert
+        aborts; when a bucket empties we leave the key with an empty set
+        and filter on read — physical compaction is a vacuum concern,
+        not a correctness one.  Raises when the pair is absent.
         """
         with self._lock:
             leaf = self._find_leaf(key)

@@ -14,6 +14,7 @@ invalidated whenever an index is created or dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from ..adt.registry import TypeRegistry
@@ -42,16 +43,21 @@ class Schema:
         if len(names) != len(set(names)):
             raise StorageError(f"duplicate column names in {self.relation!r}")
 
-    @property
+    @cached_property
     def column_names(self) -> tuple[str, ...]:
-        """Attribute names in schema order."""
+        """Attribute names in schema order (computed once, like the
+        position map: a schema is frozen)."""
         return tuple(col.name for col in self.columns)
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: at for at, name in enumerate(self.column_names)}
 
     def index_of(self, column: str) -> int:
         """Position of *column* in the schema."""
         try:
-            return self.column_names.index(column)
-        except ValueError:
+            return self._positions[column]
+        except KeyError:
             raise StorageError(
                 f"relation {self.relation!r} has no column {column!r}"
             ) from None

@@ -4,14 +4,16 @@ Ties together the catalog, heap files, B-tree / spatial / temporal
 indexes, the transaction manager, and the write-ahead log.  The API is
 deliberately the slice Gaea needs:
 
-* ``create_relation`` / ``insert`` / ``delete`` / ``scan`` with snapshot
-  visibility (no-overwrite storage: deletes stamp ``xmax``),
+* ``create_relation`` / ``insert`` / ``scan`` with snapshot visibility.
+  Storage is append-only, like the immutable objects it holds:
+  ``insert`` is the only write, a version is visible to the snapshots
+  that see its creator, and only an aborted insert leaves a dead one,
 * secondary indexes on scalar columns (B-tree), the spatial extent
   (grid index) and the temporal extent (timeline),
 * ``recover`` — rebuild an engine by replaying a WAL.
 
-Auto-commit convenience wrappers (`insert_row`, ...) keep simple callers
-out of explicit transaction plumbing.
+The auto-commit wrapper `insert_row` keeps simple callers out of
+explicit transaction plumbing.
 """
 
 from __future__ import annotations
@@ -77,32 +79,31 @@ def _orders(tree: BTree, *keys: Any) -> bool:
 
 @dataclass
 class StorageEngine:
-    """In-memory no-overwrite storage engine with WAL-based recovery."""
+    """In-memory append-only storage engine with WAL-based recovery."""
 
     types: TypeRegistry
     catalog: Catalog = field(init=False)
     transactions: TransactionManager = field(default_factory=TransactionManager)
     wal: WriteAheadLog = field(default_factory=WriteAheadLog)
     _relations: dict[str, _RelationState] = field(default_factory=dict)
-    # Per-transaction undo log of index insertions: entries are purged
-    # from the physical indexes when the transaction aborts, so no index
+    # Per-transaction undo log: one ``(relation, tid)`` per inserted
+    # row.  An abort reads the keys off the heap version and removes the
+    # TID from whatever indexes the relation has by then, so no index
     # ever keeps pointers to rolled-back row versions.
-    _tx_index_log: dict[int, list[tuple[str, str, str, Any, TID]]] \
-        = field(default_factory=dict)
+    _undo_log: dict[int, list[tuple[str, TID]]] = field(default_factory=dict)
     # Serializes all mutating paths (DDL, DML, commit/abort, WAL
     # appends).  Readers never take it: they work off an immutable
     # `Snapshot` plus structures that are individually safe to read
     # while written (append-only heap, internally locked indexes), so a
-    # reader is never blocked by the writer.  Reentrant because `update`
-    # composes `delete` + `insert` and auto-commit wrappers compose
-    # begin/DML/commit.  Lock order: engine lock, then the transaction
-    # manager's or an index's internal lock — never the reverse.
+    # reader is never blocked by the writer.  Reentrant because
+    # `insert_row` composes begin/insert/commit.  Lock order: engine
+    # lock, then the transaction manager's or an index's internal lock —
+    # never the reverse.
     _write_lock: threading.RLock = field(default_factory=threading.RLock,
                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.catalog = Catalog(types=self.types)
-        self.transactions.on_abort(self._purge_aborted_index_entries)
 
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
@@ -130,28 +131,14 @@ class StorageEngine:
 
     def _buildable_versions(self, state: _RelationState
                             ) -> Iterator[tuple[TID, TupleVersion]]:
-        """Heap versions an index build should load.
-
-        Versions created by aborted transactions are dead forever;
-        versions deleted by a committed transaction likewise.  Versions
-        from still-active transactions are loaded *and* logged so a later
-        rollback purges them (same guarantee as insert-time maintenance).
-        """
+        """Heap versions an index build should load: all but those of
+        aborted transactions, which are dead forever.  Versions of
+        still-active transactions are loaded too — their rows are in the
+        undo log, so a later rollback purges them from this index like
+        from any other."""
         for tid, version in state.heap.scan():
-            if self.transactions.is_aborted(version.xmin):
-                continue
-            if version.xmax is not None \
-                    and self.transactions.is_committed(version.xmax):
-                continue
-            yield tid, version
-
-    def _log_if_uncommitted(self, xid: int, relation: str, kind: str,
-                            column: str, key: Any, tid: TID) -> None:
-        """Record an index insertion for purge-on-abort bookkeeping."""
-        if self.transactions.is_active(xid):
-            self._tx_index_log.setdefault(xid, []).append(
-                (relation, kind, column, key, tid)
-            )
+            if not self.transactions.is_aborted(version.xmin):
+                yield tid, version
 
     def create_index(self, relation: str, column: str, order: int = 32,
                      name: str | None = None) -> IndexDef:
@@ -159,7 +146,7 @@ class StorageEngine:
 
         The index is registered in the catalog (bumping the index
         version, which invalidates cached plans) and maintained by every
-        subsequent insert/delete/rollback.
+        subsequent insert and rollback.
         """
         with self._write_lock:
             state = self._state(relation)
@@ -173,9 +160,6 @@ class StorageEngine:
             tree = BTree(order=order)
             for tid, version in self._buildable_versions(state):
                 tree.insert(version.values[position], tid)
-                self._log_if_uncommitted(version.xmin, relation, "btree",
-                                         column, version.values[position],
-                                         tid)
             state.btrees[column] = tree
             return index
 
@@ -195,9 +179,6 @@ class StorageEngine:
             position = schema.index_of(column)
             for tid, version in self._buildable_versions(state):
                 state.spatial.insert(tid, version.values[position])
-                self._log_if_uncommitted(version.xmin, relation, "spatial",
-                                         column, version.values[position],
-                                         tid)
             return index
 
     def create_temporal_index(self, relation: str, column: str,
@@ -216,21 +197,14 @@ class StorageEngine:
             position = schema.index_of(column)
             for tid, version in self._buildable_versions(state):
                 state.temporal.add(version.values[position], tid)
-                self._log_if_uncommitted(version.xmin, relation, "temporal",
-                                         column, version.values[position],
-                                         tid)
             return index
 
     def drop_index(self, relation: str, column: str) -> None:
         """Drop the B-tree on ``relation.column`` (catalog + structure)."""
         with self._write_lock:
-            state = self._state(relation)
-            if column not in state.btrees:
-                raise StorageError(f"no index on {relation}.{column}")
-            index = self.catalog.find_index(relation, column, "btree")
-            if index is not None:
-                self.catalog.drop_index(index.name)
-            del state.btrees[column]
+            self._btree(relation, column)  # raises when there is none
+            self.drop_index_named(
+                self.catalog.find_index(relation, column, "btree").name)
 
     def drop_index_named(self, name: str) -> IndexDef:
         """Drop any secondary index by its catalog name."""
@@ -276,38 +250,37 @@ class StorageEngine:
         with self._write_lock:
             self.wal.append(LogKind.COMMIT, xid=tx.xid)
             self.transactions.commit(tx)
-            # Committed index entries are permanent: drop the undo log.
-            self._tx_index_log.pop(tx.xid, None)
+            # Committed rows are permanent: drop their undo entries.
+            self._undo_log.pop(tx.xid, None)
 
     def abort(self, tx: Transaction) -> None:
-        """Abort (logged); the transaction's versions stay dead forever.
-
-        Secondary-index entries the transaction added are purged (via the
-        transaction manager's abort hook), so indexes never point at
-        rolled-back versions.
-        """
+        """Abort (logged); the transaction's versions stay dead forever
+        and leave the secondary indexes."""
         with self._write_lock:
             self.wal.append(LogKind.ABORT, xid=tx.xid)
             self.transactions.abort(tx)
+            self._purge_aborted_inserts(tx.xid)
 
-    def _purge_aborted_index_entries(self, xid: int) -> None:
-        """Abort hook: undo every index insertion logged under *xid*."""
-        for relation, kind, column, key, tid in \
-                self._tx_index_log.pop(xid, []):
-            state = self._relations.get(relation)
-            if state is None:
-                continue
-            if kind == "btree":
-                tree = state.btrees.get(column)
-                if tree is not None and tid in tree.search(key):
+    def _purge_aborted_inserts(self, xid: int) -> None:
+        """Remove every row inserted under *xid* from the indexes its
+        relation has now, reading the keys off the heap version.  Readers
+        do not mind when: the version is invisible with or without its
+        index entries.  (The membership tests cover a row whose insert
+        failed part-way through index maintenance.)"""
+        for relation, tid in self._undo_log.pop(xid, ()):
+            state = self._state(relation)
+            schema = self.catalog.get(relation)
+            values = state.heap.get(tid).values
+            for column, tree in state.btrees.items():
+                key = values[schema.index_of(column)]
+                if tid in tree.search(key):
                     tree.delete(key, tid)
-            elif kind == "spatial":
-                if state.spatial is not None and tid in state.spatial:
-                    state.spatial.remove(tid)
-            elif kind == "temporal":
-                if state.temporal is not None \
-                        and tid in state.temporal.at(key):
-                    state.temporal.remove(key, tid)
+            if state.spatial is not None and tid in state.spatial:
+                state.spatial.remove(tid)
+            if state.temporal is not None:
+                at = values[schema.index_of(state.temporal_column)]
+                if tid in state.temporal.at(at):
+                    state.temporal.remove(at, tid)
 
     def snapshot(self, tx: Transaction | None = None) -> Snapshot:
         """Current snapshot, optionally for an in-flight transaction."""
@@ -328,44 +301,17 @@ class StorageEngine:
                 payload={"relation": relation, "tid": tid,
                          "values": normalized},
             )
+            self._undo_log.setdefault(tx.xid, []).append((relation, tid))
             schema = self.catalog.get(relation)
             for column, tree in state.btrees.items():
-                key = normalized[schema.index_of(column)]
-                tree.insert(key, tid)
-                self._log_if_uncommitted(tx.xid, relation, "btree", column,
-                                         key, tid)
-            if state.spatial is not None and state.spatial_column is not None:
-                box = normalized[schema.index_of(state.spatial_column)]
-                state.spatial.insert(tid, box)
-                self._log_if_uncommitted(tx.xid, relation, "spatial",
-                                         state.spatial_column, box, tid)
-            if state.temporal is not None \
-                    and state.temporal_column is not None:
-                at = normalized[schema.index_of(state.temporal_column)]
-                state.temporal.add(at, tid)
-                self._log_if_uncommitted(tx.xid, relation, "temporal",
-                                         state.temporal_column, at, tid)
+                tree.insert(normalized[schema.index_of(column)], tid)
+            if state.spatial is not None:
+                state.spatial.insert(
+                    tid, normalized[schema.index_of(state.spatial_column)])
+            if state.temporal is not None:
+                state.temporal.add(
+                    normalized[schema.index_of(state.temporal_column)], tid)
             return tid
-
-    def delete(self, relation: str, tid: TID, tx: Transaction) -> None:
-        """No-overwrite delete: stamp ``xmax``; the version remains stored."""
-        with self._write_lock:
-            state = self._state(relation)
-            version = state.heap.get(tid)
-            if version.xmax is not None:
-                raise TupleNotFoundError(f"{relation}{tid} is already deleted")
-            version.xmax = tx.xid
-            self.wal.append(
-                LogKind.DELETE, xid=tx.xid,
-                payload={"relation": relation, "tid": tid},
-            )
-
-    def update(self, relation: str, tid: TID, values: tuple[Any, ...],
-               tx: Transaction) -> TID:
-        """Postgres-style update: delete the old version, insert a new one."""
-        with self._write_lock:
-            self.delete(relation, tid, tx)
-            return self.insert(relation, values, tx)
 
     # -- reads -----------------------------------------------------------------------
 
@@ -410,8 +356,8 @@ class StorageEngine:
         batches of at most *batch_size* — the columnar scan surface.
 
         No :class:`Row` dicts are built: the version value tuples are
-        handed out by reference (sound under no-overwrite MVCC — a
-        committed version's values never mutate).  With *tids* given,
+        handed out by reference (sound under append-only storage — a
+        version's values never mutate).  With *tids* given,
         rows are fetched in that order, skipping invisible versions —
         this is how index paths batch; the TID streams ride the chunked
         B-tree ``range_scan`` (≤256 pairs per lock acquisition), so
@@ -431,19 +377,15 @@ class StorageEngine:
             for versions in state.heap.iter_version_lists():
                 out.extend(
                     v.values for v in versions
-                    if (v.xmin in committed or v.xmin == own)
-                    and (v.xmax is None
-                         or (v.xmax not in committed and v.xmax != own))
+                    if v.xmin in committed or v.xmin == own
                 )
                 while len(out) >= batch_size:
                     yield out[:batch_size]
                     out = out[batch_size:]
         else:
+            heap = state.heap
             for tid in tids:
-                try:
-                    version = state.heap.get(tid)
-                except TupleNotFoundError:
-                    continue
+                version = heap.get(tid)  # index TIDs never dangle
                 if visible(version, snap):
                     out.append(version.values)
                     if len(out) >= batch_size:
@@ -562,11 +504,7 @@ class StorageEngine:
             else self._range_buckets(relation, column, lo, hi, reverse)
         for key, bucket in buckets:
             for tid in sorted(bucket):
-                try:
-                    version = heap.get(tid)
-                except TupleNotFoundError:
-                    continue
-                if visible(version, snap):
+                if visible(heap.get(tid), snap):
                     yield key, tid
 
     def timeline_of(self, relation: str) -> Timeline:
@@ -576,7 +514,7 @@ class StorageEngine:
             raise StorageError(f"no temporal index on {relation}")
         return state.temporal
 
-    # -- auto-commit conveniences ---------------------------------------------------------
+    # -- auto-commit convenience ----------------------------------------------------------
 
     def insert_row(self, relation: str, values: tuple[Any, ...]) -> TID:
         """Insert inside a fresh, immediately committed transaction."""
@@ -589,17 +527,6 @@ class StorageEngine:
                 raise
             self.commit(tx)
             return tid
-
-    def delete_row(self, relation: str, tid: TID) -> None:
-        """Delete inside a fresh, immediately committed transaction."""
-        with self._write_lock:
-            tx = self.begin()
-            try:
-                self.delete(relation, tid, tx)
-            except Exception:
-                self.abort(tx)
-                raise
-            self.commit(tx)
 
     # -- statistics -------------------------------------------------------------------------
 
@@ -684,34 +611,23 @@ class StorageEngine:
         """Rebuild an engine by replaying *wal* (redo of committed work).
 
         DDL from any transaction is replayed (relations are never rolled
-        back in this substrate); DML is replayed only for committed xids.
-        TIDs are re-derived by replay order; because aborted inserts are
-        skipped on replay, a map from original TIDs to replayed TIDs
-        routes DELETE records to the right version.
+        back in this substrate); inserts are replayed only for committed
+        xids, in log order, so the rows of aborted and unfinished
+        transactions are simply not there (TIDs are re-derived by replay
+        and may differ from the logged ones).
         """
         wal.verify()
         committed = wal.committed_xids()
         engine = StorageEngine(types=types)
-        tid_map: dict[tuple[str, TID], TID] = {}
         for record in wal:
             if record.kind is LogKind.CREATE_RELATION:
                 name = record.payload["relation"]
                 engine.catalog.create(name, record.payload["columns"])
                 engine._relations[name] = _RelationState(heap=HeapFile(name=name))
             elif record.kind is LogKind.INSERT and record.xid in committed:
-                relation = record.payload["relation"]
-                state = engine._state(relation)
-                version = TupleVersion(
-                    values=record.payload["values"], xmin=record.xid
-                )
-                new_tid = state.heap.insert(version)
-                tid_map[(relation, record.payload["tid"])] = new_tid
-            elif record.kind is LogKind.DELETE and record.xid in committed:
-                relation = record.payload["relation"]
-                state = engine._state(relation)
-                original = record.payload["tid"]
-                replayed = tid_map.get((relation, original), original)
-                state.heap.get(replayed).xmax = record.xid
+                engine._state(record.payload["relation"]).heap.insert(
+                    TupleVersion(values=record.payload["values"],
+                                 xmin=record.xid))
         for xid in committed:
             engine.transactions.force_committed(xid)
         # The recovered engine starts a fresh log; history lives in `wal`.

@@ -1,10 +1,11 @@
-"""Transactions and snapshot visibility (no-overwrite MVCC-lite).
+"""Transactions and snapshot visibility (append-only MVCC-lite).
 
 The substrate keeps the slice of Postgres semantics Gaea needs: every
 transaction gets a monotonically increasing xid; committed/aborted states
 are tracked; a :class:`Snapshot` captures the set of transactions visible
 at its creation, and :func:`visible` decides whether a stored tuple
-version exists for that snapshot.
+version exists for that snapshot.  Versions are only ever inserted, so
+that decision reads one stamp: the version's creator, ``xmin``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import TransactionError
 from .tuples import TupleVersion
@@ -54,16 +55,10 @@ class Snapshot:
 
 
 def visible(version: TupleVersion, snapshot: Snapshot) -> bool:
-    """Postgres-style visibility for a no-overwrite tuple version.
-
-    The version is visible when its creator is seen and its deleter (if
-    any) is not.
-    """
-    if not snapshot.sees(version.xmin):
-        return False
-    if version.xmax is not None and snapshot.sees(version.xmax):
-        return False
-    return True
+    """Visibility of an append-only tuple version: it exists for the
+    snapshots that see its creator (committed before the snapshot, or
+    the snapshot's own transaction)."""
+    return snapshot.sees(version.xmin)
 
 
 @dataclass
@@ -73,14 +68,10 @@ class TransactionManager:
     _next_xid: int = 1
     _transactions: dict[int, Transaction] = field(default_factory=dict)
     _committed: set[int] = field(default_factory=set)
-    # Abort observers: called with the xid after an abort is recorded.
-    # The engine registers its index-maintenance purge here so secondary
-    # indexes never keep entries for rolled-back versions.
-    _abort_hooks: list[Callable[[int], None]] = field(default_factory=list)
     # Guards xid allocation, state transitions, and snapshot capture so
     # readers snapshotting concurrently with a commit get either the
     # before- or after-commit committed-set, never a torn one.
-    # Reentrant: abort hooks may call back into the manager.
+    # Reentrant: `force_committed` raises the xid floor under it.
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False, compare=False)
 
@@ -119,23 +110,12 @@ class TransactionManager:
             tx.status = TxStatus.COMMITTED
             self._committed.add(tx.xid)
 
-    def on_abort(self, hook: Callable[[int], None]) -> None:
-        """Register *hook* to run (with the xid) after every abort."""
-        self._abort_hooks.append(hook)
-
     def abort(self, tx: Transaction) -> None:
-        """Abort *tx*; its writes never become visible.
-
-        The abort hooks (index purge) run under the lock: a snapshot
-        taken before the abort never saw the xid anyway, and one taken
-        after must not observe half-purged index state.
-        """
+        """Abort *tx*; its writes never become visible."""
         with self._lock:
             stored = self._get_active(tx)
             stored.status = TxStatus.ABORTED
             tx.status = TxStatus.ABORTED
-            for hook in self._abort_hooks:
-                hook(tx.xid)
 
     def status_of(self, xid: int) -> TxStatus:
         """Status of the transaction with id *xid*."""
@@ -144,19 +124,10 @@ class TransactionManager:
             raise TransactionError(f"unknown transaction {xid}")
         return tx.status
 
-    def is_committed(self, xid: int) -> bool:
-        """Whether *xid* committed (False for unknown xids)."""
-        return xid in self._committed
-
     def is_aborted(self, xid: int) -> bool:
         """Whether *xid* aborted (False for unknown xids)."""
         tx = self._transactions.get(xid)
         return tx is not None and tx.status is TxStatus.ABORTED
-
-    def is_active(self, xid: int) -> bool:
-        """Whether *xid* is still in flight (False for unknown xids)."""
-        tx = self._transactions.get(xid)
-        return tx is not None and tx.status is TxStatus.ACTIVE
 
     def snapshot(self, for_tx: Transaction | None = None) -> Snapshot:
         """Take a snapshot of everything committed so far, optionally on

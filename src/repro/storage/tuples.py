@@ -3,10 +3,12 @@
 The Gaea prototype stored its metadata and objects in POSTGRES; our
 substitute keeps the two properties the paper relies on:
 
-* **No-overwrite storage** — Postgres never updates in place; old tuple
-  versions remain.  Every stored :class:`TupleVersion` carries ``xmin``
-  (creating transaction) and ``xmax`` (deleting transaction, if any), and
-  deletion just stamps ``xmax``.
+* **Append-only storage** — the paper's objects are immutable (base
+  objects are observations, derived objects are added by tasks, an
+  edited process is a new process), so a stored :class:`TupleVersion` is
+  written once and never changed.  It carries ``xmin``, the transaction
+  that created it; a version whose creator aborted stays stored and
+  dead.
 * **ADT-valued attributes** — attribute values may be any registered
   primitive-class value (images included).
 
@@ -18,16 +20,16 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import StorageError
 
 __all__ = ["TID", "TupleVersion", "estimate_size"]
 
 
-@dataclass(frozen=True, order=True)
-class TID:
-    """Physical tuple identifier: (page number, slot within page)."""
+class TID(NamedTuple):
+    """Physical tuple identifier: (page number, slot within page) — a
+    tuple, so the indexes hash and sort it in C."""
 
     page: int
     slot: int
@@ -41,14 +43,12 @@ class TupleVersion:
     """One stored version of a tuple.
 
     ``values`` is a tuple of attribute values positionally matching the
-    relation schema.  ``xmin``/``xmax`` implement no-overwrite visibility:
-    the version exists for snapshots that see ``xmin`` committed and do
-    not see ``xmax`` committed.
+    relation schema.  ``xmin`` is the whole of visibility: the version
+    exists for exactly the snapshots that see its creating transaction.
     """
 
     values: tuple[Any, ...]
     xmin: int
-    xmax: int | None = None
     _size: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:

@@ -32,8 +32,6 @@ class LogKind(Enum):
     ABORT = "abort"
     CREATE_RELATION = "create_relation"
     INSERT = "insert"
-    DELETE = "delete"
-    CHECKPOINT = "checkpoint"
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,7 @@ class LogRecord:
     """One log entry.
 
     ``payload`` is kind-specific: relation name and column list for
-    CREATE_RELATION; relation, TID and values for INSERT; relation and TID
-    for DELETE.
+    CREATE_RELATION; relation, TID and values for INSERT.
     """
 
     lsn: int
@@ -74,10 +71,6 @@ class WriteAheadLog:
             pickle.dump(record, self._file, protocol=pickle.HIGHEST_PROTOCOL)
             self._file.flush()
         return record
-
-    def records(self) -> list[LogRecord]:
-        """All records in LSN order."""
-        return list(self._records)
 
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self._records)

@@ -116,6 +116,46 @@ class TestStore:
         again = kernel.store.get(stored.oid)
         assert again.values == stored.values
 
+    @pytest.mark.parametrize("scope", ["autocommit", "transaction",
+                                       "reader pin"])
+    def test_store_writes_and_returns_without_reading_back(
+            self, kernel, stored, monkeypatch, scope):
+        """One write path: validate, insert, return the tuple the engine
+        stored — no snapshot taken and no row fetched, whatever the
+        scope, and the same values a later get() reads."""
+        from repro.storage import StorageEngine, TransactionManager
+        calls = []
+
+        def counted(real, name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for owner, name in ((TransactionManager, "snapshot"),
+                            (StorageEngine, "fetch")):
+            monkeypatch.setattr(owner, name,
+                                counted(getattr(owner, name), name))
+        store = kernel.store
+        pin = store.reader_snapshot()  # taken before the writes below
+        calls.clear()
+        if scope == "transaction":
+            store.begin_transaction()
+        if scope == "reader pin":
+            with store.read_view(pin):
+                obj = store.store("landcover", _values("asia", day=3))
+                with pytest.raises(UnknownClassError):
+                    store.get(obj.oid)  # the pinned reader cannot see it
+        else:
+            obj = store.store("landcover", _values("asia", day=3))
+        # Only the pinned get() above read anything back.
+        assert calls == (["fetch"] if scope == "reader pin" else [])
+        assert obj["area"] == "asia" and obj.oid == stored.oid + 1
+        assert store.get(obj.oid) == obj
+        if scope == "transaction":
+            store.commit_transaction()
+            assert store.get(obj.oid) == obj
+
     def test_get_unknown_oid(self, kernel, stored):
         with pytest.raises(UnknownClassError):
             kernel.store.get(999)

@@ -50,6 +50,22 @@ class TestRoundtrip:
             result.objects[0].oid
         ) is not None
 
+    def test_restored_kernel_discards_rolled_back_tasks(self, populated,
+                                                        tmp_path):
+        """The store's rollback hooks are not pickled; the restored
+        derivation manager re-registers, against the restored log."""
+        path = tmp_path / "gaea.ckpt"
+        save_kernel(populated.kernel, path)
+        restored = load_kernel(path)
+        before = len(restored.derivations.tasks)
+        restored.store.begin_transaction()
+        result = restored.planner.retrieve("desert_rain200_c3")
+        assert len(restored.derivations.tasks) == before + 1
+        restored.store.rollback_transaction()
+        assert len(restored.derivations.tasks) == before
+        assert restored.derivations.tasks.producer_of(
+            result.objects[0].oid) is None
+
     def test_memoization_survives(self, populated, tmp_path):
         path = tmp_path / "gaea.ckpt"
         save_kernel(populated.kernel, path)

@@ -174,7 +174,7 @@ class TestExplain:
         obj = world.store.find("field", temporal=AbsTime(0))[0]
         exp = world.planner.explain("field", temporal=AbsTime(0))
         assert exp["path"] == "retrieve"
-        assert exp["matches"] == 1
+        assert "matches" not in exp  # the first stored match answers
         # Every explanation reports the physical access path it priced.
         assert "access" in exp
         assert obj is not None

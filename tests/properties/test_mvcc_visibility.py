@@ -1,9 +1,10 @@
 """Property-based tests: MVCC snapshots see exactly what ``visible()``
 promises.
 
-Hypothesis generates arbitrary interleavings of begin / insert / delete /
-commit / abort against a real :class:`StorageEngine`, alongside a plain
-Python model of the same history.  After every step, snapshots taken from
+Hypothesis generates arbitrary interleavings of begin / insert / commit /
+abort — every operation the append-only engine has — against a real
+:class:`StorageEngine`, alongside a plain Python model of the same
+history (a version is seen exactly when its creator, ``xmin``, is).  After every step, snapshots taken from
 arbitrary vantage points (no transaction, each in-flight transaction) must
 see exactly the model's predicted row set — no phantom from an aborted or
 in-flight writer, no missing committed row.
@@ -39,32 +40,28 @@ class _Model:
     Python, updated in lockstep with the engine."""
 
     def __init__(self):
-        self.versions = []  # (key, xmin, xmax | None) in insert order
+        self.versions = []  # (key, xmin) in insert order
         self.committed: set[int] = set()
         self.active: list[int] = []
 
     def predict(self, committed: set[int], own: int | None) -> list[int]:
         """Keys a snapshot with *committed* (+ *own*) must see, sorted."""
-        def sees(xid):
-            return xid in committed or xid == own
-        return sorted(
-            key for key, xmin, xmax in self.versions
-            if sees(xmin) and not (xmax is not None and sees(xmax))
-        )
+        return sorted(key for key, xmin in self.versions
+                      if xmin in committed or xmin == own)
 
 
-# Opcodes reference transactions/versions by index modulo the live count,
-# so every generated sequence is valid by construction.
+# Opcodes reference transactions by index modulo the live count, so
+# every generated sequence is valid by construction.
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["begin", "insert", "delete", "commit", "abort"]),
+        st.sampled_from(["begin", "insert", "commit", "abort"]),
         st.integers(min_value=0, max_value=7),
     ),
     min_size=1, max_size=60,
 )
 
 
-def _apply(engine, model, txs, tids, op, arg) -> None:
+def _apply(engine, model, txs, op, arg) -> None:
     """One step on both the engine and the model (no-op when illegal)."""
     if op == "begin":
         tx = engine.begin()
@@ -77,17 +74,8 @@ def _apply(engine, model, txs, tids, op, arg) -> None:
     tx = txs[xid]
     if op == "insert":
         key = len(model.versions)
-        tid = engine.insert(_RELATION, (key,), tx)
-        tids.append(tid)
-        model.versions.append([key, xid, None])
-    elif op == "delete":
-        undeleted = [i for i, (_k, _x, xmax) in enumerate(model.versions)
-                     if xmax is None]
-        if not undeleted:
-            return
-        victim = undeleted[arg % len(undeleted)]
-        engine.delete(_RELATION, tids[victim], tx)
-        model.versions[victim][2] = xid
+        engine.insert(_RELATION, (key,), tx)
+        model.versions.append((key, xid))
     elif op == "commit":
         engine.commit(tx)
         model.active.remove(xid)
@@ -107,9 +95,9 @@ class TestSequentialVisibility:
     def test_snapshots_match_model_after_every_step(self, ops):
         engine = _engine()
         model = _Model()
-        txs, tids = {}, []
+        txs = {}
         for op, arg in ops:
-            _apply(engine, model, txs, tids, op, arg)
+            _apply(engine, model, txs, op, arg)
             # A bystander snapshot: exactly the committed set.
             assert _seen_keys(engine, engine.snapshot()) == \
                 model.predict(model.committed, None)
@@ -127,11 +115,11 @@ class TestSequentialVisibility:
         because Snapshot.committed is a frozen set, not a live view."""
         engine = _engine()
         model = _Model()
-        txs, tids = {}, []
+        txs = {}
         early = engine.snapshot()
         early_prediction = model.predict(set(early.committed), None)
         for op, arg in ops:
-            _apply(engine, model, txs, tids, op, arg)
+            _apply(engine, model, txs, op, arg)
             assert _seen_keys(engine, early) == early_prediction
 
     @settings(deadline=None, max_examples=40)
@@ -140,9 +128,9 @@ class TestSequentialVisibility:
         """engine.scan is exactly heap-order filtering by visible()."""
         engine = _engine()
         model = _Model()
-        txs, tids = {}, []
+        txs = {}
         for op, arg in ops:
-            _apply(engine, model, txs, tids, op, arg)
+            _apply(engine, model, txs, op, arg)
         snap = engine.snapshot()
         state = engine._state(_RELATION)
         expected = [version.values[0]
@@ -163,7 +151,7 @@ class TestThreadedVisibility:
     def test_concurrent_readers_see_consistent_prefixes(self, ops):
         engine = _engine()
         model = _Model()
-        txs, tids = {}, []
+        txs = {}
 
         # Precompute every state the committed set passes through, with
         # its predicted visible keys.  The model is replayed up front
@@ -181,12 +169,7 @@ class TestThreadedVisibility:
                 continue
             xid = shadow.active[arg % len(shadow.active)]
             if op == "insert":
-                shadow.versions.append([len(shadow.versions), xid, None])
-            elif op == "delete":
-                undeleted = [i for i, (_k, _x, xmax)
-                             in enumerate(shadow.versions) if xmax is None]
-                if undeleted:
-                    shadow.versions[undeleted[arg % len(undeleted)]][2] = xid
+                shadow.versions.append((len(shadow.versions), xid))
             elif op == "commit":
                 shadow.active.remove(xid)
                 shadow.committed.add(xid)
@@ -211,7 +194,7 @@ class TestThreadedVisibility:
             thread.start()
         try:
             for op, arg in plan:
-                _apply(engine, model, txs, tids, op, arg)
+                _apply(engine, model, txs, op, arg)
         finally:
             stop.set()
             for thread in threads:

@@ -329,6 +329,57 @@ class TestTransactions:
         with pytest.raises(UnknownClassError):
             conn.kernel.store.get(rolled_back_oid)
 
+    QUERY = "SELECT FROM land_cover WHERE timestamp = ?"
+
+    def test_rollback_discards_the_tasks_of_the_objects_it_discards(
+            self, conn):
+        """Provenance is as transactional as the objects it describes:
+        no task record, memo entry or lineage outlives a rollback."""
+        from repro.errors import UnknownClassError
+        tasks = conn.kernel.derivations.tasks
+        before = len(tasks)
+        conn.begin()
+        [derived] = conn.execute(self.QUERY, ["1986-01-15"])
+        assert derived.path == "derive" and len(tasks) == before + 1
+        oid = derived.objects[0].oid
+        assert conn.execute(f"LINEAGE {oid}")[0].details["steps"]
+        conn.rollback()
+        assert len(tasks) == before
+        assert tasks.producer_of(oid) is None
+        with pytest.raises(UnknownClassError):
+            conn.execute(f"LINEAGE {oid}")
+        [again] = conn.execute(self.QUERY, ["1986-01-15"])
+        assert again.path == "derive" and len(tasks) == before + 1
+        [third] = conn.execute(self.QUERY, ["1986-01-15"])
+        assert third.path == "retrieve" and len(tasks) == before + 1
+        assert third.objects[0].oid == again.objects[0].oid
+
+    def test_commit_keeps_the_tasks_of_the_objects_it_keeps(self, conn):
+        tasks = conn.kernel.derivations.tasks
+        conn.begin()
+        [derived] = conn.execute(self.QUERY, ["1986-01-15"])
+        conn.commit()
+        [task] = tasks
+        oid = derived.objects[0].oid
+        assert tasks.producer_of(oid) is task and tasks.get(task.task_id) is task
+        assert conn.execute(f"LINEAGE {oid}")[0].details["steps"] \
+            == [task.task_id]
+        [again] = conn.execute(self.QUERY, ["1986-01-15"])
+        assert again.path == "retrieve" and len(tasks) == 1
+
+    def test_rollback_keeps_failure_records_and_earlier_tasks(self, conn):
+        """Only the tasks whose outputs the rollback discards go."""
+        tasks = conn.kernel.derivations.tasks
+        [kept] = conn.execute(self.QUERY, ["1986-01-15"])
+        bands = conn.kernel.store.find("landsat_tm")
+        conn.begin()
+        with pytest.raises(Exception):
+            conn.kernel.derivations.execute_process(
+                "P20", {"bands": bands[:2]})
+        conn.rollback()
+        assert [t.succeeded for t in tasks] == [True, False]
+        assert tasks.producer_of(kept.objects[0].oid) is not None
+
     def test_explain_reads_the_pinned_snapshot(self):
         """Inside a read-only transaction EXPLAIN resolves the §2.1.5
         path against the frozen view the SELECT reads, not live data."""

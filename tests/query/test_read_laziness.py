@@ -77,3 +77,35 @@ def test_fetchone_pulls_no_tid_past_the_first_batch(conn, monkeypatch):
     assert row["code"] == 15_000
     assert len(tids) == DEFAULT_BATCH_SIZE
     assert len(cur.fetchall()) == ROWS - 15_000 - 1
+
+
+@pytest.mark.parametrize("source, scans", [
+    ("SELECT count(*) FROM big", 1),
+    ("SELECT FROM big WHERE tag = 't0'", 1),
+    ("SELECT FROM big WHERE code >= 15000", 1),
+    # An empty attribute-index probe asks the one existence question.
+    ("SELECT FROM big WHERE code = -1", 2),
+])
+def test_explain_builds_one_object_per_leg(conn, monkeypatch, source, scans):
+    """EXPLAIN resolves the §2.1.5 path the way execution does — the
+    first stored match answers — so it costs O(1) objects however large
+    the class, and records the scan events execution would."""
+    from repro.core.classes import SciObject
+
+    store = conn.kernel.store
+    built = []
+    init = SciObject.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SciObject, "__init__", counting)
+    store.scan_log = log = []
+    try:
+        text = conn.cursor().explain(source)
+    finally:
+        store.scan_log = None
+    assert "path=retrieve" in text
+    assert len(built) <= 1
+    assert [event[0] for event in log] == ["big"] * scans

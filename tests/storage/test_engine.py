@@ -39,28 +39,27 @@ class TestDML:
         with pytest.raises(UnknownRelationError):
             engine.insert_row("ghost", _row())
 
-    def test_delete_is_no_overwrite(self, engine):
-        tid = engine.insert_row("scenes", _row())
-        engine.delete_row("scenes", tid)
+    def test_aborted_insert_stays_stored_and_dead(self, engine):
+        tx = engine.begin()
+        tid = engine.insert("scenes", _row(), tx)
+        engine.abort(tx)
         stats = engine.stats("scenes")
         assert stats["versions"] == 1  # the version is still stored
         assert stats["visible_rows"] == 0
-
-    def test_double_delete_rejected(self, engine):
-        tid = engine.insert_row("scenes", _row())
-        engine.delete_row("scenes", tid)
         with pytest.raises(TupleNotFoundError):
-            engine.delete_row("scenes", tid)
+            engine.fetch("scenes", tid)
 
-    def test_update_creates_new_version(self, engine):
-        tid = engine.insert_row("scenes", _row(res=30.0))
-        tx = engine.begin()
-        new_tid = engine.update("scenes", tid, _row(res=60.0), tx)
-        engine.commit(tx)
-        assert new_tid != tid
-        assert engine.stats("scenes")["versions"] == 2
-        [row] = list(engine.scan("scenes"))
-        assert row["resolution"] == 60.0
+    def test_insert_is_the_only_write(self, engine):
+        """Storage is append-only: a correction is a new row beside the
+        old one, and the engine has no way to change a stored version."""
+        for gone in ("delete", "update", "delete_row"):
+            assert not hasattr(engine, gone)
+        old = engine.insert_row("scenes", _row(res=30.0))
+        new = engine.insert_row("scenes", _row(res=60.0))
+        assert new != old
+        assert engine.stats("scenes") == {
+            "pages": 1, "versions": 2, "visible_rows": 2}
+        assert engine.fetch("scenes", old)["resolution"] == 30.0
 
 
 class TestTransactionSemantics:
@@ -116,9 +115,14 @@ class TestIndexes:
 
     def test_lookup_respects_visibility(self, engine):
         engine.create_index("scenes", "area")
-        tid = engine.insert_row("scenes", _row("gone"))
-        engine.delete_row("scenes", tid)
-        assert list(engine.iter_lookup("scenes", "area", "gone")) == []
+        tx = engine.begin()
+        engine.insert("scenes", _row("pending"), tx)
+        assert list(engine.iter_lookup("scenes", "area", "pending")) == []
+        [row] = engine.iter_lookup("scenes", "area", "pending",
+                                   snapshot=engine.snapshot(tx))
+        assert row["area"] == "pending"
+        engine.commit(tx)
+        assert len(list(engine.iter_lookup("scenes", "area", "pending"))) == 1
 
     def test_missing_index_error(self, engine):
         with pytest.raises(StorageError):
@@ -157,14 +161,16 @@ class TestRecovery:
         tx = engine.begin()
         engine.insert("scenes", _row("lost"), tx)
         engine.abort(tx)
-        tid = engine.insert_row("scenes", _row("deleted"))
-        engine.delete_row("scenes", tid)
+        unfinished = engine.begin()
+        engine.insert("scenes", _row("in flight"), unfinished)
+        engine.insert_row("scenes", _row("kept too"))
 
         recovered = StorageEngine.recover(engine.wal, types)
         rows = list(recovered.scan("scenes"))
-        assert [r["area"] for r in rows] == ["keep"]
-        # The committed-but-deleted version replays (no-overwrite keeps
-        # it, invisible); the aborted insert is skipped entirely.
+        assert [r["area"] for r in rows] == ["keep", "kept too"]
+        # The live heap keeps the dead versions; replay skips the
+        # aborted and the unfinished insert entirely.
+        assert engine.stats("scenes")["versions"] == 4
         assert recovered.stats("scenes")["versions"] == 2
 
     def test_recover_preserves_xid_floor(self, engine, types):

@@ -104,6 +104,65 @@ class TestRollbackPurgesExtentIndexes:
         assert info["temporal_estimate"] == 0
 
 
+class TestUndoLog:
+    """One undo entry per inserted row: the abort reads the keys off the
+    heap version, so what is logged does not depend on the indexes."""
+
+    @pytest.mark.parametrize("indexes", [0, 1, 5])
+    def test_one_entry_per_row_whatever_the_index_count(self, engine,
+                                                        indexes):
+        builds = [
+            lambda: engine.create_index("scenes", "area"),
+            lambda: engine.create_index("scenes", "resolution"),
+            lambda: engine.create_index("scenes", "timestamp"),
+            lambda: engine.create_spatial_index(
+                "scenes", "spatialextent", universe=Box(0, 0, 100, 100)),
+            lambda: engine.create_temporal_index("scenes", "timestamp"),
+        ]
+        for build in builds[:indexes]:
+            build()
+        for finish in (engine.commit, engine.abort):
+            tx = engine.begin()
+            tids = [engine.insert("scenes", _row(x=float(i), day=i), tx)
+                    for i in range(4)]
+            assert engine._undo_log == {
+                tx.xid: [("scenes", tid) for tid in tids]}
+            finish(tx)
+            assert engine._undo_log == {}
+        engine.insert_row("scenes", _row())  # auto-commit leaves nothing
+        assert engine._undo_log == {}
+        info = engine.access_info("scenes")
+        assert all(stats["entries"] == 5
+                   for stats in info["btrees"].values())
+        assert info["spatial_entries"] in (None, 5)
+
+    def test_index_builds_log_nothing(self, engine):
+        tx = engine.begin()
+        tid = engine.insert("scenes", _row(), tx)
+        engine.create_index("scenes", "area")
+        engine.create_spatial_index("scenes", "spatialextent",
+                                    universe=Box(0, 0, 100, 100))
+        engine.create_temporal_index("scenes", "timestamp")
+        assert engine._undo_log == {tx.xid: [("scenes", tid)]}
+        engine.abort(tx)
+        info = engine.access_info("scenes", temporal=AbsTime(0))
+        assert _btree_entries(engine)["area"] == 0
+        assert info["spatial_entries"] == 0
+        assert info["temporal_estimate"] == 0
+
+    def test_abort_purges_the_indexes_the_relation_has_by_then(
+            self, engine):
+        """Dropped since the insert: nothing to purge.  Created since:
+        purged like the rest."""
+        engine.create_index("scenes", "area")
+        tx = engine.begin()
+        engine.insert("scenes", _row("ghana"), tx)
+        engine.drop_index("scenes", "area")
+        engine.create_index("scenes", "resolution")
+        engine.abort(tx)
+        assert _btree_entries(engine) == {"resolution": 0}
+
+
 class TestCatalogRegistration:
     def test_create_registers_and_bumps_version(self, engine):
         before = engine.catalog.index_version

@@ -85,18 +85,25 @@ class TestVisibility:
         version = TupleVersion(values=("a",), xmin=1)
         assert not visible(version, Snapshot(committed=frozenset()))
 
-    def test_invisible_after_committed_delete(self):
-        version = TupleVersion(values=("a",), xmin=1, xmax=2)
-        assert not visible(version, Snapshot(committed=frozenset({1, 2})))
+    def test_own_insert_visible_to_self_only(self):
+        version = TupleVersion(values=("a",), xmin=5)
+        assert visible(version, Snapshot(committed=frozenset({1}), own_xid=5))
+        assert not visible(version,
+                           Snapshot(committed=frozenset({1}), own_xid=6))
 
-    def test_visible_while_delete_uncommitted(self):
-        version = TupleVersion(values=("a",), xmin=1, xmax=2)
-        assert visible(version, Snapshot(committed=frozenset({1})))
+    def test_later_commits_do_not_change_a_snapshot(self):
+        version = TupleVersion(values=("a",), xmin=2)
+        mgr = TransactionManager()
+        first, second = mgr.begin(), mgr.begin()
+        mgr.commit(first)
+        before = mgr.snapshot()
+        mgr.commit(second)
+        assert not visible(version, before)
+        assert visible(version, mgr.snapshot())
 
-    def test_own_delete_visible_to_self(self):
-        version = TupleVersion(values=("a",), xmin=1, xmax=5)
-        snap = Snapshot(committed=frozenset({1}), own_xid=5)
-        assert not visible(version, snap)
+    def test_creator_is_the_only_stamp(self):
+        """Append-only storage: a version carries no deleter."""
+        assert not hasattr(TupleVersion(values=("a",), xmin=1), "xmax")
 
 
 class TestRecoveryHooks:

@@ -1,8 +1,9 @@
 """The operator lint catches per-row dict building in batch loops, a
 second ``run`` implementation growing back, a ``src/`` consumer of
 the engine's ``Row`` streams growing back, a second home for the
-§2.1.5 fallback ladder growing back, and a fetch call regressing to a
-loop over ``fetchone()``."""
+§2.1.5 fallback ladder growing back, a fetch call regressing to a
+loop over ``fetchone()``, and a second write path or a deleter stamp
+growing back beside ``StorageEngine.insert``."""
 
 import pathlib
 import subprocess
@@ -216,6 +217,59 @@ def test_fetch_loop_check_allows_single_calls_and_sliced_fetches():
                 yield first(cursor), cursor.fetchmany(8)
     """)
     assert lint_vectorized.check_fetch_loops(good) == []
+
+
+def test_flags_a_second_write_path_and_a_deleter_stamp():
+    bad = textwrap.dedent("""
+        def bulk_load(engine, relation, rows, tx):
+            state = engine._state(relation)
+            for values in rows:
+                tid = state.heap.insert(TupleVersion(values=values, xmin=1))
+                engine.wal.append(LogKind.INSERT, xid=tx.xid,
+                                  payload={"tid": tid})
+
+        def delete(version, tx):
+            version.xmax = tx.xid  # stamp the deleter
+    """)
+    violations = lint_vectorized.check_write_path(
+        bad, "src/repro/core/loader.py")
+    assert [line for line, _ in violations] == [5, 6, 10]
+    assert "heap insert()" in violations[0][1]
+    assert "LogKind.INSERT" in violations[1][1]
+    assert "xmax" in violations[2][1]
+
+
+def test_write_path_check_knows_its_homes():
+    write = textwrap.dedent("""
+        def insert(self, state, version, tx):
+            tid = state.heap.insert(version)
+            self.wal.append(LogKind.INSERT, xid=tx.xid)
+            tree.insert(key, tid)       # an index, not a heap
+            return wal.LogKind.COMMIT   # other record kinds are free
+    """)
+    assert lint_vectorized.check_write_path(
+        write, "src/repro/storage/engine.py") == []
+    assert [line for line, _ in lint_vectorized.check_write_path(
+        write, "src/repro/storage/wal.py")] == [3, 4]
+    box = "width = box.xmax - box.xmin\n"
+    for home in ("src/repro/spatial/box.py", "src/repro/gis/mosaic.py",
+                 "src/repro/server/protocol.py"):
+        assert lint_vectorized.check_write_path(box, home) == []
+    assert lint_vectorized.check_write_path(
+        box, "src/repro/storage/engine.py")
+    assert lint_vectorized.check_write_path(
+        '"""Deletes used to stamp xmax."""\n', "src/repro/core/classes.py")
+
+
+def test_engine_is_the_write_paths_only_home(monkeypatch):
+    monkeypatch.chdir(REPO)
+    sources = sorted(str(path) for path
+                     in pathlib.Path("src/repro").rglob("*.py"))
+    assert lint_vectorized.check_paths(
+        sources, lint_vectorized.check_write_path) == []
+    engine = pathlib.Path("src/repro/storage/engine.py").read_text()
+    assert lint_vectorized.check_write_path(
+        engine, "src/repro/storage/elsewhere.py")
 
 
 def test_planner_is_the_ladders_only_home(monkeypatch):

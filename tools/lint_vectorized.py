@@ -39,13 +39,22 @@ iteration / the server's fetch op by slicing the current batch; a loop
 over ``fetchone()`` is the signature of one of them regressing to a
 call (and, over the wire, a round trip) per row.
 
+A sixth check keeps the write path single and append-only: under
+``src/repro/`` only ``storage/engine.py`` may call a heap's ``insert``
+or name ``LogKind.INSERT`` (``StorageEngine.insert`` is the one place a
+row version is created and logged; recovery replays it there too), and
+no module outside ``spatial/``, ``gis/`` and ``server/protocol.py`` —
+where it is a box coordinate — may name ``xmax``: visibility reads the
+creating transaction alone, and a deleter stamp must not grow back.
+
 Usage::
 
     python tools/lint_vectorized.py [path ...]
 
 Defaults to ``src/repro/query/operators.py`` for the operator checks
 and every module under ``src/repro/`` for the ``Row``-stream,
-fallback-ladder and fetch-loop checks; explicit paths get all of them.
+fallback-ladder, fetch-loop and write-path checks; explicit paths get
+all of them.
 Exits non-zero and prints one ``file:line: message`` per violation.
 """
 
@@ -53,6 +62,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import sys
 
 DEFAULT_TARGETS = ("src/repro/query/operators.py",)
@@ -60,6 +70,9 @@ SOURCE_ROOT = "src/repro"
 ROW_STREAMS = frozenset(
     {"iter_lookup", "iter_range", "iter_spatial", "iter_temporal"})
 LADDER_HOME = "core/planner.py"
+WRITE_PATH_HOME = "storage/engine.py"
+BOX_HOMES = ("repro/spatial/", "repro/gis/", "repro/server/protocol.py")
+_XMAX = re.compile(r"\bxmax\b")
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor,
           ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
@@ -137,11 +150,10 @@ def check_source(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
-def _is_engine(node: ast.AST) -> bool:
-    """Whether *node* reads as the storage engine: ``engine`` or
-    ``<anything>.engine``."""
-    return (isinstance(node, ast.Name) and node.id == "engine") \
-        or (isinstance(node, ast.Attribute) and node.attr == "engine")
+def _is_named(node: ast.AST, name: str) -> bool:
+    """Whether *node* reads as ``name`` or ``<anything>.name``."""
+    return (isinstance(node, ast.Name) and node.id == name) \
+        or (isinstance(node, ast.Attribute) and node.attr == name)
 
 
 def check_row_streams(source: str, filename: str = "<string>"
@@ -155,7 +167,7 @@ def check_row_streams(source: str, filename: str = "<string>"
             continue
         name = node.func.attr
         if name in ROW_STREAMS \
-                or (name == "scan" and _is_engine(node.func.value)):
+                or (name == "scan" and _is_named(node.func.value, "engine")):
             violations.append(
                 (node.lineno,
                  f"{name}() streams Row dicts — read stored rows through "
@@ -198,6 +210,38 @@ def check_fetch_loops(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
+def check_write_path(source: str, filename: str = "<string>"
+                     ) -> list[tuple[int, str]]:
+    """``(line, message)`` for every heap ``insert`` call and
+    ``LogKind.INSERT`` reference outside ``storage/engine.py``, and for
+    every line naming ``xmax`` outside the box-coordinate modules."""
+    path = pathlib.PurePath(filename).as_posix()
+    violations = []
+    if not path.endswith(WRITE_PATH_HOME):
+        for node in ast.walk(ast.parse(source, filename=filename)):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "insert" \
+                    and _is_named(node.func.value, "heap"):
+                violations.append(
+                    (node.lineno,
+                     "heap insert() — StorageEngine.insert is the one "
+                     f"write path ({WRITE_PATH_HOME})"))
+            elif isinstance(node, ast.Attribute) and node.attr == "INSERT" \
+                    and _is_named(node.value, "LogKind"):
+                violations.append(
+                    (node.lineno,
+                     "names LogKind.INSERT — only StorageEngine logs and "
+                     f"replays row inserts ({WRITE_PATH_HOME})"))
+    if not any(home in path for home in BOX_HOMES):
+        violations.extend(
+            (number, "names xmax — storage is append-only: visibility "
+                     "reads xmin alone, there is no deleter stamp")
+            for number, line in enumerate(source.splitlines(), start=1)
+            if _XMAX.search(line))
+    return sorted(violations)
+
+
 def check_paths(paths: list[str], check=check_source) -> list[str]:
     """Formatted ``file:line: message`` violations of *check* across
     *paths*."""
@@ -216,6 +260,7 @@ def main(argv: list[str]) -> int:
     problems = check_paths(targets) \
         + check_paths(sources, check_row_streams) \
         + check_paths(sources, check_fetch_loops) \
+        + check_paths(sources, check_write_path) \
         + check_paths([path for path in sources
                        if not path.endswith(LADDER_HOME)],
                       check_fallback_ladder)
