@@ -200,19 +200,19 @@ class TestExpL2WriterInterference:
         stop = threading.Event()
 
         def writer():
-            store = kernel.store
+            conn = connect(kernel=kernel)
             i = 0
             while not stop.is_set():
-                tx = store.begin_transaction()
-                store.store("land_cover", {
+                conn.begin()
+                kernel.store.store("land_cover", {
                     "label": "w",
                     "spatialextent": Box(5000.0 + i, 0.0, 5005.0 + i, 5.0),
                     "timestamp": AbsTime(days=1000 + i),
                 })
                 if i % 4 == 3:
-                    store.rollback_transaction()
+                    conn.rollback()
                 else:
-                    store.commit_transaction()
+                    conn.commit()
                 i += 1
 
         writer_thread = threading.Thread(target=writer)

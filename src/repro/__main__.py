@@ -27,12 +27,16 @@ __all__ = ["main"]
 def _render(result: QueryResult) -> str:
     if result.kind == "objects":
         lines = [f"[{result.path}] {len(result.objects)} object(s)"]
-        for obj in result.objects:
+        for row in result.objects:
+            # projections, aggregates and joins come back as dict rows
+            plain = isinstance(row, dict)
             summary = ", ".join(
-                f"{key}={value}" for key, value in obj.values.items()
+                f"{key}={value}"
+                for key, value in (row if plain else row.values).items()
                 if not hasattr(value, "data")
             )
-            lines.append(f"  oid {obj.oid} ({obj.class_name}): {summary}")
+            lines.append(f"  {summary}" if plain else
+                         f"  oid {row.oid} ({row.class_name}): {summary}")
         return "\n".join(lines)
     return result.message
 

@@ -19,7 +19,9 @@ are "solely defined by their derivation process" (§2.1.2).
 
 The :class:`ClassStore` materializes each class as a storage relation
 (with an ``_oid`` surrogate column) and provides the automatically defined
-retrieval functions (``area(landcover)``-style accessors).
+retrieval functions (``area(landcover)``-style accessors).  Which
+transaction and snapshot a read or a store uses is decided in one place:
+the current context's :class:`View`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import operator
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Iterator
 
@@ -38,7 +40,6 @@ from ..errors import (
     ClassAlreadyDefinedError,
     DerivationError,
     StorageError,
-    TransactionError,
     TupleNotFoundError,
     UnknownClassError,
 )
@@ -46,24 +47,22 @@ from ..spatial.box import Box
 from ..storage.access import AccessPath, choose_access_path, choose_ordered_path
 from ..storage.catalog import IndexDef
 from ..storage.engine import StorageEngine
-from ..storage.transactions import Transaction
+from ..storage.transactions import Snapshot, Transaction
 from ..temporal.abstime import AbsTime
 
 __all__ = ["NonPrimitiveClass", "SciObject", "ClassRegistry", "ClassStore",
-           "COMPARISONS", "matches_predicates", "matches_extents"]
+           "View", "COMPARISONS", "matches_predicates", "matches_extents"]
 
 OID_COLUMN = "_oid"
 
-#: The snapshot pinned for the current logical reader, as ``(store,
-#: snapshot)``.  A :class:`~contextvars.ContextVar` rather than a
-#: thread-local so each server worker thread (and each task, under an
-#: event loop) carries its own pin.  Note PEP 567's generator caveat:
-#: a pin set *inside* a generator leaks across its yields, so consumers
-#: wrap each *batch* pull (see ``query.client.Cursor._stream``) and
-#: release the pin before they yield.
-_ACTIVE_VIEW: ContextVar[tuple["ClassStore", Any] | None] = ContextVar(
-    "repro_active_view", default=None
-)
+#: The view the current context reads and writes under.  A
+#: :class:`~contextvars.ContextVar` rather than a thread-local so each
+#: server worker thread (and each task, under an event loop) carries its
+#: own.  Note PEP 567's generator caveat: a view entered *inside* a
+#: generator leaks across its yields, so consumers enter it around each
+#: *batch* pull (see ``query.client.Cursor._stream``) and leave it
+#: before they yield.
+_VIEW: ContextVar["View | None"] = ContextVar("repro_view", default=None)
 
 #: Value tuples the row views (:meth:`ClassStore.iter_scan` and what
 #: rides it) ask the engine for at a time: small, so a consumer that
@@ -256,6 +255,61 @@ class ClassRegistry:
         return [cls for cls in self._classes.values() if not cls.is_base]
 
 
+class View:
+    """What a connection's statements read and write under: a snapshot
+    plus the writes made under it.
+
+    Stores join the writer transaction *tx*, or auto-commit without one.
+    Reads see the work committed when the view opened plus the view's
+    own writes: the writer's xid and each auto-commit store's.  So a
+    derivation sees what it and earlier statements of the view derived,
+    and nothing another view has not committed.  A connection keeps one
+    view per transaction and opens one per auto-commit statement;
+    ``begin()`` also :meth:`hold`\\ s it, so direct
+    :meth:`ClassStore.store` calls until commit join the transaction.
+    """
+
+    __slots__ = ("store", "tx", "snapshot", "_outer", "_held")
+
+    def __init__(self, store: "ClassStore", tx: Transaction | None = None):
+        self.store = store
+        self.tx = tx
+        self.snapshot: Snapshot = store.engine.snapshot(tx)
+        self._outer: View | None = None
+        self._held = False
+
+    def wrote(self, xid: int) -> None:
+        """Count the auto-committed *xid* among the view's own writes."""
+        self.snapshot = replace(self.snapshot,
+                                committed=self.snapshot.committed | {xid})
+
+    @contextmanager
+    def entered(self) -> Iterator[None]:
+        """Make this the view of every read and store in the block."""
+        token = _VIEW.set(self)
+        try:
+            yield
+        finally:
+            _VIEW.reset(token)
+
+    def hold(self) -> None:
+        """Make this the calling context's ambient view until
+        :meth:`release`."""
+        self._outer, self._held = _VIEW.get(), True
+        _VIEW.set(self)
+
+    def release(self) -> None:
+        """End the view's transaction: later stores under it (a cursor
+        still draining) auto-commit, and the calling context's ambient
+        view goes back to the innermost one still held."""
+        self.tx, self._held = None, False
+        if _VIEW.get() is self:
+            outer = self._outer
+            while outer is not None and not outer._held:
+                outer = outer._outer
+            _VIEW.set(outer)
+
+
 @dataclass
 class ClassStore:
     """Object storage for non-primitive classes, backed by the engine.
@@ -271,10 +325,6 @@ class ClassStore:
     universe: Box | None = None
     _oid_counter: Iterator[int] = field(default_factory=lambda: itertools.count(1))
     _oid_index: dict[int, tuple[str, Any]] = field(default_factory=dict)
-    #: Explicit transaction scoping all stores/reads (None = auto-commit).
-    current_tx: Transaction | None = field(default=None)
-    #: Oids stored under the open transaction (purged on rollback).
-    _tx_oids: list[int] = field(default_factory=list)
     #: Called with the purged oids after a rollback (the task log
     #: forgets their tasks).  Not pickled: owners re-register on load.
     _rollback_hooks: list[Callable[[list[int]], None]] = field(
@@ -285,10 +335,6 @@ class ClassStore:
     #: ``(class_name, spatial, temporal, filters, ranges)`` — the
     #: instrument behind the "fallbacks never re-scan" guarantee.
     scan_log: list[tuple] | None = field(default=None)
-    # Makes the single-writer check-and-set atomic: two threads racing
-    # `begin_transaction` must not both win.
-    _writer_gate: threading.RLock = field(default_factory=threading.RLock,
-                                          repr=False, compare=False)
     # Scan counters/log are shared across every connection; a plain
     # dict read-modify-write would drop counts under contention.
     _stats_lock: threading.Lock = field(default_factory=threading.Lock,
@@ -296,14 +342,12 @@ class ClassStore:
 
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
-        del state["_writer_gate"]
         del state["_stats_lock"]
         del state["_rollback_hooks"]
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._writer_gate = threading.RLock()
         self._stats_lock = threading.Lock()
         self._rollback_hooks = []
 
@@ -312,106 +356,47 @@ class ClassStore:
         """Storage relation name backing *class_name*."""
         return f"cls_{class_name}"
 
-    # -- transaction scoping (append-only MVCC under the objects) --------------
+    # -- transactions (append-only MVCC under the objects) ---------------------
 
     def begin_transaction(self) -> Transaction:
-        """Start an explicit transaction scoping subsequent object work.
+        """Start a writer transaction for the caller to hold.  Stores
+        join it under a :class:`View` over it; any number run at once
+        (storage is append-only, so writers have nothing to conflict
+        over)."""
+        return self.engine.begin()
 
-        The kernel is a single-writer store: one explicit transaction at
-        a time, shared by every connection over this kernel.  While it is
-        open, stored objects are visible to this store's readers (the
-        transaction sees its own writes) but invisible to fresh snapshots
-        until commit.
-        """
-        with self._writer_gate:
-            if self.current_tx is not None:
-                raise TransactionError(
-                    f"transaction {self.current_tx.xid} is already active "
-                    "on this kernel (single-writer store)"
-                )
-            self.current_tx = self.engine.begin()
-            self._tx_oids = []
-            return self.current_tx
+    def commit_transaction(self, tx: Transaction) -> None:
+        """Commit *tx*; its objects become visible to later views."""
+        self.engine.commit(tx)
 
-    def commit_transaction(self) -> None:
-        """Commit the explicit transaction; its objects become durable."""
-        with self._writer_gate:
-            if self.current_tx is None:
-                raise TransactionError("no transaction is active")
-            self.engine.commit(self.current_tx)
-            self.current_tx = None
-            self._tx_oids = []
-
-    def rollback_transaction(self) -> None:
-        """Abort the explicit transaction; its object versions stay dead
-        forever (append-only storage).  Oids allocated under the
-        transaction are dropped from the object index so later lookups
-        fail with the documented :class:`UnknownClassError` instead of
-        pointing at permanently invisible row versions, and the rollback
-        hooks drop what was recorded about them."""
-        with self._writer_gate:
-            if self.current_tx is None:
-                raise TransactionError("no transaction is active")
-            self.engine.abort(self.current_tx)
-            self.current_tx = None
-            dropped, self._tx_oids = self._tx_oids, []
-            for oid in dropped:
-                self._oid_index.pop(oid, None)
-            for hook in self._rollback_hooks:
-                hook(dropped)
+    def rollback_transaction(self, tx: Transaction) -> None:
+        """Abort *tx*; its object versions stay dead forever (append-only
+        storage).  The oids of the rows the engine purged leave the
+        object index, so later lookups fail with the documented
+        :class:`UnknownClassError` instead of pointing at permanently
+        invisible row versions, and the rollback hooks drop what was
+        recorded about them."""
+        dropped = [values[0] for _, values in self.engine.abort(tx)]
+        for oid in dropped:
+            self._oid_index.pop(oid, None)
+        for hook in self._rollback_hooks:
+            hook(dropped)
 
     def on_rollback(self, hook: Callable[[list[int]], None]) -> None:
         """Register *hook* to run, with the oids a rolled-back
         transaction had stored, after every rollback."""
         self._rollback_hooks.append(hook)
 
-    @contextmanager
-    def read_view(self, snapshot: Any) -> Iterator[None]:
-        """Pin *snapshot* for every read this store performs in the
-        current context.
+    def _view(self) -> View | None:
+        """The current context's view, when it is one over this store."""
+        view = _VIEW.get()
+        return view if view is not None and view.store is self else None
 
-        The substrate of snapshot-isolated readers: a served connection
-        pins the snapshot captured at ``begin()`` (or at statement
-        start) so every row fetched underneath — scans, index probes,
-        object gets — judges visibility against that one committed-set,
-        however long the writer keeps committing alongside.
-        """
-        token = _ACTIVE_VIEW.set((self, snapshot))
-        try:
-            yield
-        finally:
-            _ACTIVE_VIEW.reset(token)
-
-    def reader_snapshot(self) -> Any:
-        """A fresh everything-committed-so-far snapshot, for pinning."""
-        return self.engine.snapshot()
-
-    @contextmanager
-    def write_view(self) -> Iterator[None]:
-        """Suspend any reader pin for this scope: reads see the live
-        write-side view (fresh snapshot per read, or the open writer
-        transaction's own view).
-
-        The derivation fallbacks store objects — committing fresh xids
-        mid-scope — and immediately re-read them; under a reader's
-        frozen snapshot (or even a snapshot frozen at scope entry) those
-        reads would miss the data the fallback just created.  The outer
-        pin is restored on exit.
-        """
-        with self.read_view(None):
-            yield
-
-    def _snapshot(self):
-        """Snapshot for reads: the pinned view when one is active in
-        this context, else the open writer transaction's view, if any."""
-        pinned = _ACTIVE_VIEW.get()
-        if pinned is not None and pinned[0] is self \
-                and pinned[1] is not None:
-            return pinned[1]
-        tx = self.current_tx
-        if tx is None:
-            return None  # engine default: everything committed
-        return self.engine.snapshot(tx)
+    def _snapshot(self) -> Snapshot | None:
+        """What reads see: the current view's snapshot, else (None, the
+        engine default) everything committed."""
+        view = self._view()
+        return None if view is None else view.snapshot
 
     def materialize(self, cls: NonPrimitiveClass) -> None:
         """Create the backing relation (and extent indexes) for *cls*."""
@@ -426,7 +411,11 @@ class ClassStore:
             self.engine.create_temporal_index(relation, cls.temporal_attr)
 
     def store(self, class_name: str, values: dict[str, Any]) -> SciObject:
-        """Insert an object of *class_name*; returns it with a fresh oid."""
+        """Insert an object of *class_name*; returns it with a fresh oid.
+
+        Under a view with a writer transaction the object joins it;
+        otherwise it auto-commits, and a view it was made under counts
+        it among its own writes."""
         names = self.registry.get(class_name).attribute_names
         missing = [a for a in names if a not in values]
         if missing:
@@ -441,18 +430,20 @@ class ClassStore:
         oid = next(self._oid_counter)
         row = (oid,) + tuple(values[a] for a in names)
         relation = self.relation_for(class_name)
-        tx = self.current_tx
+        view = self._view()
+        tx = None if view is None else view.tx
         if tx is not None:
             tid = self.engine.insert(relation, row, tx)
-            self._tx_oids.append(oid)
         else:
             tid = self.engine.insert_row(relation, row)
         self._oid_index[oid] = (class_name, tid)
         # The object is the normalized tuple the engine just stored —
-        # read off the heap, whatever snapshot a reader has pinned.
-        stored = self.engine._state(relation).heap.get(tid).values
+        # read off the heap, whatever the view's snapshot.
+        stored = self.engine._state(relation).heap.get(tid)
+        if view is not None and tx is None:
+            view.wrote(stored.xmin)
         return SciObject(class_name=class_name, oid=oid,
-                         values=dict(zip(names, stored[1:])))
+                         values=dict(zip(names, stored.values[1:])))
 
     def get(self, oid: int) -> SciObject:
         """The object with surrogate id *oid*."""

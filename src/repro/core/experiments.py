@@ -68,6 +68,16 @@ class ExperimentManager:
     _experiments: dict[int, Experiment] = field(default_factory=dict)
     _ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
 
+    def __post_init__(self) -> None:
+        # Runs after the task log's own hook: the tasks are gone by then.
+        self.derivations.store.on_rollback(self._forget_discarded_tasks)
+
+    def _forget_discarded_tasks(self, _oids: list[int]) -> None:
+        """Drop the ids of tasks a rollback discarded."""
+        for experiment in self._experiments.values():
+            experiment.task_ids[:] = [t for t in experiment.task_ids
+                                      if t in self.derivations.tasks]
+
     def begin(self, name: str, investigator: str = "",
               description: str = "",
               concepts: set[str] | None = None,

@@ -25,6 +25,7 @@ from ..errors import (
     GaeaError,
     InteractionRequiredError,
     TaskExecutionError,
+    UnknownClassError,
 )
 from .classes import ClassRegistry, ClassStore, NonPrimitiveClass, SciObject
 from .compound import CompoundProcess, CompoundRegistry
@@ -116,7 +117,8 @@ class DerivationManager:
 
         With ``reuse`` (default) a completed task over identical inputs —
         and, for interactive processes, identical resolved parameters —
-        short-circuits to its recorded output object.
+        short-circuits to its recorded output object, provided the
+        current view sees that object.
 
         Interactive processes (§4.3 extension) resolve their interaction
         parameters through ``interaction_handler(name, prompt)`` unless
@@ -142,11 +144,12 @@ class DerivationManager:
         if reuse:
             memoized = self._find_reusable(process, bindings, resolved)
             if memoized is not None:
-                # A logged task's outputs exist: a rollback discards the
-                # tasks of the objects it discards.
-                return DerivationResult(
-                    output=self.store.get(memoized.output_oids[0]),
-                    task=memoized, reused=True)
+                try:
+                    return DerivationResult(
+                        output=self.store.get(memoized.output_oids[0]),
+                        task=memoized, reused=True)
+                except UnknownClassError:
+                    pass  # its output is not visible to the current view
         try:
             attributes = process.evaluate(bindings, self.operators,
                                           parameter_overrides=overrides)

@@ -93,9 +93,13 @@ def load_kernel(path: str | Path) -> MetadataManager:
     derivations.compounds = state["derivations_compounds"]
     derivations.tasks = state["tasks"]
 
-    experiments: ExperimentManager = state["experiments"]
-    experiments.derivations = derivations
-    experiments.concepts = state["concepts"]
+    saved: ExperimentManager = state["experiments"]
+    # Constructed afresh (not unpickled as is) so its rollback hook is
+    # registered with the restored store, like the derivation manager's.
+    experiments = ExperimentManager(
+        derivations=derivations, concepts=state["concepts"],
+        _experiments=saved._experiments, _ids=saved._ids,
+    )
 
     planner = RetrievalPlanner(manager=derivations)
     return MetadataManager(

@@ -318,14 +318,10 @@ class RetrievalPlanner:
         :class:`InterpolationError` when it does not apply (see
         :meth:`_interpolation_inputs`)."""
         cls = self.manager.classes.get(class_name)
-        store = self.manager.store
-        # Like derivation, interpolation stores its output and wants the
-        # latest committed brackets — suspend any reader pin.
-        with store.write_view():
-            before, after = self._interpolation_inputs(cls, spatial,
-                                                       temporal)
-            obj = store.store(class_name, self.interpolator.interpolate(
-                cls, before, after, temporal))
+        before, after = self._interpolation_inputs(cls, spatial, temporal)
+        obj = self.manager.store.store(
+            class_name,
+            self.interpolator.interpolate(cls, before, after, temporal))
         # Interpolation is itself a derivation (§2.1.5: "a generic
         # derivation process"), so it leaves a task record too.
         task = self.manager.tasks.record(
@@ -358,30 +354,27 @@ class RetrievalPlanner:
                 f"class {class_name!r} has no image 'data' attribute to "
                 "mosaic"
             )
-        with self.manager.store.write_view():
-            candidates = self.manager.store.find(class_name, spatial=region,
-                                                 temporal=temporal)
-            extents = [obj[cls.spatial_attr] for obj in candidates]
-            if not covers(extents, region):
+        candidates = self.manager.store.find(class_name, spatial=region,
+                                             temporal=temporal)
+        extents = [obj[cls.spatial_attr] for obj in candidates]
+        if not covers(extents, region):
+            raise InterpolationError(
+                f"stored {class_name!r} objects do not jointly cover the "
+                "requested region"
+            )
+        pieces = [(obj["data"], obj[cls.spatial_attr]) for obj in candidates]
+        values: dict[str, object] = {"data": mosaic(pieces, region)}
+        values[cls.spatial_attr] = region
+        for attr, _ in cls.attributes:
+            if attr in ("data", cls.spatial_attr):
+                continue
+            first = candidates[0][attr]
+            if any(obj[attr] != first for obj in candidates[1:]):
                 raise InterpolationError(
-                    f"stored {class_name!r} objects do not jointly cover the "
-                    "requested region"
+                    f"attribute {attr!r} differs across mosaic pieces"
                 )
-            pieces = [
-                (obj["data"], obj[cls.spatial_attr]) for obj in candidates
-            ]
-            values: dict[str, object] = {"data": mosaic(pieces, region)}
-            values[cls.spatial_attr] = region
-            for attr, _ in cls.attributes:
-                if attr in ("data", cls.spatial_attr):
-                    continue
-                first = candidates[0][attr]
-                if any(obj[attr] != first for obj in candidates[1:]):
-                    raise InterpolationError(
-                        f"attribute {attr!r} differs across mosaic pieces"
-                    )
-                values[attr] = first
-            obj = self.manager.store.store(class_name, values)
+            values[attr] = first
+        obj = self.manager.store.store(class_name, values)
         task = self.manager.tasks.record(
             "interpolate-spatial",
             {"pieces": candidates},
@@ -411,43 +404,11 @@ class RetrievalPlanner:
         re-scans of the target relation.  *marking_cache* shares the
         backward-planning supply probes across the derivations of one
         query execution.
+
+        Reads and stores go through the caller's view, which sees its own
+        writes: what the net fires is visible to the rest of the
+        derivation, and to nobody else until it commits.
         """
-        # Derivation stores objects and re-reads them mid-flight; a
-        # reader's pinned snapshot must not apply inside (it would hide
-        # what the net just fired).  The pin is restored on return.
-        with self.manager.store.write_view():
-            return self._derive_live(
-                class_name, spatial, temporal,
-                spatial_coverage=spatial_coverage,
-                known_empty=known_empty, marking_cache=marking_cache,
-            )
-
-    def _derivation_plan(self, class_name: str, spatial: Box | None,
-                         temporal: AbsTime | None, stored_targets: int,
-                         marking_cache: MarkingCache | None = None):
-        """The Petri-net backward plan that would produce *class_name*
-        at these extents, given *stored_targets* objects of it already
-        there; side-effect free (shared with :meth:`explain`).  Raises
-        :class:`UnderivableError` when no firing sequence exists."""
-        extents = (str(spatial), str(temporal))
-
-        def supply(place: str) -> int:
-            counts = {} if marking_cache is None \
-                else marking_cache.setdefault(place, {})
-            if extents not in counts:
-                counts[extents] = len(self._supply(
-                    place, spatial, temporal, self.manager.store.find_oids))
-            return counts[extents]
-
-        return self.manager.derivation_net().backward_plan(
-            class_name, _AskedMarking({class_name: stored_targets}, supply))
-
-    def _derive_live(self, class_name: str, spatial: Box | None,
-                     temporal: AbsTime | None,
-                     spatial_coverage: bool = False,
-                     known_empty: bool = False,
-                     marking_cache: MarkingCache | None = None
-                     ) -> RetrievalResult:
         cls = self.manager.classes.get(class_name)
 
         def matching_target() -> list[SciObject]:
@@ -527,6 +488,26 @@ class RetrievalPlanner:
             objects=tuple(produced), path="derive", tasks=tuple(tasks),
             plan_steps=plan.steps,
         )
+
+    def _derivation_plan(self, class_name: str, spatial: Box | None,
+                         temporal: AbsTime | None, stored_targets: int,
+                         marking_cache: MarkingCache | None = None):
+        """The Petri-net backward plan that would produce *class_name*
+        at these extents, given *stored_targets* objects of it already
+        there; side-effect free (shared with :meth:`explain`).  Raises
+        :class:`UnderivableError` when no firing sequence exists."""
+        extents = (str(spatial), str(temporal))
+
+        def supply(place: str) -> int:
+            counts = {} if marking_cache is None \
+                else marking_cache.setdefault(place, {})
+            if extents not in counts:
+                counts[extents] = len(self._supply(
+                    place, spatial, temporal, self.manager.store.find_oids))
+            return counts[extents]
+
+        return self.manager.derivation_net().backward_plan(
+            class_name, _AskedMarking({class_name: stored_targets}, supply))
 
     _MAX_BINDING_ATTEMPTS = 64
 
@@ -683,22 +664,21 @@ class RetrievalPlanner:
         report: dict[str, object] = {"access": access.describe()}
         if answered:
             return {"path": "retrieve", **report}
-        # The ladder's own applicability tests, minus the effects — and,
-        # like the steps themselves, on the live view.
-        with self.manager.store.write_view():
-            for step in self.fallback_order:
-                try:
-                    if step == "derive":
-                        plan = self._derivation_plan(class_name, spatial,
-                                                     temporal, 0)
-                        return {"path": "derive",
-                                "plan": list(plan.steps), **report}
-                    before, after = self._interpolation_inputs(
-                        cls, spatial, temporal)
-                    return {"path": "interpolate",
-                            "bracket": (str(before[cls.temporal_attr]),
-                                        str(after[cls.temporal_attr])),
-                            **report}
-                except _STEP_FAILURES:
-                    continue
+        # The ladder's own applicability tests, minus the effects, under
+        # the view the steps themselves would read.
+        for step in self.fallback_order:
+            try:
+                if step == "derive":
+                    plan = self._derivation_plan(class_name, spatial,
+                                                 temporal, 0)
+                    return {"path": "derive",
+                            "plan": list(plan.steps), **report}
+                before, after = self._interpolation_inputs(
+                    cls, spatial, temporal)
+                return {"path": "interpolate",
+                        "bracket": (str(before[cls.temporal_attr]),
+                                    str(after[cls.temporal_attr])),
+                        **report}
+            except _STEP_FAILURES:
+                continue
         return {"path": "unsatisfiable", **report}

@@ -17,6 +17,7 @@ experiments" (paper §1).
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator
@@ -89,36 +90,52 @@ class Task:
 
 @dataclass
 class TaskLog:
-    """Log of every task, in execution order, with memoization lookup."""
+    """Log of every task, in execution order, with memoization lookup.
+    Shared by every connection: reads and updates take one lock."""
 
     _tasks: dict[int, Task] = field(default_factory=dict)  # by task_id
     _ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
     _memo: dict[tuple, int] = field(default_factory=dict)  # key -> task_id
     _by_output: dict[int, int] = field(default_factory=dict)  # oid -> task_id
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._tasks)
 
+    def __contains__(self, task_id: int) -> bool:
+        return task_id in self._tasks
+
     def __iter__(self) -> Iterator[Task]:
-        return iter(self._tasks.values())
+        with self._lock:
+            return iter(list(self._tasks.values()))
 
     def record(self, process_name: str, bindings: Bindings,
                output_oids: tuple[int, ...],
                parameters: dict[str, Any] | None = None) -> Task:
         """Record a successful task."""
-        input_oids = _bindings_to_oids(bindings)
         task = Task(
             task_id=next(self._ids),
             process_name=process_name,
-            input_oids=input_oids,
+            input_oids=_bindings_to_oids(bindings),
             output_oids=output_oids,
             status=TaskStatus.COMPLETED,
             parameters=dict(parameters or {}),
         )
-        self._tasks[task.task_id] = task
-        self._memo[bindings_key(process_name, bindings)] = task.task_id
-        for oid in output_oids:
-            self._by_output[oid] = task.task_id
+        with self._lock:
+            self._tasks[task.task_id] = task
+            self._memo[bindings_key(process_name, bindings)] = task.task_id
+            for oid in output_oids:
+                self._by_output[oid] = task.task_id
         return task
 
     def record_failure(self, process_name: str, bindings: Bindings,
@@ -132,25 +149,26 @@ class TaskLog:
             status=TaskStatus.FAILED,
             error=error,
         )
-        self._tasks[task.task_id] = task
+        with self._lock:
+            self._tasks[task.task_id] = task
         return task
 
-    def discard_outputs(self, oids: list[int]) -> None:
+    def discard_outputs(self, oids: list[int]) -> set[int]:
         """Forget the tasks that produced *oids*, with their memo and
         producer entries: the transaction that stored those objects
         rolled back, so the derivations never happened.  (Failure
-        records have no outputs and stay.)"""
-        dropped = {self._by_output[oid] for oid in oids
-                   if oid in self._by_output}
-        if not dropped:
-            return
-        for task_id in dropped:
-            del self._tasks[task_id]
-        self._memo = {key: task_id for key, task_id in self._memo.items()
-                      if task_id not in dropped}
-        self._by_output = {oid: task_id
-                           for oid, task_id in self._by_output.items()
-                           if task_id not in dropped}
+        records have no outputs and stay.)  Returns the dropped task
+        ids."""
+        with self._lock:
+            dropped = {self._by_output[oid] for oid in oids
+                       if oid in self._by_output}
+            for task_id in dropped:
+                del self._tasks[task_id]
+            for table in (self._memo, self._by_output):
+                for key in [key for key, task_id in table.items()
+                            if task_id in dropped]:
+                    del table[key]
+        return dropped
 
     def get(self, task_id: int) -> Task:
         """The task with the given id."""
@@ -162,13 +180,14 @@ class TaskLog:
     def find_memoized(self, process_name: str, bindings: Bindings
                       ) -> Task | None:
         """A previously completed task for the same (process, inputs)."""
-        task_id = self._memo.get(bindings_key(process_name, bindings))
-        return None if task_id is None else self.get(task_id)
+        key = bindings_key(process_name, bindings)
+        with self._lock:
+            return self._tasks.get(self._memo.get(key))
 
     def producer_of(self, oid: int) -> Task | None:
         """The task that produced object *oid* (None for base objects)."""
-        task_id = self._by_output.get(oid)
-        return None if task_id is None else self.get(task_id)
+        with self._lock:
+            return self._tasks.get(self._by_output.get(oid))
 
     def tasks_of_process(self, process_name: str) -> list[Task]:
         """All tasks instantiating *process_name*."""

@@ -28,10 +28,13 @@ What the layer provides:
   call submits it: the tree's batches reach the cursor, whose fetch
   calls and iteration slice rows off the current one, ``run()`` drains
   the same tree into one result, ``explain()`` renders it — each under
-  one statement snapshot;
+  one :class:`~repro.core.classes.View`: the connection's transaction,
+  or a fresh snapshot per statement in auto-commit;
 * ``begin``/``commit``/``rollback`` scope object stores in storage-level
-  transactions (single writer per kernel), and several connections can
-  share one kernel (``connect(kernel=...)``).
+  transactions that belong to the connection: several connections can
+  share one kernel (``connect(kernel=...)``), each with its own open
+  transaction, and uncommitted work is visible only to its own
+  connection.
 
 Rows are :class:`~repro.core.classes.SciObject` instances, not tuples —
 the scientific object is the natural row of this data model.
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterator
 
+from ..core.classes import View
 from ..core.metadata_manager import MetadataManager, WORLD, open_kernel
 from ..errors import InterfaceError
 from ..gis import register_gis_operators
@@ -50,22 +54,16 @@ from ..spatial.box import Box
 from ..storage.transactions import Transaction
 from .binding import ParamSignature, bind_nodes, collect_signature
 from .executor import Executor, QueryResult
-from .optimizer import (
-    ExplainNode,
-    Optimizer,
-    PlanCache,
-    PlanNode,
-    QueryNode,
-)
+from .optimizer import Optimizer, PlanCache, PlanNode, QueryNode
 
 __all__ = ["connect", "Connection", "Cursor", "PreparedStatement",
            "apilevel", "paramstyle", "threadsafety"]
 
 #: PEP-249 module globals (informational).
 apilevel = "2.0"
-#: Connections may be shared across threads: readers pin immutable
-#: snapshots (never blocking on the writer) and all shared state —
-#: plan cache, indexes, transaction manager — is internally locked.
+#: Connections may be shared across threads: statements read immutable
+#: snapshots (never blocking on a writer) and all shared state — plan
+#: cache, indexes, transaction manager, task log — is internally locked.
 threadsafety = 2
 paramstyle = "qmark"  # ':name' named parameters are also accepted
 
@@ -93,9 +91,9 @@ class Connection:
     """A client connection over one Gaea kernel.
 
     Holds the interpreter pair (optimizer with plan cache, executor) and
-    the transaction scope.  Several connections may share a kernel; each
-    keeps its own plan cache and history, while transactions serialize at
-    the storage layer (single writer per kernel).
+    the view of its open transaction.  Several connections may share a
+    kernel; each keeps its own plan cache, history and transaction, and
+    any number of them may write at once.
     """
 
     def __init__(self, kernel: MetadataManager,
@@ -105,10 +103,8 @@ class Connection:
             kernel=kernel, cache=PlanCache(maxsize=plan_cache_size)
         )
         self.executor = Executor(kernel=kernel)
-        self._tx: Transaction | None = None
-        #: Pinned committed-set for an explicit read-only transaction
-        #: (`begin(read_only=True)`); cleared by commit/rollback.
-        self._read_snapshot: Any | None = None
+        #: The open transaction's view (None: auto-commit).
+        self._view: View | None = None
         self._closed = False
 
     # -- plan-cache statistics -------------------------------------------------
@@ -161,70 +157,64 @@ class Connection:
 
     @property
     def in_transaction(self) -> bool:
-        return self._tx is not None or self._read_snapshot is not None
+        return self._view is not None
 
     def begin(self, read_only: bool = False) -> Transaction | None:
-        """Open an explicit transaction on the kernel's object store.
+        """Open a transaction: every statement until :meth:`commit` or
+        :meth:`rollback` reads the snapshot taken now plus this
+        transaction's own writes, whatever other connections commit
+        meanwhile.
 
-        Objects stored until :meth:`commit` are visible to this kernel's
-        readers mid-flight (they share the writer's snapshot) but are
-        permanently discarded by :meth:`rollback` — the storage layer is
-        append-only MVCC, so rolled-back versions simply never commit.
+        Objects stored until :meth:`commit` are visible to this
+        connection only, and :meth:`rollback` discards them for good —
+        the storage layer is append-only MVCC, so rolled-back versions
+        simply never commit.  Other connections may write at the same
+        time.  The transaction is also the calling context's ambient
+        view until it ends, so direct ``kernel.store.store(...)`` calls
+        in between join it.
 
-        With *read_only* the connection instead pins a snapshot of
-        everything committed right now and returns None: no storage
-        transaction opens (any number of read-only transactions run
-        concurrently with the single writer, never blocking on it), and
-        every statement until :meth:`commit`/:meth:`rollback` sees that
-        one frozen view regardless of concurrent commits.
+        With *read_only* no storage transaction opens and None is
+        returned: the connection reads its frozen snapshot, and anything
+        it stores or derives meanwhile auto-commits (and is visible to
+        its later statements).
         """
         self._check_open()
-        if self.in_transaction:
-            label = (f"transaction {self._tx.xid}" if self._tx is not None
-                     else "a read-only transaction")
+        if self._view is not None:
+            label = ("a read-only transaction" if self._view.tx is None
+                     else f"transaction {self._view.tx.xid}")
             raise InterfaceError(
                 f"{label} is already open on this connection"
             )
-        if read_only:
-            self._read_snapshot = self.kernel.store.reader_snapshot()
-            return None
-        self._tx = self.kernel.store.begin_transaction()
-        return self._tx
+        store = self.kernel.store
+        self._view = View(store,
+                          None if read_only else store.begin_transaction())
+        self._view.hold()
+        return self._view.tx
 
     def commit(self) -> None:
         """Commit the open transaction (no-op outside one: auto-commit)."""
         self._check_open()
-        if self._read_snapshot is not None:
-            self._read_snapshot = None
-            return
-        if self._tx is None:
-            return
-        self.kernel.store.commit_transaction()
-        self._tx = None
+        self._end(self.kernel.store.commit_transaction)
 
     def rollback(self) -> None:
         """Abort the open transaction (no-op outside one)."""
         self._check_open()
-        if self._read_snapshot is not None:
-            self._read_snapshot = None
-            return
-        if self._tx is None:
-            return
-        self.kernel.store.rollback_transaction()
-        self._tx = None
+        self._end(self.kernel.store.rollback_transaction)
 
-    def _statement_snapshot(self) -> Any:
-        """The snapshot one statement's reads should be pinned to:
-        the writer's own view inside an explicit transaction, the
-        frozen view inside a read-only transaction, else a fresh
-        everything-committed snapshot (statement-level consistency
-        under auto-commit)."""
-        store = self.kernel.store
-        if self._tx is not None:
-            return store.engine.snapshot(self._tx)
-        if self._read_snapshot is not None:
-            return self._read_snapshot
-        return store.reader_snapshot()
+    def _end(self, finish: Callable[[Transaction], None]) -> None:
+        view = self._view
+        if view is None:
+            return
+        if view.tx is not None:
+            finish(view.tx)
+        view.release()
+        self._view = None
+
+    def _statement_view(self) -> View:
+        """The view one statement runs under: the open transaction's,
+        else a fresh snapshot (statement-level consistency under
+        auto-commit)."""
+        return self._view or View(self.kernel.store)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -236,9 +226,7 @@ class Connection:
         """Close the connection, rolling back any open transaction."""
         if self._closed:
             return
-        if self._tx is not None:
-            self.rollback()
-        self._read_snapshot = None
+        self.rollback()
         self._closed = True
 
     def _check_open(self) -> None:
@@ -251,9 +239,6 @@ class Connection:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.commit()
-        else:
-            if self._tx is not None:
-                self.rollback()
         self.close()
 
 
@@ -385,8 +370,8 @@ class Cursor:
 
         Pricing probes the store's statistics (and reads each
         retrieval's stored scan up to its first match to resolve the
-        §2.1.5 logical path, under the same snapshot a SELECT issued
-        now would read) but has no side effects — no derivations run
+        §2.1.5 logical path, under the same view a SELECT issued now
+        would read) but has no side effects — no derivations run
         and nothing is materialized for the caller.
 
         Each retrieval gets a summary line with the logical path and
@@ -404,8 +389,7 @@ class Cursor:
         derivation and process-execution operators the same way.
         """
         nodes = self._bound_nodes(operation, params)
-        with self.connection.kernel.store.read_view(
-                self.connection._statement_snapshot()):
+        with self.connection._statement_view().entered():
             return "\n".join(self.connection.executor.render_plan(nodes))
 
     def run(self, operation: str | PreparedStatement,
@@ -505,37 +489,29 @@ class Cursor:
 
     def _stream(self, nodes: list[PlanNode]) -> Iterator[Iterator[Any]]:
         """Drive the plan lazily, one statement's operator tree at a
-        time, each under its own statement snapshot: one page of rows
-        per batch.  The pin wraps each batch pull and is released before
-        the ``yield`` — held across it, it would leak into whatever code
-        consumes the cursor (PEP 567, see ``classes._ACTIVE_VIEW``)."""
-        store = self.connection.kernel.store
+        time, each under its own statement view: one page of rows per
+        batch.  The view is entered around each batch pull and left
+        before the ``yield`` — held across it, it would leak into
+        whatever code consumes the cursor (PEP 567, see
+        ``classes._VIEW``)."""
         for node in nodes:
             if not isinstance(node, QueryNode):
                 self.results.append(self._run_node(node))
                 continue
-            snapshot = self.connection._statement_snapshot()
+            view = self.connection._statement_view()
             batches = self.connection.executor.iter_group(node)
             while True:
-                with store.read_view(snapshot):
+                with view.entered():
                     batch = next(batches, None)
                 if batch is None:
                     break
                 yield batch.to_rows()
 
     def _run_node(self, node: PlanNode) -> QueryResult:
-        """Run one plan node to completion.
-
-        Reads — a SELECT/DERIVE drained whole, EXPLAIN's path
-        resolution — see one statement snapshot (no generator escapes
-        the pin); DDL and RUN write through the live view.
-        """
-        executor = self.connection.executor
-        if isinstance(node, (QueryNode, ExplainNode)):
-            with self.connection.kernel.store.read_view(
-                    self.connection._statement_snapshot()):
-                return executor.execute(node)
-        return executor.execute(node)
+        """Run one plan node to completion under one statement view (no
+        generator escapes it)."""
+        with self.connection._statement_view().entered():
+            return self.connection.executor.execute(node)
 
     def _check_open(self) -> None:
         if self._closed:

@@ -821,9 +821,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
         """One-shot §2.1.5 for probe misses.  A miss is an unsatisfied
         predicate unless nothing stored covers the join's extents; only
         then do steps 2–3 run for the right class.  Their objects are
-        kept aside (the statement snapshot predates them, so a re-probe
-        through storage would not see them) and matched by key on this
-        and later misses."""
+        kept aside and matched by key on this and later misses, with no
+        re-probe through storage."""
         self._fallback_tried = True
         planner = self.ctx.kernel.planner
         if planner.stored_answers(self.right_class, self.spatial,

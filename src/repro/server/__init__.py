@@ -8,7 +8,7 @@ A small, self-contained serving layer over the client API:
 * :mod:`repro.server.server` — :class:`GaeaServer`, a thread-per-
   connection socket server; every wire connection gets its own
   DB-API :class:`~repro.query.client.Connection` over the one shared
-  kernel, so snapshot isolation and the single-writer discipline apply
+  kernel, so snapshot isolation and per-connection transactions apply
   across the network exactly as they do in process;
 * :mod:`repro.server.remote` — :func:`remote_connect`, the client side:
   a :class:`RemoteConnection`/:class:`RemoteCursor` pair mirroring the

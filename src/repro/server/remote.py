@@ -7,7 +7,7 @@ begin/commit/rollback — over one socket to a :class:`~.server.GaeaServer`.
 
 Server-side failures come back as typed error frames; the client
 re-raises them as the matching :mod:`repro.errors` class when one
-exists (``TransactionError`` on the server is ``TransactionError``
+exists (``UnderivableError`` on the server is ``UnderivableError``
 here), falling back to :class:`~repro.errors.InterfaceError`.
 
 Unlike the local API, a remote connection is *not* thread-safe: it owns

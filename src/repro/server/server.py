@@ -4,11 +4,10 @@ Each accepted socket gets its own thread and its own DB-API
 :class:`~repro.query.client.Connection` over the shared kernel, so the
 in-process concurrency guarantees carry straight to the wire:
 
-* any number of remote readers run against pinned snapshots and never
-  block on the writer;
-* the single-writer discipline holds across connections — a second
-  remote ``begin`` while a write transaction is open fails with
-  ``TransactionError`` exactly as it does in process;
+* every statement reads one snapshot and never blocks on a writer;
+* a transaction belongs to its connection: any number of remote
+  connections may write at once, and each one's uncommitted work is
+  visible to it alone, exactly as in process;
 * a connection dying mid-transaction (socket reset, client crash) rolls
   its transaction back without disturbing any other connection.
 
@@ -246,7 +245,8 @@ class GaeaServer:
         if op == "store":
             # GaeaQL has no INSERT statement — objects enter through the
             # object store, so the wire protocol exposes it directly.
-            # Runs under the connection's open transaction, if any.
+            # Joins the connection's open transaction, if any: `begin`
+            # made its view this session thread's ambient one.
             obj = session.connection.kernel.store.store(
                 request["class"],
                 decode_value(request.get("values") or {}),

@@ -85,7 +85,7 @@ class BTree:
         # Guards structural mutation and traversal.  Reentrant because
         # `histogram()` builds via `range_scan()` while already holding
         # it.  Scans release it between chunks (see `range_scan`), so
-        # readers and the single writer interleave at chunk granularity.
+        # readers and writers interleave at chunk granularity.
         self._lock = threading.RLock()
 
     def __getstate__(self) -> dict[str, Any]:

@@ -253,24 +253,27 @@ class StorageEngine:
             # Committed rows are permanent: drop their undo entries.
             self._undo_log.pop(tx.xid, None)
 
-    def abort(self, tx: Transaction) -> None:
+    def abort(self, tx: Transaction) -> list[tuple[str, tuple]]:
         """Abort (logged); the transaction's versions stay dead forever
-        and leave the secondary indexes."""
+        and leave the secondary indexes.  Returns the purged rows as
+        ``(relation, values)``, in insert order."""
         with self._write_lock:
             self.wal.append(LogKind.ABORT, xid=tx.xid)
             self.transactions.abort(tx)
-            self._purge_aborted_inserts(tx.xid)
+            return self._purge_aborted_inserts(tx.xid)
 
-    def _purge_aborted_inserts(self, xid: int) -> None:
+    def _purge_aborted_inserts(self, xid: int) -> list[tuple[str, tuple]]:
         """Remove every row inserted under *xid* from the indexes its
         relation has now, reading the keys off the heap version.  Readers
         do not mind when: the version is invisible with or without its
         index entries.  (The membership tests cover a row whose insert
         failed part-way through index maintenance.)"""
+        purged = []
         for relation, tid in self._undo_log.pop(xid, ()):
             state = self._state(relation)
             schema = self.catalog.get(relation)
             values = state.heap.get(tid).values
+            purged.append((relation, values))
             for column, tree in state.btrees.items():
                 key = values[schema.index_of(column)]
                 if tid in tree.search(key):
@@ -281,6 +284,7 @@ class StorageEngine:
                 at = values[schema.index_of(state.temporal_column)]
                 if tid in state.temporal.at(at):
                     state.temporal.remove(at, tid)
+        return purged
 
     def snapshot(self, tx: Transaction | None = None) -> Snapshot:
         """Current snapshot, optionally for an in-flight transaction."""

@@ -122,7 +122,10 @@ class TestStore:
             self, kernel, stored, monkeypatch, scope):
         """One write path: validate, insert, return the tuple the engine
         stored — no snapshot taken and no row fetched, whatever the
-        scope, and the same values a later get() reads."""
+        scope, and the same values a later get() reads.  A view (writer
+        transaction, or a reader's pinned snapshot) sees its own
+        writes; nobody else sees the writer's before commit."""
+        from repro.core.classes import View
         from repro.storage import StorageEngine, TransactionManager
         calls = []
 
@@ -137,24 +140,23 @@ class TestStore:
             monkeypatch.setattr(owner, name,
                                 counted(getattr(owner, name), name))
         store = kernel.store
-        pin = store.reader_snapshot()  # taken before the writes below
+        tx = store.begin_transaction() if scope == "transaction" else None
+        view = View(store, tx)  # its snapshot predates the writes below
         calls.clear()
-        if scope == "transaction":
-            store.begin_transaction()
-        if scope == "reader pin":
-            with store.read_view(pin):
-                obj = store.store("landcover", _values("asia", day=3))
-                with pytest.raises(UnknownClassError):
-                    store.get(obj.oid)  # the pinned reader cannot see it
-        else:
+        if scope == "autocommit":
             obj = store.store("landcover", _values("asia", day=3))
-        # Only the pinned get() above read anything back.
-        assert calls == (["fetch"] if scope == "reader pin" else [])
+        else:
+            with view.entered():
+                obj = store.store("landcover", _values("asia", day=3))
+                assert store.get(obj.oid) == obj  # its own write
+        # Only the get() under the view above read anything back.
+        assert calls == ([] if scope == "autocommit" else ["fetch"])
         assert obj["area"] == "asia" and obj.oid == stored.oid + 1
-        assert store.get(obj.oid) == obj
         if scope == "transaction":
-            store.commit_transaction()
-            assert store.get(obj.oid) == obj
+            with pytest.raises(UnknownClassError):
+                store.get(obj.oid)  # uncommitted: invisible elsewhere
+            store.commit_transaction(tx)
+        assert store.get(obj.oid) == obj
 
     def test_get_unknown_oid(self, kernel, stored):
         with pytest.raises(UnknownClassError):

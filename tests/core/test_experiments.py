@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import connect
 from repro.adt import Image
 from repro.core import Apply, Argument, AttrRef, Literal, NonPrimitiveClass, Process
 from repro.errors import UnknownConceptError, UnknownExperimentError
@@ -101,3 +102,18 @@ class TestRunAndReproduce:
         assert second.output.oid == first.output.oid
         # Both runs recorded in the experiment (the scientist did ask twice).
         assert exp.task_ids == [first.task.task_id, first.task.task_id]
+
+    def test_rollback_forgets_the_tasks_it_discards(self, lab):
+        """A task run inside a rolled-back transaction never happened:
+        the experiment forgets its id, so reproduce() re-runs only the
+        tasks whose outputs exist."""
+        kernel, raw = lab
+        conn = connect(kernel=kernel)
+        exp = kernel.experiments.begin(name="study")
+        kept = kernel.experiments.run_task(exp, "refine", {"src": raw})
+        conn.begin()
+        kernel.experiments.run_task(exp, "refine", {"src": raw}, reuse=False)
+        conn.rollback()
+        assert exp.task_ids == [kept.task.task_id]
+        [rerun] = kernel.experiments.reproduce(exp.experiment_id)
+        assert rerun.output["data"] == kept.output["data"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import load_kernel, save_kernel
+from repro.core.classes import View
 from repro.errors import GaeaError
 from repro.figures import build_figure2, build_figure5, populate_scenes
 
@@ -53,18 +54,25 @@ class TestRoundtrip:
     def test_restored_kernel_discards_rolled_back_tasks(self, populated,
                                                         tmp_path):
         """The store's rollback hooks are not pickled; the restored
-        derivation manager re-registers, against the restored log."""
+        derivation and experiment managers re-register, against the
+        restored log and experiments."""
         path = tmp_path / "gaea.ckpt"
         save_kernel(populated.kernel, path)
         restored = load_kernel(path)
         before = len(restored.derivations.tasks)
-        restored.store.begin_transaction()
-        result = restored.planner.retrieve("desert_rain200_c3")
-        assert len(restored.derivations.tasks) == before + 1
-        restored.store.rollback_transaction()
+        experiment = restored.experiments.begin(name="study")
+        rain = restored.store.objects("rainfall_annual")[0]
+        tx = restored.store.begin_transaction()
+        with View(restored.store, tx).entered():
+            result = restored.planner.retrieve("desert_rain200_c3")
+            restored.experiments.run_task(experiment, "P2", {"rain": rain},
+                                          reuse=False)
+        assert len(restored.derivations.tasks) == before + 2
+        restored.store.rollback_transaction(tx)
         assert len(restored.derivations.tasks) == before
         assert restored.derivations.tasks.producer_of(
             result.objects[0].oid) is None
+        assert experiment.task_ids == []
 
     def test_memoization_survives(self, populated, tmp_path):
         path = tmp_path / "gaea.ckpt"

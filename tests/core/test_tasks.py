@@ -1,10 +1,23 @@
 """Tests for tasks and the task log."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro import connect
 from repro.adt import Image
-from repro.core import NonPrimitiveClass, TaskStatus, bindings_key
+from repro.core import (
+    Apply,
+    Argument,
+    AttrRef,
+    Literal,
+    NonPrimitiveClass,
+    Process,
+    TaskStatus,
+    bindings_key,
+)
 from repro.errors import TaskExecutionError
 from repro.spatial import Box
 from repro.temporal import AbsTime
@@ -100,3 +113,106 @@ class TestTaskLog:
         task = log.record("P", {"x": objs[0]}, output_oids=(99,))
         text = task.describe()
         assert "P(" in text and "[completed]" in text
+
+    def test_discard_returns_the_dropped_task_ids(self, setup):
+        kernel, objs = setup
+        log = kernel.derivations.tasks
+        kept = log.record("P", {"x": objs[0]}, output_oids=(90,))
+        gone = log.record("P", {"x": objs[1]}, output_oids=(91, 92))
+        assert log.discard_outputs([92, 93]) == {gone.task_id}
+        assert [task.task_id for task in log] == [kept.task_id]
+        assert log.producer_of(91) is None
+        assert log.find_memoized("P", {"x": objs[1]}) is None
+        assert log.discard_outputs([92]) == set()
+
+
+class TestTaskLogUnderConcurrency:
+    YEARS = 24
+
+    @pytest.fixture()
+    def years(self, kernel):
+        kernel.derivations.define_class(SRC)
+        kernel.derivations.define_class(NonPrimitiveClass(
+            name="product", attributes=SRC.attributes, derived_by="refine"))
+        kernel.derivations.define_process(Process(
+            name="refine", output_class="product",
+            arguments=(Argument(name="src", class_name="src"),),
+            mappings={
+                "data": Apply("img_scale",
+                              (AttrRef("src", "data"), Literal(2.0))),
+                "spatialextent": AttrRef("src", "spatialextent"),
+                "timestamp": AttrRef("src", "timestamp"),
+            },
+        ))
+        return kernel, [
+            kernel.store.store("src", {
+                "data": Image.from_array(np.full((2, 2), float(year)),
+                                         "float4"),
+                "spatialextent": Box(0, 0, 1, 1),
+                "timestamp": AbsTime.from_ymd(1950 + year, 7, 1),
+            })
+            for year in range(self.YEARS)
+        ]
+
+    def test_a_rollback_beside_committing_writers_loses_no_task(
+            self, years):
+        """Writers derive distinct years — two commit, one rolls back
+        over and over (more threads than cores).  Each discard happens
+        under the log's lock, in place, so every task the others commit
+        stays memoized."""
+        kernel, scenes = years
+        mine, theirs = scenes[0::3] + scenes[1::3], scenes[2::3]
+        log = kernel.derivations.tasks
+        # A long history: each discard then walks a large memo, a wide
+        # window for a record from another writer to land in.
+        history = 20_000
+        for i in range(history):
+            log.record(f"earlier{i}", {"src": scenes[0]}, output_oids=())
+        derive = kernel.derivations.execute_process
+        committed = {}
+        errors = []
+
+        def committing(share):
+            conn = connect(kernel=kernel)
+            for scene in share:
+                conn.begin()
+                committed[scene.oid] = derive("refine", {"src": scene})
+                conn.commit()
+
+        def rolling_back():
+            conn = connect(kernel=kernel)
+            for _ in range(12):
+                conn.begin()
+                for scene in theirs:
+                    derive("refine", {"src": scene})
+                conn.rollback()
+
+        def guarded(body, *args):
+            def run():
+                try:
+                    body(*args)
+                except Exception as exc:  # noqa: BLE001 — reported below
+                    errors.append(exc)
+            return threading.Thread(target=run)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave as finely as possible
+        try:
+            threads = [guarded(committing, mine[0::2]),
+                       guarded(committing, mine[1::2]),
+                       guarded(rolling_back)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(committed) == len(mine) == len(log) - history
+        for scene in mine:
+            task = committed[scene.oid].task
+            assert log.find_memoized("refine", {"src": scene}) is task
+            assert log.producer_of(task.output_oids[0]) is task
+        for scene in theirs:
+            assert log.find_memoized("refine", {"src": scene}) is None

@@ -96,7 +96,7 @@ def world():
         w = World(server)
         w.reference.cursor().execute(DDL)
         store = w.kernel.store
-        store.begin_transaction()
+        w.reference.begin()
         for i in range(READINGS):
             store.store("reading", {"station": i % 50, "value": i * 0.25,
                                     "tag": f"t{i % 7}"})
@@ -107,7 +107,7 @@ def world():
             store.store("site", {"station": i, "name": f"site{i}"})
         for i in range(WIDE):
             store.store("wide", {"n": i})
-        store.commit_transaction()
+        w.reference.commit()
         yield w
         w.remote.close()
 
@@ -237,15 +237,14 @@ def test_remote_iteration_pages_by_fetch_batch(world, monkeypatch):
 
 
 def test_fetchall_pins_the_snapshot_once_per_batch(world, monkeypatch):
-    store = world.kernel.store
     pins: list[object] = []
-    read_view = store.read_view
+    entered = classes.View.entered
 
-    def counting(snapshot):
-        pins.append(snapshot)
-        return read_view(snapshot)
+    def counting(view):
+        pins.append(view.snapshot)
+        return entered(view)
 
-    monkeypatch.setattr(store, "read_view", counting)
+    monkeypatch.setattr(classes.View, "entered", counting)
     cur = world.reference.cursor().execute("SELECT FROM wide")
     assert len(cur.fetchall()) == WIDE
     assert len(pins) <= math.ceil(WIDE / DEFAULT_BATCH_SIZE) + 2

@@ -13,7 +13,7 @@ probe, covering index-only walk).  For every path the views must agree:
   consistent with it;
 * every call records exactly one scan event (``scan_counts`` and
   ``scan_log``);
-* a ``read_view`` pinned before a concurrent writer commits keeps seeing
+* a ``View`` opened before a concurrent writer commits keeps seeing
   the rows it saw before.
 """
 
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import open_kernel
-from repro.core.classes import NonPrimitiveClass
+from repro.core.classes import NonPrimitiveClass, View
 from repro.spatial import Box
 from repro.storage.access import AccessPath
 from repro.temporal import AbsTime
@@ -170,7 +170,7 @@ def test_views_agree_on_every_forced_path(rows, late, query):
                       if ref_matches(row, query))
     covered = any(ref_matches(row, query, extents_only=True)
                   for row in by_oid.values())
-    pinned = store.reader_snapshot()
+    pinned = View(store)
     version = store.engine.catalog.index_version
 
     def check(path):
@@ -197,7 +197,7 @@ def test_views_agree_on_every_forced_path(rows, late, query):
 
     # A writer commits alongside: a view pinned before it keeps its rows.
     late_oids = _store_rows(store, late)
-    with store.read_view(pinned):
+    with pinned.entered():
         for path in _forced_paths(version, query, preds):
             check(path)
     by_oid.update(late_oids)
@@ -229,7 +229,7 @@ def test_index_only_views_agree(rows, late, query, use_eq):
                              and (hi is None or code <= hi))
     expected = sorted(row["code"] for row in by_oid.values()
                       if keep(row["code"]))
-    pinned = store.reader_snapshot()
+    pinned = View(store)
 
     def check():
         batches = once(lambda: list(store.iter_index_only_batches(
@@ -241,5 +241,5 @@ def test_index_only_views_agree(rows, late, query, use_eq):
 
     check()
     _store_rows(store, late)
-    with store.read_view(pinned):
+    with pinned.entered():
         check()

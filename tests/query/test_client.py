@@ -11,7 +11,6 @@ from repro.errors import (
     InterfaceError,
     ParseError,
     PlanningError,
-    TransactionError,
     UnderivableError,
 )
 from repro.figures import AFRICA
@@ -302,14 +301,29 @@ class TestTransactions:
             conn.begin()
         conn.rollback()
 
-    def test_single_writer_across_connections(self, conn):
+    def test_concurrent_writers_are_independent(
+            self, conn):
+        """Transactions belong to their connections: two are open at
+        once, each sees only its own uncommitted work, and one's
+        rollback leaves the other's commit whole."""
         other = connect(kernel=conn.kernel)
+
+        def oids(connection, band):
+            [result] = connection.execute(
+                "SELECT FROM landsat_tm WHERE band = ?", [band])
+            return [obj.oid for obj in result.objects]
+
         conn.begin()
-        with pytest.raises(TransactionError):
-            other.begin()
-        conn.rollback()
-        other.begin()
+        kept = self._store_scene(conn, band="kept")      # joins conn's
+        other.begin()            # now the ambient view: stores join it
+        doomed = self._store_scene(other, band="doomed")
+        assert oids(conn, "kept") == [kept.oid] and oids(other, "kept") == []
+        assert oids(other, "doomed") == [doomed.oid]
+        assert oids(conn, "doomed") == []
         other.rollback()
+        conn.commit()
+        assert oids(other, "kept") == [kept.oid]
+        assert oids(conn, "doomed") == []
 
     def test_rollback_of_a_derivation_does_not_poison_reuse(self, conn):
         """A derivation executed (and task-logged) inside a rolled-back
@@ -380,13 +394,88 @@ class TestTransactions:
         assert [t.succeeded for t in tasks] == [True, False]
         assert tasks.producer_of(kept.objects[0].oid) is not None
 
+    def _store_1987_scenes(self, conn):
+        generator = SceneGenerator(seed=9, nrow=16, ncol=16)
+        return [conn.kernel.store.store("landsat_tm", {
+            "area": "africa", "band": band, "data": image,
+            "spatialextent": AFRICA,
+            "timestamp": AbsTime.from_ymd(1987, 1, 15),
+        }) for band, image in zip(("red", "nir", "green"),
+                                  generator.scene("africa", 1987, 1))]
+
+    def test_no_derivation_from_another_connections_uncommitted_data(
+            self, conn):
+        """A derivation reads its own statement's view: another
+        connection's uncommitted scenes are as invisible to it as to a
+        count(*) — no dirty read."""
+        other = connect(kernel=conn.kernel)
+        tasks = conn.kernel.derivations.tasks
+        other.begin()
+        pending = {obj.oid for obj in self._store_1987_scenes(other)}
+        [counted] = conn.execute("SELECT count(*) FROM landsat_tm")
+        assert counted.objects[0]["count(*)"] == 3
+        with pytest.raises(UnderivableError):
+            conn.execute(self.QUERY, ["1987-01-15"])
+        assert not any(task.all_input_oids() & pending for task in tasks)
+        other.commit()
+        [derived] = conn.execute(self.QUERY, ["1987-01-15"])
+        assert derived.path == "derive"
+        [task] = [t for t in tasks if t.all_input_oids() & pending]
+        assert task.output_oids == (derived.objects[0].oid,)
+
+    def test_another_connections_rollback_keeps_an_auto_commit_derivation(
+            self, conn):
+        """A derivation made in auto-commit is written in its own
+        transaction: rolling back another connection's (empty) one
+        leaves the object, its task and its reuse alone."""
+        other = connect(kernel=conn.kernel)
+        tasks = conn.kernel.derivations.tasks
+        other.begin()
+        [derived] = conn.execute(self.QUERY, ["1986-01-15"])
+        assert derived.path == "derive"
+        obj = derived.objects[0]
+        other.rollback()
+        assert conn.kernel.store.get(obj.oid) == obj
+        assert tasks.producer_of(obj.oid) is not None
+        [again] = conn.execute(self.QUERY, ["1986-01-15"])
+        assert again.path == "retrieve" and len(tasks) == 1
+        assert [o.oid for o in again.objects] == [obj.oid]
+
+    def test_memo_reuse_needs_a_visible_output(self, conn):
+        """A task another connection has not committed is not reused:
+        its output is invisible here, so this view derives its own."""
+        other = connect(kernel=conn.kernel)
+        tasks = conn.kernel.derivations.tasks
+        other.begin()
+        [pending] = other.execute(self.QUERY, ["1986-01-15"])
+        [mine] = conn.execute(self.QUERY, ["1986-01-15"])
+        assert mine.path == "derive" and len(tasks) == 2
+        assert mine.objects[0].oid != pending.objects[0].oid
+        other.rollback()
+        assert [t.output_oids for t in tasks] == [(mine.objects[0].oid,)]
+
+    def test_a_read_only_transaction_derives_once(self, conn):
+        """Derived data written under a read-only transaction's view is
+        its own write: later statements of the same transaction reuse
+        it, though the frozen snapshot predates it."""
+        tasks = conn.kernel.derivations.tasks
+        conn.begin(read_only=True)
+        [first] = conn.execute(self.QUERY, ["1986-01-15"])
+        [second] = conn.execute(self.QUERY, ["1986-01-15"])
+        conn.commit()
+        assert (first.path, second.path) == ("derive", "retrieve")
+        assert second.objects == first.objects and len(tasks) == 1
+
     def test_explain_reads_the_pinned_snapshot(self):
         """Inside a read-only transaction EXPLAIN resolves the §2.1.5
         path against the frozen view the SELECT reads, not live data."""
         reader = connect(universe=AFRICA)
         reader.execute("DEFINE CLASS probe ( ATTRIBUTES: k = int4; )")
         reader.begin(read_only=True)
-        connect(kernel=reader.kernel).kernel.store.store("probe", {"k": 2})
+        writer = connect(kernel=reader.kernel)
+        writer.begin()
+        writer.kernel.store.store("probe", {"k": 2})
+        writer.commit()
         query = "SELECT FROM probe WHERE k = 2"
         with pytest.raises(UnderivableError):
             reader.cursor().execute(query).fetchall()

@@ -20,10 +20,10 @@ def conn():
     connection.cursor().execute(
         "DEFINE CLASS big ( ATTRIBUTES: code = int4; tag = char16; )")
     store = connection.kernel.store
-    store.begin_transaction()
+    connection.begin()
     for i in range(ROWS):
         store.store("big", {"code": i, "tag": f"t{i % 7}"})
-    store.commit_transaction()
+    connection.commit()
     connection.cursor().execute("CREATE INDEX ON big (code)")
     return connection
 

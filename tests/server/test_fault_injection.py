@@ -20,6 +20,7 @@ from repro.errors import InterfaceError
 from repro.server import GaeaServer
 from repro.spatial import Box
 from repro.storage import StorageEngine
+from repro.storage.wal import LogKind
 from repro.temporal import AbsTime
 
 DDL = """
@@ -152,12 +153,12 @@ class TestClientDeathMidFetch:
             with pytest.raises(InterfaceError):
                 cur.fetchall()
 
-    def test_mid_transaction_death_releases_writer_slot(self):
-        """A victim dying inside a write transaction frees the single
-        writer for the next connection (its work rolled back)."""
+    def test_mid_transaction_death_aborts(self):
+        """A victim dying inside a write transaction has it aborted
+        (its work rolled back) while other connections carry on."""
         import time
 
-        from repro.errors import TransactionError
+        from repro.storage.transactions import TxStatus
 
         with GaeaServer() as server:
             setup = remote_connect(server.host, server.port)
@@ -176,22 +177,24 @@ class TestClientDeathMidFetch:
                 "spatialextent": Box(10, 0, 15, 5),
                 "timestamp": AbsTime(days=2),
             })
+            [xid] = {record.xid for record in server.kernel.engine.wal
+                     if record.kind is LogKind.INSERT
+                     and "doomed" in record.payload["values"]}
+            # a writer beside the victim is not held up by it
+            survivor = remote_connect(server.host, server.port)
+            survivor.begin()
             victim._sock.close()
             victim._closed = True
 
-            acquired = False
+            transactions = server.kernel.engine.transactions
             for _ in range(100):
-                successor = remote_connect(server.host, server.port)
-                try:
-                    successor.begin()
-                    successor.rollback()
-                    acquired = True
+                if transactions.status_of(xid) is TxStatus.ABORTED:
                     break
-                except TransactionError:
-                    time.sleep(0.05)
-                finally:
-                    successor.close()
-            assert acquired, "writer slot never released after death"
+                time.sleep(0.05)
+            assert transactions.status_of(xid) is TxStatus.ABORTED, \
+                "victim's transaction never aborted after death"
+            survivor.rollback()
+            survivor.close()
 
             check = remote_connect(server.host, server.port)
             cur = check.cursor()

@@ -7,14 +7,19 @@ cross-connection isolation.
 """
 
 import threading
+import time
 
+import numpy as np
 import pytest
 
 import repro
+from repro.adt import Image
 from repro.client import remote_connect
-from repro.errors import InterfaceError, PlanningError, TransactionError
+from repro.errors import InterfaceError, PlanningError, UnderivableError
 from repro.server import GaeaServer
 from repro.spatial import Box
+from repro.storage.transactions import TxStatus
+from repro.storage.wal import LogKind
 from repro.temporal import AbsTime
 
 DDL = """
@@ -45,6 +50,25 @@ def _store(conn, label, x=0.0, day=100):
         "spatialextent": Box(x, 0, x + 5, 5),
         "timestamp": AbsTime(days=day),
     })
+
+
+def _labels(conn):
+    cur = conn.cursor()
+    cur.execute("SELECT FROM land_cover")
+    return sorted(row["label"] for row in cur.fetchall())
+
+
+def _aborts(kernel, label):
+    """Wait (up to 5 s) for the transaction that stored *label* to
+    abort; whether it did."""
+    [xid] = {record.xid for record in kernel.engine.wal
+             if record.kind is LogKind.INSERT
+             and label in record.payload["values"]}
+    for _ in range(100):
+        if kernel.engine.transactions.status_of(xid) is TxStatus.ABORTED:
+            return True
+        time.sleep(0.05)
+    return False
 
 
 class TestBasics:
@@ -190,16 +214,23 @@ class TestTransactions:
         writer.close()
         reader.close()
 
-    def test_single_writer_across_connections(self, server):
-        first, second = _connect(server), _connect(server)
+    def test_concurrent_writers_are_independent(
+            self, server):
+        first, second, reader = (_connect(server), _connect(server),
+                                 _connect(server))
+        _store(reader, "base")  # committed baseline
         first.begin()
-        with pytest.raises(TransactionError):
-            second.begin()
-        first.rollback()
-        second.begin()  # the write slot freed up
+        second.begin()  # no writer slot: both transactions are open
+        _store(first, "kept", x=10.0)
+        _store(second, "doomed", x=20.0)
+        assert _labels(first) == ["base", "kept"]
+        assert _labels(second) == ["base", "doomed"]
+        assert _labels(reader) == ["base"]
         second.rollback()
-        first.close()
-        second.close()
+        first.commit()
+        assert _labels(reader) == _labels(second) == ["base", "kept"]
+        for conn in (first, second, reader):
+            conn.close()
 
     def test_read_only_transactions_run_concurrently(self, server):
         writer, reader = _connect(server), _connect(server)
@@ -227,25 +258,91 @@ class TestTransactions:
         # Abrupt socket death mid-transaction (no close op, no rollback).
         doomed._sock.close()
         doomed._closed = True
-        # The server must notice, roll back, and free the writer slot.
-        deadline = threading.Event()
-        for _ in range(100):
-            try:
-                bystander2 = _connect(server)
-                bystander2.begin()
-                bystander2.rollback()
-                bystander2.close()
-                deadline.set()
-                break
-            except TransactionError:
-                import time
-                time.sleep(0.05)
-        assert deadline.is_set(), "dead client's transaction never released"
+        # The server must notice and roll the transaction back.
+        assert _aborts(server.kernel, "doomed"), \
+            "dead client's transaction never rolled back"
         cur = bystander.cursor()
         cur.execute("SELECT FROM land_cover")
         labels = [row["label"] for row in cur.fetchall()]
         assert labels == ["base"]  # rolled back, bystander undisturbed
         bystander.close()
+
+
+DERIVE_DDL = """
+DEFINE CLASS field (
+  ATTRIBUTES: data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+);
+DEFINE CLASS mask (
+  ATTRIBUTES: data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+  DERIVED BY: maskify
+);
+DEFINE PROCESS maskify
+OUTPUT mask
+ARGUMENT ( field src )
+TEMPLATE {
+  MAPPINGS:
+    mask.data = img_threshold(src.data, 0.5);
+    mask.spatialextent = src.spatialextent;
+    mask.timestamp = src.timestamp;
+}
+"""
+MASK_QUERY = "SELECT FROM mask WHERE timestamp = ?"
+DAY = AbsTime(days=7)
+
+
+class TestDerivationIsolation:
+    """Derivations run under their own connection's view, on the wire
+    as in process."""
+
+    @pytest.fixture()
+    def deriving(self, server):
+        setup = _connect(server)
+        setup.cursor().execute(DERIVE_DDL)
+        setup.close()
+        return server
+
+    @staticmethod
+    def _field(conn):
+        return conn.store("field", {
+            "data": Image.from_array(np.eye(2), "float4"),
+            "spatialextent": Box(0, 0, 5, 5), "timestamp": DAY,
+        })
+
+    def test_no_derivation_from_another_connections_uncommitted_data(
+            self, deriving):
+        writer, reader = _connect(deriving), _connect(deriving)
+        writer.begin()
+        pending = self._field(writer)
+        cur = reader.cursor()
+        with pytest.raises(UnderivableError):
+            cur.execute(MASK_QUERY, [DAY]).fetchall()
+        writer.commit()
+        [mask] = cur.execute(MASK_QUERY, [DAY]).fetchall()
+        task = deriving.kernel.derivations.tasks.producer_of(mask.oid)
+        assert task.input_oids == {"src": (pending,)}
+        writer.close()
+        reader.close()
+
+    def test_another_connections_rollback_keeps_an_auto_commit_derivation(
+            self, deriving):
+        idle, deriver = _connect(deriving), _connect(deriving)
+        self._field(deriver)
+        idle.begin()  # an empty transaction, open while deriver derives
+        cur = deriver.cursor()
+        [mask] = cur.execute(MASK_QUERY, [DAY]).fetchall()
+        idle.rollback()
+        kernel = deriving.kernel
+        assert kernel.store.get(mask.oid).oid == mask.oid
+        assert kernel.derivations.tasks.producer_of(mask.oid) is not None
+        assert [row.oid for row in cur.execute(MASK_QUERY, [DAY])] \
+            == [mask.oid]
+        assert len(kernel.derivations.tasks) == 1
+        idle.close()
+        deriver.close()
 
 
 class TestConcurrentWire:

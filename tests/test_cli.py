@@ -1,8 +1,8 @@
 """Tests for the GaeaQL command-line interface (python -m repro)."""
 
-import pytest
-
+from repro import connect
 from repro.__main__ import main
+from repro.core import save_kernel
 
 SCRIPT = """
 DEFINE CLASS probe (
@@ -47,6 +47,22 @@ class TestCheckpointFlow:
         assert main(["--checkpoint", str(ckpt), str(probe)]) == 0
         out = capsys.readouterr().out
         assert "CLASS probe" in out
+
+    def test_dict_rows_render_as_key_value_lines(self, tmp_path, capsys):
+        """Projections and aggregates come back as dict rows, not
+        objects; each renders as one ``key=value`` line."""
+        conn = connect()
+        conn.execute("DEFINE CLASS d ( ATTRIBUTES: a = int4; b = char16; )")
+        for a in (5, 7):
+            conn.kernel.store.store("d", {"a": a, "b": "x"})
+        ckpt = tmp_path / "db.ckpt"
+        save_kernel(conn.kernel, ckpt)
+        script = tmp_path / "rows.gql"
+        script.write_text("SELECT a FROM d\n\nSELECT count(*) FROM d\n")
+        assert main(["--checkpoint", str(ckpt), str(script)]) == 0
+        out = capsys.readouterr().out
+        assert "  a=5\n  a=7\n" in out
+        assert "  count(*)=2\n" in out
 
     def test_bad_checkpoint(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.ckpt"

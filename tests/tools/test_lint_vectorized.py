@@ -2,8 +2,10 @@
 second ``run`` implementation growing back, a ``src/`` consumer of
 the engine's ``Row`` streams growing back, a second home for the
 §2.1.5 fallback ladder growing back, a fetch call regressing to a
-loop over ``fetchone()``, and a second write path or a deleter stamp
-growing back beside ``StorageEngine.insert``."""
+loop over ``fetchone()``, a second write path or a deleter stamp
+growing back beside ``StorageEngine.insert``, and a second piece of
+context state or a kernel-wide open transaction growing back beside the
+connection's view."""
 
 import pathlib
 import subprocess
@@ -272,6 +274,50 @@ def test_engine_is_the_write_paths_only_home(monkeypatch):
         engine, "src/repro/storage/elsewhere.py")
 
 
+def test_flags_a_second_context_var_and_a_kernel_wide_transaction():
+    bad = textwrap.dedent("""
+        import contextvars
+        from contextvars import ContextVar
+
+        _PIN = ContextVar("pin", default=None)
+        _TX = contextvars.ContextVar("tx")
+
+        class Store:
+            def store(self, values):
+                tx = self.current_tx
+    """)
+    violations = lint_vectorized.check_views(bad, "src/repro/query/client.py")
+    assert [line for line, _ in violations] == [5, 6, 10]
+    assert "constructs a ContextVar" in violations[0][1]
+    assert "names current_tx" in violations[2][1]
+
+
+def test_view_check_knows_its_home():
+    home = textwrap.dedent("""
+        from contextvars import ContextVar
+
+        _VIEW = ContextVar("repro_view", default=None)
+        view = _VIEW.get()          # reading the one ContextVar is free
+    """)
+    assert lint_vectorized.check_views(home, "src/repro/core/classes.py") \
+        == []
+    assert lint_vectorized.check_views(home, "src/repro/core/planner.py")
+    # no module, the home included, may keep a kernel-wide slot
+    assert lint_vectorized.check_views(
+        "current_tx = None\n", "src/repro/core/classes.py")
+
+
+def test_classes_holds_the_only_context_var(monkeypatch):
+    monkeypatch.chdir(REPO)
+    sources = sorted(str(path) for path
+                     in pathlib.Path("src/repro").rglob("*.py"))
+    assert lint_vectorized.check_paths(
+        sources, lint_vectorized.check_views) == []
+    classes = pathlib.Path("src/repro/core/classes.py").read_text()
+    assert classes.count("ContextVar(") == 1
+    assert lint_vectorized.check_views(classes, "src/repro/core/view.py")
+
+
 def test_planner_is_the_ladders_only_home(monkeypatch):
     monkeypatch.chdir(REPO)
     planner = "src/repro/core/planner.py"
@@ -340,3 +386,13 @@ def test_cli_exit_codes(tmp_path):
     )
     assert per_row.returncode == 1
     assert "fetcher.py:1: fetchone() called per iteration" in per_row.stderr
+
+    slot = tmp_path / "slot.py"
+    slot.write_text("tx = kernel.store.current_tx\n")
+    global_tx = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "lint_vectorized.py"),
+         str(slot)],
+        capture_output=True, text=True,
+    )
+    assert global_tx.returncode == 1
+    assert "slot.py:1: names current_tx" in global_tx.stderr

@@ -47,14 +47,20 @@ no module outside ``spatial/``, ``gis/`` and ``server/protocol.py`` —
 where it is a box coordinate — may name ``xmax``: visibility reads the
 creating transaction alone, and a deleter stamp must not grow back.
 
+A seventh check keeps the transaction with its connection: under
+``src/repro/`` only ``core/classes.py`` may construct a ``ContextVar``
+(the one that carries the current context's ``View``), and no module
+may name ``current_tx`` — a kernel-wide open-transaction slot that
+every connection's reads and stores consult must not grow back.
+
 Usage::
 
     python tools/lint_vectorized.py [path ...]
 
 Defaults to ``src/repro/query/operators.py`` for the operator checks
 and every module under ``src/repro/`` for the ``Row``-stream,
-fallback-ladder, fetch-loop and write-path checks; explicit paths get
-all of them.
+fallback-ladder, fetch-loop, write-path and view checks; explicit paths
+get all of them.
 Exits non-zero and prints one ``file:line: message`` per violation.
 """
 
@@ -73,6 +79,8 @@ LADDER_HOME = "core/planner.py"
 WRITE_PATH_HOME = "storage/engine.py"
 BOX_HOMES = ("repro/spatial/", "repro/gis/", "repro/server/protocol.py")
 _XMAX = re.compile(r"\bxmax\b")
+VIEW_HOME = "core/classes.py"
+_CURRENT_TX = re.compile(r"\bcurrent_tx\b")
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor,
           ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
@@ -242,6 +250,27 @@ def check_write_path(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
+def check_views(source: str, filename: str = "<string>"
+                ) -> list[tuple[int, str]]:
+    """``(line, message)`` for every ``ContextVar(...)`` constructed
+    outside ``core/classes.py`` and every line naming ``current_tx``."""
+    violations = []
+    if not pathlib.PurePath(filename).as_posix().endswith(VIEW_HOME):
+        violations.extend(
+            (node.lineno,
+             "constructs a ContextVar — the current view is the one "
+             f"piece of context state ({VIEW_HOME})")
+            for node in ast.walk(ast.parse(source, filename=filename))
+            if isinstance(node, ast.Call)
+            and _is_named(node.func, "ContextVar"))
+    violations.extend(
+        (number, "names current_tx — a transaction belongs to its "
+                 "connection's view, not to the kernel")
+        for number, line in enumerate(source.splitlines(), start=1)
+        if _CURRENT_TX.search(line))
+    return sorted(violations)
+
+
 def check_paths(paths: list[str], check=check_source) -> list[str]:
     """Formatted ``file:line: message`` violations of *check* across
     *paths*."""
@@ -261,6 +290,7 @@ def main(argv: list[str]) -> int:
         + check_paths(sources, check_row_streams) \
         + check_paths(sources, check_fetch_loops) \
         + check_paths(sources, check_write_path) \
+        + check_paths(sources, check_views) \
         + check_paths([path for path in sources
                        if not path.endswith(LADDER_HOME)],
                       check_fallback_ladder)
