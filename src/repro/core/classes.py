@@ -31,7 +31,7 @@ import operator
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterator
 
@@ -55,14 +55,16 @@ __all__ = ["NonPrimitiveClass", "SciObject", "ClassRegistry", "ClassStore",
 
 OID_COLUMN = "_oid"
 
-#: The view the current context reads and writes under.  A
+#: The view the current context reads and writes under, and whether it
+#: was held (else entered).  A
 #: :class:`~contextvars.ContextVar` rather than a thread-local so each
 #: server worker thread (and each task, under an event loop) carries its
 #: own.  Note PEP 567's generator caveat: a view entered *inside* a
 #: generator leaks across its yields, so consumers enter it around each
 #: *batch* pull (see ``query.client.Cursor._stream``) and leave it
 #: before they yield.
-_VIEW: ContextVar["View | None"] = ContextVar("repro_view", default=None)
+_VIEW: ContextVar[tuple["View | None", bool]] = ContextVar(
+    "repro_view", default=(None, False))
 
 #: Value tuples the row views (:meth:`ClassStore.iter_scan` and what
 #: rides it) ask the engine for at a time: small, so a consumer that
@@ -265,7 +267,7 @@ class View:
     derivation sees what it and earlier statements of the view derived,
     and nothing another view has not committed.  A connection keeps one
     view per transaction and opens one per auto-commit statement;
-    ``begin()`` also :meth:`hold`\\ s it, so direct
+    ``begin()`` also :meth:`hold`\\ s a writer's view, so direct
     :meth:`ClassStore.store` calls until commit join the transaction.
     """
 
@@ -275,18 +277,17 @@ class View:
         self.store = store
         self.tx = tx
         self.snapshot: Snapshot = store.engine.snapshot(tx)
-        self._outer: View | None = None
+        self._outer: tuple[View | None, bool] = (None, False)
         self._held = False
 
     def wrote(self, xid: int) -> None:
         """Count the auto-committed *xid* among the view's own writes."""
-        self.snapshot = replace(self.snapshot,
-                                committed=self.snapshot.committed | {xid})
+        self.snapshot.own_commits.add(xid)
 
     @contextmanager
     def entered(self) -> Iterator[None]:
         """Make this the view of every read and store in the block."""
-        token = _VIEW.set(self)
+        token = _VIEW.set((self, False))
         try:
             yield
         finally:
@@ -295,19 +296,26 @@ class View:
     def hold(self) -> None:
         """Make this the calling context's ambient view until
         :meth:`release`."""
-        self._outer, self._held = _VIEW.get(), True
-        _VIEW.set(self)
+        self._outer, self._held = _ambient(), True
+        _VIEW.set((self, True))
 
     def release(self) -> None:
         """End the view's transaction: later stores under it (a cursor
-        still draining) auto-commit, and the calling context's ambient
-        view goes back to the innermost one still held."""
+        still draining) auto-commit; the calling context lets go of it
+        now, other contexts that held it at their next read or store."""
         self.tx, self._held = None, False
-        if _VIEW.get() is self:
-            outer = self._outer
-            while outer is not None and not outer._held:
-                outer = outer._outer
-            _VIEW.set(outer)
+        view, held = _VIEW.get()
+        if view is self and held:
+            _VIEW.set(self._outer)
+
+
+def _ambient() -> tuple[View | None, bool]:
+    """The current context's ``(view, held)`` pair, skipping the views
+    held here but released since."""
+    view, held = _VIEW.get()
+    while held and not view._held:
+        view, held = view._outer
+    return view, held
 
 
 @dataclass
@@ -389,7 +397,7 @@ class ClassStore:
 
     def _view(self) -> View | None:
         """The current context's view, when it is one over this store."""
-        view = _VIEW.get()
+        view = _ambient()[0]
         return view if view is not None and view.store is self else None
 
     def _snapshot(self) -> Snapshot | None:

@@ -69,14 +69,13 @@ class ExperimentManager:
     _ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
 
     def __post_init__(self) -> None:
-        # Runs after the task log's own hook: the tasks are gone by then.
-        self.derivations.store.on_rollback(self._forget_discarded_tasks)
+        self.derivations.on_discard(self._forget_tasks)
 
-    def _forget_discarded_tasks(self, _oids: list[int]) -> None:
-        """Drop the ids of tasks a rollback discarded."""
+    def _forget_tasks(self, dropped: set[int]) -> None:
+        """Drop the ids of the tasks a rollback discarded."""
         for experiment in self._experiments.values():
             experiment.task_ids[:] = [t for t in experiment.task_ids
-                                      if t in self.derivations.tasks]
+                                      if t not in dropped]
 
     def begin(self, name: str, investigator: str = "",
               description: str = "",

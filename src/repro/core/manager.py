@@ -63,11 +63,14 @@ class DerivationManager:
     #: at (both registries only ever grow).
     _net: tuple[tuple[int, int], DerivationNet] | None = field(
         default=None, init=False, repr=False, compare=False)
+    #: Called with the ids of the tasks each rollback discards (not
+    #: pickled: owners re-register on load).
+    _discard_hooks: list[Callable[[set[int]], None]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.processes = ProcessRegistry(classes=self.classes)
-        # Late-bound: `load_kernel` replaces `tasks` after construction.
-        self.store.on_rollback(lambda oids: self.tasks.discard_outputs(oids))
+        self.store.on_rollback(self._discard_tasks)
 
     def __getstate__(self) -> dict:
         """Kernel checkpoints cannot pickle operator implementations; the
@@ -75,7 +78,17 @@ class DerivationManager:
         :func:`repro.core.persistence.load_kernel`."""
         state = self.__dict__.copy()
         state["operators"] = None
+        state["_discard_hooks"] = []
         return state
+
+    def _discard_tasks(self, oids: list[int]) -> None:
+        dropped = self.tasks.discard_outputs(oids)
+        for hook in self._discard_hooks if dropped else ():
+            hook(dropped)
+
+    def on_discard(self, hook: Callable[[set[int]], None]) -> None:
+        """Run *hook* with the ids of the tasks each rollback discards."""
+        self._discard_hooks.append(hook)
 
     # -- definitions -----------------------------------------------------------
 
@@ -117,8 +130,8 @@ class DerivationManager:
 
         With ``reuse`` (default) a completed task over identical inputs —
         and, for interactive processes, identical resolved parameters —
-        short-circuits to its recorded output object, provided the
-        current view sees that object.
+        short-circuits to its recorded output object: the latest such
+        task whose output the current view sees.
 
         Interactive processes (§4.3 extension) resolve their interaction
         parameters through ``interaction_handler(name, prompt)`` unless
@@ -142,14 +155,17 @@ class DerivationManager:
         resolved.update(overrides)
 
         if reuse:
-            memoized = self._find_reusable(process, bindings, resolved)
-            if memoized is not None:
+            for memoized in self.tasks.memoized(process_name, bindings):
+                if not memoized.output_oids or (
+                        process.is_interactive
+                        and memoized.parameters != resolved):
+                    continue
                 try:
                     return DerivationResult(
                         output=self.store.get(memoized.output_oids[0]),
                         task=memoized, reused=True)
                 except UnknownClassError:
-                    pass  # its output is not visible to the current view
+                    continue  # not visible to the current view
         try:
             attributes = process.evaluate(bindings, self.operators,
                                           parameter_overrides=overrides)
@@ -162,33 +178,6 @@ class DerivationManager:
             parameters=resolved,
         )
         return DerivationResult(output=output, task=task, reused=False)
-
-    def _find_reusable(self, process, bindings: Bindings,
-                       resolved: dict[str, Any]):
-        """A completed prior task matching inputs (and, for interactive
-        processes, the resolved parameters)."""
-        memoized = self.tasks.find_memoized(process.name, bindings)
-        if memoized is None or not memoized.output_oids:
-            return None
-        if process.is_interactive and memoized.parameters != resolved:
-            # The memo index keeps only the latest task per bindings;
-            # scan history for an exact parameter match.
-            expected = {
-                name: tuple(sorted(o.oid for o in bound))
-                if isinstance(bound, list) else (bound.oid,)
-                for name, bound in bindings.items()
-            }
-            for task in reversed(self.tasks.completed()):
-                if task.process_name != process.name or not task.output_oids:
-                    continue
-                actual = {
-                    name: tuple(sorted(oids))
-                    for name, oids in task.input_oids.items()
-                }
-                if actual == expected and task.parameters == resolved:
-                    return task
-            return None
-        return memoized
 
     def execute_compound(self, compound_name: str, bindings: Bindings,
                          reuse: bool = True) -> DerivationResult:

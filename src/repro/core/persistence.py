@@ -94,8 +94,8 @@ def load_kernel(path: str | Path) -> MetadataManager:
     derivations.tasks = state["tasks"]
 
     saved: ExperimentManager = state["experiments"]
-    # Constructed afresh (not unpickled as is) so its rollback hook is
-    # registered with the restored store, like the derivation manager's.
+    # Constructed afresh (not unpickled as is) so it registers its
+    # discard hook with the restored derivation manager.
     experiments = ExperimentManager(
         derivations=derivations, concepts=state["concepts"],
         _experiments=saved._experiments, _ids=saved._ids,

@@ -42,15 +42,14 @@ def bindings_key(process_name: str, bindings: Bindings) -> tuple:
     insensitive (a set of bands is a set).  Process parameters do not
     appear because they are part of process identity already (§2.1.2).
     """
-    parts: list[tuple[str, tuple[int, ...]]] = []
-    for arg_name in sorted(bindings):
-        bound = bindings[arg_name]
-        if isinstance(bound, list):
-            oids = tuple(sorted(obj.oid for obj in bound))
-        else:
-            oids = (bound.oid,)
-        parts.append((arg_name, oids))
-    return (process_name, tuple(parts))
+    return _memo_key(process_name, _bindings_to_oids(bindings))
+
+
+def _memo_key(process_name: str,
+              input_oids: dict[str, tuple[int, ...]]) -> tuple:
+    """:func:`bindings_key` over bound oids (a task's ``input_oids``)."""
+    return (process_name, tuple((name, tuple(sorted(input_oids[name])))
+                                for name in sorted(input_oids)))
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,9 @@ class TaskLog:
 
     _tasks: dict[int, Task] = field(default_factory=dict)  # by task_id
     _ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
-    _memo: dict[tuple, int] = field(default_factory=dict)  # key -> task_id
+    #: key -> every completed task over those inputs, oldest first (a
+    #: view may not see the latest one's output but an earlier one's).
+    _memo: dict[tuple, list[int]] = field(default_factory=dict)
     _by_output: dict[int, int] = field(default_factory=dict)  # oid -> task_id
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -133,7 +134,8 @@ class TaskLog:
         )
         with self._lock:
             self._tasks[task.task_id] = task
-            self._memo[bindings_key(process_name, bindings)] = task.task_id
+            self._memo.setdefault(_memo_key(process_name, task.input_oids),
+                                  []).append(task.task_id)
             for oid in output_oids:
                 self._by_output[oid] = task.task_id
         return task
@@ -157,17 +159,20 @@ class TaskLog:
         """Forget the tasks that produced *oids*, with their memo and
         producer entries: the transaction that stored those objects
         rolled back, so the derivations never happened.  (Failure
-        records have no outputs and stay.)  Returns the dropped task
-        ids."""
+        records have no outputs and stay.)  Earlier tasks over the same
+        inputs stay memoized.  Returns the dropped task ids."""
         with self._lock:
             dropped = {self._by_output[oid] for oid in oids
                        if oid in self._by_output}
             for task_id in dropped:
-                del self._tasks[task_id]
-            for table in (self._memo, self._by_output):
-                for key in [key for key, task_id in table.items()
-                            if task_id in dropped]:
-                    del table[key]
+                task = self._tasks.pop(task_id)
+                for oid in task.output_oids:
+                    if self._by_output.get(oid) == task_id:
+                        del self._by_output[oid]
+                key = _memo_key(task.process_name, task.input_oids)
+                self._memo[key].remove(task_id)
+                if not self._memo[key]:
+                    del self._memo[key]
         return dropped
 
     def get(self, task_id: int) -> Task:
@@ -177,12 +182,12 @@ class TaskLog:
         except KeyError:
             raise TaskExecutionError(f"unknown task id {task_id}") from None
 
-    def find_memoized(self, process_name: str, bindings: Bindings
-                      ) -> Task | None:
-        """A previously completed task for the same (process, inputs)."""
+    def memoized(self, process_name: str, bindings: Bindings) -> list[Task]:
+        """Every completed task for the same (process, inputs), latest
+        first."""
         key = bindings_key(process_name, bindings)
         with self._lock:
-            return self._tasks.get(self._memo.get(key))
+            return [self._tasks[t] for t in reversed(self._memo.get(key, ()))]
 
     def producer_of(self, oid: int) -> Task | None:
         """The task that produced object *oid* (None for base objects)."""

@@ -174,9 +174,10 @@ class Connection:
         in between join it.
 
         With *read_only* no storage transaction opens and None is
-        returned: the connection reads its frozen snapshot, and anything
-        it stores or derives meanwhile auto-commits (and is visible to
-        its later statements).
+        returned: the connection reads its frozen snapshot, and what its
+        statements derive meanwhile auto-commits (and is visible to its
+        later statements).  Direct stores are not part of the view:
+        they auto-commit after the snapshot, so it does not see them.
         """
         self._check_open()
         if self._view is not None:
@@ -188,7 +189,8 @@ class Connection:
         store = self.kernel.store
         self._view = View(store,
                           None if read_only else store.begin_transaction())
-        self._view.hold()
+        if not read_only:
+            self._view.hold()
         return self._view.tx
 
     def commit(self) -> None:

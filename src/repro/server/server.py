@@ -245,8 +245,8 @@ class GaeaServer:
         if op == "store":
             # GaeaQL has no INSERT statement — objects enter through the
             # object store, so the wire protocol exposes it directly.
-            # Joins the connection's open transaction, if any: `begin`
-            # made its view this session thread's ambient one.
+            # Joins the connection's open writer transaction, if any:
+            # `begin` made its view this session thread's ambient one.
             obj = session.connection.kernel.store.store(
                 request["class"],
                 decode_value(request.get("values") or {}),

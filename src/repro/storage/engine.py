@@ -378,10 +378,12 @@ class StorageEngine:
             # :func:`repro.storage.transactions.visible`).
             committed = snap.committed
             own = snap.own_xid
+            own_commits = snap.own_commits
             for versions in state.heap.iter_version_lists():
                 out.extend(
                     v.values for v in versions
                     if v.xmin in committed or v.xmin == own
+                    or v.xmin in own_commits
                 )
                 while len(out) >= batch_size:
                     yield out[:batch_size]

@@ -43,15 +43,18 @@ class Snapshot:
 
     A transaction is *in* the snapshot when it committed before the
     snapshot was taken.  ``own_xid`` lets a transaction see its own
-    uncommitted writes.
+    uncommitted writes, ``own_commits`` (its holder adds to it) those
+    its holder committed after taking it.
     """
 
     committed: frozenset[int]
     own_xid: int | None = None
+    own_commits: set[int] = field(default_factory=set, compare=False)
 
     def sees(self, xid: int) -> bool:
         """Whether work by *xid* is visible under this snapshot."""
-        return xid in self.committed or xid == self.own_xid
+        return xid in self.committed or xid == self.own_xid \
+            or xid in self.own_commits
 
 
 def visible(version: TupleVersion, snapshot: Snapshot) -> bool:

@@ -78,9 +78,8 @@ class TestTaskLog:
         kernel, objs = setup
         log = kernel.derivations.tasks
         task = log.record("P", {"xs": [objs[0], objs[1]]}, output_oids=(99,))
-        hit = log.find_memoized("P", {"xs": [objs[1], objs[0]]})
-        assert hit is task
-        assert log.find_memoized("P", {"xs": [objs[0], objs[2]]}) is None
+        assert log.memoized("P", {"xs": [objs[1], objs[0]]}) == [task]
+        assert log.memoized("P", {"xs": [objs[0], objs[2]]}) == []
 
     def test_producer_of(self, setup):
         kernel, objs = setup
@@ -98,7 +97,7 @@ class TestTaskLog:
         assert log.failed() == [failure]
         assert log.completed() == []
         # Failures never memoize.
-        assert log.find_memoized("P", {"x": objs[0]}) is None
+        assert log.memoized("P", {"x": objs[0]}) == []
 
     def test_tasks_of_process(self, setup):
         kernel, objs = setup
@@ -122,8 +121,22 @@ class TestTaskLog:
         assert log.discard_outputs([92, 93]) == {gone.task_id}
         assert [task.task_id for task in log] == [kept.task_id]
         assert log.producer_of(91) is None
-        assert log.find_memoized("P", {"x": objs[1]}) is None
+        assert log.memoized("P", {"x": objs[1]}) == []
         assert log.discard_outputs([92]) == set()
+
+    def test_discard_leaves_earlier_tasks_over_the_same_inputs(self, setup):
+        """Every completed task stays memoized, latest first: dropping
+        the latest brings the earlier one back."""
+        kernel, objs = setup
+        log = kernel.derivations.tasks
+        first = log.record("P", {"xs": [objs[0], objs[1]]}, output_oids=(90,))
+        second = log.record("P", {"xs": [objs[1], objs[0]]},
+                            output_oids=(91,))
+        assert log.memoized("P", {"xs": [objs[0], objs[1]]}) \
+            == [second, first]
+        assert log.discard_outputs([91]) == {second.task_id}
+        assert log.memoized("P", {"xs": [objs[1], objs[0]]}) == [first]
+        assert log.producer_of(90) is first
 
 
 class TestTaskLogUnderConcurrency:
@@ -163,8 +176,8 @@ class TestTaskLogUnderConcurrency:
         kernel, scenes = years
         mine, theirs = scenes[0::3] + scenes[1::3], scenes[2::3]
         log = kernel.derivations.tasks
-        # A long history: each discard then walks a large memo, a wide
-        # window for a record from another writer to land in.
+        # A long history: a discard that rebuilt the memo would walk it
+        # all, a wide window for a record from another writer to land in.
         history = 20_000
         for i in range(history):
             log.record(f"earlier{i}", {"src": scenes[0]}, output_oids=())
@@ -212,7 +225,7 @@ class TestTaskLogUnderConcurrency:
         assert len(committed) == len(mine) == len(log) - history
         for scene in mine:
             task = committed[scene.oid].task
-            assert log.find_memoized("refine", {"src": scene}) is task
+            assert log.memoized("refine", {"src": scene}) == [task]
             assert log.producer_of(task.output_oids[0]) is task
         for scene in theirs:
-            assert log.find_memoized("refine", {"src": scene}) is None
+            assert log.memoized("refine", {"src": scene}) == []

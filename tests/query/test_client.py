@@ -2,9 +2,14 @@
 statements with parameter binding, the plan cache, streaming fetches,
 and transactions."""
 
+import gc
+import threading
+import weakref
+
 import pytest
 
 from repro import connect
+from repro.core.classes import View
 from repro.errors import (
     BindError,
     GaeaError,
@@ -301,6 +306,31 @@ class TestTransactions:
             conn.begin()
         conn.rollback()
 
+    def test_a_commit_from_another_thread_ends_the_ambient_view(self, conn):
+        """A shared connection may be begun in one thread and committed
+        in another; the thread that began it then reads live data, not
+        the ended transaction's snapshot."""
+        conn.begin()
+        for work in (conn.commit, lambda: self._store_scene(conn)):
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+        assert conn.kernel.store.count("landsat_tm") == 4
+        mine = self._store_scene(conn, band="mine")
+        assert conn.kernel.store.get(mine.oid) == mine
+        assert not conn.in_transaction
+
+    def test_an_ended_transaction_pins_nothing(self):
+        """Once committed, the transaction's view no longer keeps the
+        kernel it read alive in the context that began it."""
+        conn = connect(universe=AFRICA)
+        conn.begin()
+        conn.commit()
+        store = weakref.ref(conn.kernel.store)
+        del conn
+        gc.collect()
+        assert store() is None
+
     def test_concurrent_writers_are_independent(
             self, conn):
         """Transactions belong to their connections: two are open at
@@ -454,6 +484,28 @@ class TestTransactions:
         other.rollback()
         assert [t.output_oids for t in tasks] == [(mine.objects[0].oid,)]
 
+    def test_a_rolled_back_rederivation_leaves_the_committed_task_memoized(
+            self, conn):
+        """A writer that began before another view's derivation committed
+        derives its own.  Its task does not hide the committed one: other
+        views keep reusing that, and the rollback leaves it memoized."""
+        writer = connect(kernel=conn.kernel)
+        derivations = conn.kernel.derivations
+        bands = {"bands": conn.kernel.store.find("landsat_tm")}
+        writer.begin()
+        [committed] = conn.execute(self.QUERY, ["1986-01-15"])
+        [pending] = writer.execute(self.QUERY, ["1986-01-15"])
+        assert pending.path == "derive"
+        assert pending.objects[0].oid != committed.objects[0].oid
+        first = derivations.tasks.producer_of(committed.objects[0].oid)
+        # a fresh view: this context's ambient one is the writer's
+        with View(conn.kernel.store).entered():
+            reused = derivations.execute_process("P20", bands)
+        assert reused.reused and reused.task is first
+        writer.rollback()
+        assert derivations.tasks.memoized("P20", bands) == [first]
+        assert len(derivations.tasks) == 1
+
     def test_a_read_only_transaction_derives_once(self, conn):
         """Derived data written under a read-only transaction's view is
         its own write: later statements of the same transaction reuse
@@ -472,10 +524,7 @@ class TestTransactions:
         reader = connect(universe=AFRICA)
         reader.execute("DEFINE CLASS probe ( ATTRIBUTES: k = int4; )")
         reader.begin(read_only=True)
-        writer = connect(kernel=reader.kernel)
-        writer.begin()
-        writer.kernel.store.store("probe", {"k": 2})
-        writer.commit()
+        connect(kernel=reader.kernel).kernel.store.store("probe", {"k": 2})
         query = "SELECT FROM probe WHERE k = 2"
         with pytest.raises(UnderivableError):
             reader.cursor().execute(query).fetchall()
