@@ -12,16 +12,17 @@ from .catalog import Catalog, Column, IndexDef, Schema
 from .engine import Row, StorageEngine
 from .heap import DEFAULT_PAGE_BYTES, HeapFile, SlottedPage
 from .transactions import (
+    ABORTED,
     Snapshot,
     Transaction,
     TransactionManager,
-    TxStatus,
     visible,
 )
 from .tuples import TID, TupleVersion
 from .wal import LogKind, LogRecord, WriteAheadLog, read_log_file
 
 __all__ = [
+    "ABORTED",
     "AccessPath",
     "BTree",
     "Catalog",
@@ -41,7 +42,6 @@ __all__ = [
     "Transaction",
     "TransactionManager",
     "TupleVersion",
-    "TxStatus",
     "WriteAheadLog",
     "read_log_file",
     "visible",

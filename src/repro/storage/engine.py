@@ -8,6 +8,7 @@ deliberately the slice Gaea needs:
   Storage is append-only, like the immutable objects it holds:
   ``insert`` is the only write, a version is visible to the snapshots
   that see its creator, and only an aborted insert leaves a dead one,
+  stamped ``ABORTED`` by the abort,
 * secondary indexes on scalar columns (B-tree), the spatial extent
   (grid index) and the temporal extent (timeline),
 * ``recover`` — rebuild an engine by replaying a WAL.
@@ -31,7 +32,8 @@ from ..temporal.timeline import Timeline
 from .btree import BTree
 from .catalog import Catalog, IndexDef, Schema
 from .heap import HeapFile
-from .transactions import Snapshot, Transaction, TransactionManager, visible
+from .transactions import (ABORTED, Snapshot, Transaction,
+                           TransactionManager, visible)
 from .tuples import TID, TupleVersion
 from .wal import LogKind, WriteAheadLog
 
@@ -87,9 +89,9 @@ class StorageEngine:
     wal: WriteAheadLog = field(default_factory=WriteAheadLog)
     _relations: dict[str, _RelationState] = field(default_factory=dict)
     # Per-transaction undo log: one ``(relation, tid)`` per inserted
-    # row.  An abort reads the keys off the heap version and removes the
-    # TID from whatever indexes the relation has by then, so no index
-    # ever keeps pointers to rolled-back row versions.
+    # row.  An abort stamps each version ``ABORTED``, reads the keys off
+    # it and removes the TID from whatever indexes the relation has by
+    # then, so no index ever keeps pointers to rolled-back row versions.
     _undo_log: dict[int, list[tuple[str, TID]]] = field(default_factory=dict)
     # Serializes all mutating paths (DDL, DML, commit/abort, WAL
     # appends).  Readers never take it: they work off an immutable
@@ -131,13 +133,13 @@ class StorageEngine:
 
     def _buildable_versions(self, state: _RelationState
                             ) -> Iterator[tuple[TID, TupleVersion]]:
-        """Heap versions an index build should load: all but those of
-        aborted transactions, which are dead forever.  Versions of
-        still-active transactions are loaded too — their rows are in the
-        undo log, so a later rollback purges them from this index like
-        from any other."""
+        """Heap versions an index build should load: all but the aborted
+        ones, which are dead forever.  Versions of still-active
+        transactions are loaded too — their rows are in the undo log, so
+        a later rollback purges them from this index like from any
+        other."""
         for tid, version in state.heap.scan():
-            if not self.transactions.is_aborted(version.xmin):
+            if version.xmin != ABORTED:
                 yield tid, version
 
     def create_index(self, relation: str, column: str, order: int = 32,
@@ -259,20 +261,25 @@ class StorageEngine:
         ``(relation, values)``, in insert order."""
         with self._write_lock:
             self.wal.append(LogKind.ABORT, xid=tx.xid)
+            purged = self._purge_aborted_inserts(tx.xid)
+            # Only now may the xid leave the in-flight set: from then on
+            # a snapshot's horizon covers it, and the stamps hide its rows.
             self.transactions.abort(tx)
-            return self._purge_aborted_inserts(tx.xid)
+            return purged
 
     def _purge_aborted_inserts(self, xid: int) -> list[tuple[str, tuple]]:
-        """Remove every row inserted under *xid* from the indexes its
-        relation has now, reading the keys off the heap version.  Readers
-        do not mind when: the version is invisible with or without its
-        index entries.  (The membership tests cover a row whose insert
-        failed part-way through index maintenance.)"""
+        """Stamp every row inserted under *xid* ``ABORTED`` and remove it
+        from the indexes its relation has now, reading the keys off the
+        heap version.  Readers do not mind when: the version is invisible
+        with or without its index entries.  (The membership tests cover a
+        row whose insert failed part-way through index maintenance.)"""
         purged = []
         for relation, tid in self._undo_log.pop(xid, ()):
             state = self._state(relation)
             schema = self.catalog.get(relation)
-            values = state.heap.get(tid).values
+            version = state.heap.get(tid)
+            version.xmin = ABORTED
+            values = version.values
             purged.append((relation, values))
             for column, tree in state.btrees.items():
                 key = values[schema.index_of(column)]
@@ -300,12 +307,14 @@ class StorageEngine:
             normalized = self.catalog.validate_row(relation, values)
             version = TupleVersion(values=normalized, xmin=tx.xid)
             tid = state.heap.insert(version)
+            # Undo first: a version missing from the undo log would
+            # escape the abort's stamp and show once its xid finished.
+            self._undo_log.setdefault(tx.xid, []).append((relation, tid))
             self.wal.append(
                 LogKind.INSERT, xid=tx.xid,
                 payload={"relation": relation, "tid": tid,
                          "values": normalized},
             )
-            self._undo_log.setdefault(tx.xid, []).append((relation, tid))
             schema = self.catalog.get(relation)
             for column, tree in state.btrees.items():
                 tree.insert(normalized[schema.index_of(column)], tid)
@@ -375,15 +384,20 @@ class StorageEngine:
             # Page-at-a-time with ``visible()`` inlined: the per-row
             # function-call overhead would dominate a columnar scan that
             # does nothing else per row (same predicate as
-            # :func:`repro.storage.transactions.visible`).
-            committed = snap.committed
+            # :func:`repro.storage.transactions.visible`).  ``xmin`` is
+            # read twice, and an abort may stamp it ``ABORTED`` in
+            # between: testing ``in_flight`` first hides a version read
+            # as its in-flight creator and then as ``ABORTED``, where
+            # ``< horizon`` first would pass both tests.
+            horizon = snap.horizon
+            in_flight = snap.in_flight
             own = snap.own_xid
             own_commits = snap.own_commits
             for versions in state.heap.iter_version_lists():
                 out.extend(
                     v.values for v in versions
-                    if v.xmin in committed or v.xmin == own
-                    or v.xmin in own_commits
+                    if v.xmin not in in_flight and v.xmin < horizon
+                    or v.xmin == own or v.xmin in own_commits
                 )
                 while len(out) >= batch_size:
                     yield out[:batch_size]
@@ -634,7 +648,6 @@ class StorageEngine:
                 engine._state(record.payload["relation"]).heap.insert(
                     TupleVersion(values=record.payload["values"],
                                  xmin=record.xid))
-        for xid in committed:
-            engine.transactions.force_committed(xid)
+        engine.transactions.restore_xid_floor(max(committed, default=0) + 1)
         # The recovered engine starts a fresh log; history lives in `wal`.
         return engine

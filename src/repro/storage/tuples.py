@@ -5,10 +5,11 @@ substitute keeps the two properties the paper relies on:
 
 * **Append-only storage** — the paper's objects are immutable (base
   objects are observations, derived objects are added by tasks, an
-  edited process is a new process), so a stored :class:`TupleVersion` is
-  written once and never changed.  It carries ``xmin``, the transaction
-  that created it; a version whose creator aborted stays stored and
-  dead.
+  edited process is a new process), so a stored :class:`TupleVersion`'s
+  values are written once and never changed.  It carries ``xmin``, the
+  transaction that created it; that changes at most once, to
+  ``ABORTED``, while its creator is still in flight — a version whose
+  creator aborted stays stored and dead.
 * **ADT-valued attributes** — attribute values may be any registered
   primitive-class value (images included).
 
@@ -44,7 +45,8 @@ class TupleVersion:
 
     ``values`` is a tuple of attribute values positionally matching the
     relation schema.  ``xmin`` is the whole of visibility: the version
-    exists for exactly the snapshots that see its creating transaction.
+    exists for exactly the snapshots that see its creating transaction
+    (none, once an abort has stamped it ``ABORTED``).
     """
 
     values: tuple[Any, ...]

@@ -158,8 +158,6 @@ class TestClientDeathMidFetch:
         (its work rolled back) while other connections carry on."""
         import time
 
-        from repro.storage.transactions import TxStatus
-
         with GaeaServer() as server:
             setup = remote_connect(server.host, server.port)
             setup.cursor().execute(DDL)
@@ -186,13 +184,14 @@ class TestClientDeathMidFetch:
             victim._sock.close()
             victim._closed = True
 
-            transactions = server.kernel.engine.transactions
+            wal = server.kernel.engine.wal
             for _ in range(100):
-                if transactions.status_of(xid) is TxStatus.ABORTED:
+                aborted = any(record.kind is LogKind.ABORT
+                              and record.xid == xid for record in wal)
+                if aborted:
                     break
                 time.sleep(0.05)
-            assert transactions.status_of(xid) is TxStatus.ABORTED, \
-                "victim's transaction never aborted after death"
+            assert aborted, "victim's transaction never aborted after death"
             survivor.rollback()
             survivor.close()
 

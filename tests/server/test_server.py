@@ -18,7 +18,6 @@ from repro.client import remote_connect
 from repro.errors import InterfaceError, PlanningError, UnderivableError
 from repro.server import GaeaServer
 from repro.spatial import Box
-from repro.storage.transactions import TxStatus
 from repro.storage.wal import LogKind
 from repro.temporal import AbsTime
 
@@ -59,13 +58,14 @@ def _labels(conn):
 
 
 def _aborts(kernel, label):
-    """Wait (up to 5 s) for the transaction that stored *label* to
-    abort; whether it did."""
+    """Wait (up to 5 s) for the ABORT record of the transaction that
+    stored *label*; whether it was logged."""
     [xid] = {record.xid for record in kernel.engine.wal
              if record.kind is LogKind.INSERT
              and label in record.payload["values"]}
     for _ in range(100):
-        if kernel.engine.transactions.status_of(xid) is TxStatus.ABORTED:
+        if any(record.kind is LogKind.ABORT and record.xid == xid
+               for record in kernel.engine.wal):
             return True
         time.sleep(0.05)
     return False

@@ -8,7 +8,7 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.spatial import Box
-from repro.storage import StorageEngine
+from repro.storage import ABORTED, LogKind, StorageEngine
 from repro.temporal import AbsTime
 
 
@@ -92,6 +92,43 @@ class TestTransactionSemantics:
         snap = engine.snapshot()
         engine.insert_row("scenes", _row())
         assert list(engine.scan("scenes", snapshot=snap)) == []
+
+    def test_insert_failing_at_the_log_stays_dead(self, engine, monkeypatch):
+        """A row whose WAL append failed is already in the undo log, so
+        the abort stamps it and it stays hidden once the xid finishes."""
+        real_append = engine.wal.append
+
+        def failing_append(kind, xid, payload=None):
+            if kind is LogKind.INSERT:
+                raise OSError("log device full")
+            return real_append(kind, xid=xid, payload=payload)
+
+        tx = engine.begin()
+        monkeypatch.setattr(engine.wal, "append", failing_append)
+        with pytest.raises(OSError):
+            engine.insert("scenes", _row("lost"), tx)
+        engine.abort(tx)
+        assert engine.stats("scenes")["versions"] == 1
+        assert list(engine.scan("scenes")) == []
+
+    def test_abort_stamps_before_the_xid_finishes(self, engine, monkeypatch):
+        """When the xid leaves the in-flight set, every version it wrote
+        already carries ABORTED; a committed neighbour keeps its xid."""
+        kept = engine.insert_row("scenes", _row("kept"))
+        tx = engine.begin()
+        tids = [engine.insert("scenes", _row(f"r{i}"), tx) for i in range(3)]
+        heap = engine._state("scenes").heap
+        real_abort = engine.transactions.abort
+        stamps = []
+
+        def checking_abort(transaction):
+            stamps.append([heap.get(tid).xmin for tid in tids])
+            real_abort(transaction)
+
+        monkeypatch.setattr(engine.transactions, "abort", checking_abort)
+        engine.abort(tx)
+        assert stamps == [[ABORTED] * 3]
+        assert heap.get(kept).xmin < tx.xid
 
 
 class TestIndexes:

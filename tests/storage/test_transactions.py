@@ -1,13 +1,17 @@
 """Tests for transactions and snapshot visibility."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TransactionError
 from repro.storage import (
+    ABORTED,
     Snapshot,
+    StorageEngine,
+    Transaction,
     TransactionManager,
     TupleVersion,
-    TxStatus,
     visible,
 )
 
@@ -20,15 +24,16 @@ class TestLifecycle:
     def test_commit(self):
         mgr = TransactionManager()
         tx = mgr.begin()
+        assert tx.xid in mgr.snapshot().in_flight
         mgr.commit(tx)
-        assert tx.status is TxStatus.COMMITTED
-        assert mgr.status_of(tx.xid) is TxStatus.COMMITTED
+        assert tx.xid not in mgr.snapshot().in_flight
+        assert mgr.snapshot().sees(tx.xid)
 
     def test_abort(self):
         mgr = TransactionManager()
         tx = mgr.begin()
         mgr.abort(tx)
-        assert mgr.status_of(tx.xid) is TxStatus.ABORTED
+        assert tx.xid not in mgr.snapshot().in_flight
 
     def test_double_commit_rejected(self):
         mgr = TransactionManager()
@@ -46,7 +51,13 @@ class TestLifecycle:
 
     def test_unknown_xid(self):
         with pytest.raises(TransactionError):
-            TransactionManager().status_of(99)
+            TransactionManager().abort(Transaction(xid=99))
+
+    def test_state_is_allocation_and_the_in_flight_set(self):
+        mgr = TransactionManager()
+        mgr.commit(mgr.begin())
+        mgr.abort(mgr.begin())
+        assert vars(mgr).keys() == {"_next_xid", "_in_flight", "_lock"}
 
 
 class TestSnapshots:
@@ -75,21 +86,38 @@ class TestSnapshots:
         mgr.commit(tx)
         assert not snap.sees(tx.xid)  # committed after the snapshot
 
+    def test_horizon_is_the_next_xid(self):
+        mgr = TransactionManager()
+        first, second = mgr.begin(), mgr.begin()
+        mgr.commit(second)
+        snap = mgr.snapshot()
+        assert (snap.horizon, snap.in_flight) == (3, frozenset({1}))
+        assert snap.sees(second.xid) and not snap.sees(first.xid)
+        assert not snap.sees(snap.horizon)
+
 
 class TestVisibility:
     def test_visible_when_creator_committed(self):
         version = TupleVersion(values=("a",), xmin=1)
-        assert visible(version, Snapshot(committed=frozenset({1})))
+        assert visible(version, Snapshot(horizon=2))
 
     def test_invisible_when_creator_uncommitted(self):
         version = TupleVersion(values=("a",), xmin=1)
-        assert not visible(version, Snapshot(committed=frozenset()))
+        assert not visible(version,
+                           Snapshot(horizon=2, in_flight=frozenset({1})))
+        assert not visible(version, Snapshot(horizon=1))
 
     def test_own_insert_visible_to_self_only(self):
         version = TupleVersion(values=("a",), xmin=5)
-        assert visible(version, Snapshot(committed=frozenset({1}), own_xid=5))
+        in_flight = frozenset({5, 6})
+        assert visible(version,
+                       Snapshot(horizon=7, in_flight=in_flight, own_xid=5))
         assert not visible(version,
-                           Snapshot(committed=frozenset({1}), own_xid=6))
+                           Snapshot(horizon=7, in_flight=in_flight, own_xid=6))
+
+    def test_aborted_stamp_is_above_every_horizon(self):
+        version = TupleVersion(values=("a",), xmin=ABORTED)
+        assert not visible(version, Snapshot(horizon=ABORTED))
 
     def test_later_commits_do_not_change_a_snapshot(self):
         version = TupleVersion(values=("a",), xmin=2)
@@ -107,13 +135,31 @@ class TestVisibility:
 
 
 class TestRecoveryHooks:
-    def test_force_committed(self):
-        mgr = TransactionManager()
-        mgr.force_committed(10)
-        assert mgr.status_of(10) is TxStatus.COMMITTED
-        assert mgr.begin().xid > 10
-
     def test_restore_xid_floor(self):
         mgr = TransactionManager()
         mgr.restore_xid_floor(100)
         assert mgr.begin().xid >= 100
+        assert mgr.snapshot().sees(99)
+
+
+class TestBoundedBookkeeping:
+    """Finished xids leave nothing behind: the manager's state and a
+    snapshot's size do not grow with commit history."""
+
+    @staticmethod
+    def _cycles(engine, count):
+        for _ in range(count):
+            engine.commit(engine.begin())
+            engine.abort(engine.begin())
+
+    def test_bookkeeping_does_not_grow_with_history(self, types):
+        engine = StorageEngine(types=types)
+        self._cycles(engine, 10)
+        small = len(pickle.dumps(engine.transactions))
+        self._cycles(engine, 10_000)
+        large = len(pickle.dumps(engine.transactions))
+        # _next_xid's pickled int widens by a few bytes; nothing else grows
+        assert large - small <= 8
+        snap = engine.snapshot()
+        assert snap.in_flight == frozenset()
+        assert len(snap.committed) == 2 * 10_010

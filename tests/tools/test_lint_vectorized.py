@@ -241,6 +241,22 @@ def test_flags_a_second_write_path_and_a_deleter_stamp():
     assert "xmax" in violations[2][1]
 
 
+def test_flags_a_visibility_stamp_outside_the_engine():
+    stamps = textwrap.dedent("""
+        def revive(version, tx):
+            version.xmin = tx.xid
+            heap.get(tid).xmin += 1
+            xmin = version.xmin          # reading the stamp is free
+            return TupleVersion(values=(), xmin=xmin), box.xmin
+    """)
+    violations = lint_vectorized.check_write_path(
+        stamps, "src/repro/core/classes.py")
+    assert [line for line, _ in violations] == [3, 4]
+    assert all("assigns .xmin" in message for _, message in violations)
+    assert lint_vectorized.check_write_path(
+        stamps, "src/repro/storage/engine.py") == []
+
+
 def test_write_path_check_knows_its_homes():
     write = textwrap.dedent("""
         def insert(self, state, version, tx):
@@ -396,3 +412,13 @@ def test_cli_exit_codes(tmp_path):
     )
     assert global_tx.returncode == 1
     assert "slot.py:1: names current_tx" in global_tx.stderr
+
+    stamp = tmp_path / "stamp.py"
+    stamp.write_text("version.xmin = ABORTED\n")
+    second_stamp = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "lint_vectorized.py"),
+         str(stamp)],
+        capture_output=True, text=True,
+    )
+    assert second_stamp.returncode == 1
+    assert "stamp.py:1: assigns .xmin" in second_stamp.stderr

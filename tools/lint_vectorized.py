@@ -40,12 +40,14 @@ over ``fetchone()`` is the signature of one of them regressing to a
 call (and, over the wire, a round trip) per row.
 
 A sixth check keeps the write path single and append-only: under
-``src/repro/`` only ``storage/engine.py`` may call a heap's ``insert``
-or name ``LogKind.INSERT`` (``StorageEngine.insert`` is the one place a
-row version is created and logged; recovery replays it there too), and
-no module outside ``spatial/``, ``gis/`` and ``server/protocol.py`` —
-where it is a box coordinate — may name ``xmax``: visibility reads the
-creating transaction alone, and a deleter stamp must not grow back.
+``src/repro/`` only ``storage/engine.py`` may call a heap's ``insert``,
+name ``LogKind.INSERT`` or assign to ``.xmin`` (``StorageEngine.insert``
+is the one place a row version is created and logged, recovery replays
+it there too, and ``StorageEngine.abort`` is the one place a version is
+stamped ``ABORTED``), and no module outside ``spatial/``, ``gis/`` and
+``server/protocol.py`` — where it is a box coordinate — may name
+``xmax``: visibility reads the creating transaction alone, and a
+deleter stamp must not grow back.
 
 A seventh check keeps the transaction with its connection: under
 ``src/repro/`` only ``core/classes.py`` may construct a ``ContextVar``
@@ -220,9 +222,10 @@ def check_fetch_loops(source: str, filename: str = "<string>"
 
 def check_write_path(source: str, filename: str = "<string>"
                      ) -> list[tuple[int, str]]:
-    """``(line, message)`` for every heap ``insert`` call and
-    ``LogKind.INSERT`` reference outside ``storage/engine.py``, and for
-    every line naming ``xmax`` outside the box-coordinate modules."""
+    """``(line, message)`` for every heap ``insert`` call,
+    ``LogKind.INSERT`` reference and assignment to ``.xmin`` outside
+    ``storage/engine.py``, and for every line naming ``xmax`` outside
+    the box-coordinate modules."""
     path = pathlib.PurePath(filename).as_posix()
     violations = []
     if not path.endswith(WRITE_PATH_HOME):
@@ -241,6 +244,12 @@ def check_write_path(source: str, filename: str = "<string>"
                     (node.lineno,
                      "names LogKind.INSERT — only StorageEngine logs and "
                      f"replays row inserts ({WRITE_PATH_HOME})"))
+            elif isinstance(node, ast.Attribute) and node.attr == "xmin" \
+                    and isinstance(node.ctx, ast.Store):
+                violations.append(
+                    (node.lineno,
+                     "assigns .xmin — only StorageEngine's insert and abort "
+                     f"stamp write visibility ({WRITE_PATH_HOME})"))
     if not any(home in path for home in BOX_HOMES):
         violations.extend(
             (number, "names xmax — storage is append-only: visibility "
