@@ -12,12 +12,15 @@ they are hashable and immutable.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Any
 
 from ..errors import SpatialError, ValueRepresentationError
 
 __all__ = ["Box"]
+
+_MAX = sys.float_info.max
 
 _BOX_RE = re.compile(
     r"""^\(\s*(?P<xmin>-?\d+(?:\.\d+)?)\s*,\s*(?P<ymin>-?\d+(?:\.\d+)?)\s*,
@@ -29,7 +32,8 @@ _BOX_RE = re.compile(
 
 @dataclass(frozen=True, order=False)
 class Box:
-    """Axis-aligned bounding box ``[xmin, xmax] x [ymin, ymax]``.
+    """Axis-aligned bounding box ``[xmin, xmax] x [ymin, ymax]`` with
+    finite coordinates.
 
     ``ref_system`` names the coordinate reference system; boxes in
     different reference systems cannot be compared or combined (a real
@@ -43,7 +47,13 @@ class Box:
     ref_system: str = "long/lat"
 
     def __post_init__(self) -> None:
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+        # One chained test: NaN fails every comparison, and an infinity
+        # or an int beyond float range fails the ``_MAX`` bounds.
+        if not (-_MAX <= self.xmin <= self.xmax <= _MAX
+                and -_MAX <= self.ymin <= self.ymax <= _MAX):
+            coords = (self.xmin, self.ymin, self.xmax, self.ymax)
+            if not all(-_MAX <= c <= _MAX for c in coords):
+                raise SpatialError(f"non-finite box coordinate in {coords}")
             raise SpatialError(
                 f"degenerate box: ({self.xmin},{self.ymin},{self.xmax},{self.ymax})"
             )

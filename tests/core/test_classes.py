@@ -8,6 +8,7 @@ from repro.core import NonPrimitiveClass
 from repro.errors import (
     ClassAlreadyDefinedError,
     DerivationError,
+    SpatialError,
     UnknownClassError,
 )
 from repro.spatial import Box
@@ -173,6 +174,17 @@ class TestStore:
         values["bogus"] = 1
         with pytest.raises(DerivationError):
             kernel.store.store("landcover", values)
+
+    @pytest.mark.parametrize("extent", [(float("nan"), 0, 10, 10),
+                                        (0, 0, float("inf"), 10)])
+    def test_non_finite_extent_rejected(self, kernel, stored, extent):
+        values = _values()
+        values["spatialextent"] = extent
+        with pytest.raises(SpatialError):
+            kernel.store.store("landcover", values)
+        assert kernel.store.count("landcover") == 1
+        found = kernel.store.find("landcover", spatial=Box(-20, -35, 52, 38))
+        assert [o.oid for o in found] == [stored.oid]
 
     def test_find_spatial(self, kernel, stored):
         kernel.store.store("landcover", _values(x=100.0))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import load_kernel, save_kernel
+from repro.core import NonPrimitiveClass, load_kernel, save_kernel
 from repro.core.classes import View
 from repro.errors import GaeaError
 from repro.figures import build_figure2, build_figure5, populate_scenes
+from repro.spatial import Box
 
 
 @pytest.fixture()
@@ -82,6 +83,35 @@ class TestRoundtrip:
         rain = restored.store.objects("rainfall_annual")[0]
         result = restored.derivations.execute_process("P2", {"rain": rain})
         assert result.reused
+
+    def test_grid_probe_survives(self, kernel, tmp_path):
+        """A probe answers the same after a round trip, and the restored
+        index serves new inserts into cells probed before the save."""
+        kernel.derivations.define_class(NonPrimitiveClass(
+            name="site", attributes=(("serial", "int4"),
+                                     ("spatialextent", "box")),
+            temporal_attr=None))
+        for i in range(60):  # a 10 x 6 lattice of small extents
+            x, y = -20 + (i % 10) * 7, -35 + (i // 10) * 12
+            extent = Box(x, y, x + 5, y + 5)
+            kernel.store.store("site", {"serial": i,
+                                        "spatialextent": extent})
+        kernel.store.store("site", {"serial": 60,
+                                    "spatialextent": Box(-30, -40, 60, 40)})
+        probe = Box(-10, -15, 20, 20)
+
+        def probed(k):
+            return sorted(o["serial"] for o in k.store.find("site",
+                                                             spatial=probe))
+
+        before = probed(kernel)
+        assert 60 in before and len(before) > 5
+        save_kernel(kernel, tmp_path / "gaea.ckpt")
+        restored = load_kernel(tmp_path / "gaea.ckpt")
+        assert probed(restored) == before
+        restored.store.store("site", {"serial": 61,
+                                      "spatialextent": Box(4, 4, 5, 5)})
+        assert probed(restored) == sorted(before + [61])
 
     def test_compounds_survive(self, populated, tmp_path):
         path = tmp_path / "gaea.ckpt"

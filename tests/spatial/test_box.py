@@ -17,6 +17,20 @@ class TestConstruction:
         with pytest.raises(SpatialError):
             Box(0, 2, 1, 1)
 
+    @pytest.mark.parametrize("coords", [
+        (float("nan"), 0, 1, 1),
+        (0, 0, 1, float("nan")),
+        (0, 0, float("inf"), 1),
+        (float("-inf"), 0, 1, 1),
+        (0, float("-inf"), 1, float("inf")),
+        (0, 0, 10 ** 400, 1),
+    ])
+    def test_non_finite_rejected(self, coords):
+        with pytest.raises(SpatialError, match="non-finite"):
+            Box(*coords)
+        with pytest.raises(SpatialError):
+            Box.validate(coords)
+
     def test_zero_area_allowed(self):
         assert Box(1, 1, 1, 1).area == 0.0
 
