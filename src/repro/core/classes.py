@@ -46,7 +46,7 @@ from ..errors import (
 from ..spatial.box import Box
 from ..storage.access import AccessPath, choose_access_path, choose_ordered_path
 from ..storage.catalog import IndexDef
-from ..storage.engine import StorageEngine
+from ..storage.engine import StorageEngine, batch_sizes
 from ..storage.transactions import Snapshot, Transaction
 from ..temporal.abstime import AbsTime
 
@@ -654,7 +654,7 @@ class ClassStore:
                        chunk_rows: int) -> Iterator[list[tuple]]:
         """The stored-read path: one scan's visible value tuples
         (``_oid`` first, then the attributes in declaration order), in
-        chunks of at most *chunk_rows*.
+        chunks that ramp up to *chunk_rows*.
 
         Every stored row or batch stream is a view over this generator,
         the only code that normalizes the predicates, re-validates the
@@ -737,7 +737,8 @@ class ClassStore:
     def iter_index_only_batches(self, class_name: str, path: AccessPath,
                                 batch_size: int | None = None
                                 ) -> Iterator["Batch"]:
-        """Covering scan: the B-tree keys as single-column batches,
+        """Covering scan: the B-tree keys as single-column batches on the
+        stored scans' ramp (:func:`~repro.storage.engine.batch_sizes`),
         never fetching heap values (one scan event recorded).
 
         Only valid for an ``index_only`` path (the planner guarantees
@@ -759,8 +760,8 @@ class ClassStore:
             self.relation_for(class_name), column, eq=eq, lo=lo, hi=hi,
             snapshot=self._snapshot(),
         )
-        size = batch_size or DEFAULT_BATCH_SIZE
-        while keys := [key for key, _ in itertools.islice(pairs, size)]:
+        sizes = batch_sizes(batch_size or DEFAULT_BATCH_SIZE)
+        while keys := [key for key, _ in itertools.islice(pairs, next(sizes))]:
             arr, mask = build_column(type_name, keys)
             yield Batch(length=len(keys), columns={column: arr},
                         masks={} if mask is None else {column: mask},

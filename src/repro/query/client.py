@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..core.classes import View
 from ..core.metadata_manager import MetadataManager, WORLD, open_kernel
@@ -244,21 +244,30 @@ class Connection:
         self.close()
 
 
+#: The empty page a cursor's stream turns between a retrieval and the
+#: statement after it.  A fetch reads straight past it; a wire page
+#: (:meth:`_RowBuffer.page`) stops there, so that statement runs only
+#: in the client's fetch that finds the end of the retrieval.
+_BOUNDARY: Iterator[Any] = iter(())
+
+
 class _RowBuffer:
     """The one fetch implementation, behind local and remote cursors.
 
     Slices the current *page* of rows: one batch's lazy ``to_rows()``
-    for a local cursor (a row is built when it is fetched), one
-    ``fetch`` frame for a remote one.  ``refill(want)`` returns the next
-    page as an iterator, None at the end of the stream; *want* is how
-    many rows the fetch still lacks (None: draining).  Without a
-    *refill* — no ``execute()`` yet, or closed — every fetch raises.
+    for a local cursor (a row is built when it is fetched), one wire
+    page for a remote one, starting with the page *first* that came with
+    ``execute``.  ``refill(want)`` returns the next page as an iterator,
+    None at the end of the stream; *want* is how many rows the fetch
+    still lacks (None: draining).  Without a *refill* — no ``execute()``
+    yet, or closed — every fetch raises.
     """
 
-    def __init__(self, refill: Callable[[int | None], Any] | None = None):
+    def __init__(self, refill: Callable[[int | None], Any] | None = None,
+                 first: Iterable[Any] = ()):
         self._refill = refill
         self._error = "no execute() has been issued"
-        self._page: Iterator[Any] = iter(())
+        self._page: Iterator[Any] = iter(first)
         self.fetched = 0
         #: True once a fetch has found the end of the stream.
         self.exhausted = refill is None
@@ -289,6 +298,24 @@ class _RowBuffer:
                 break
         self.fetched += len(out)
         return out
+
+    def page(self, count: int) -> tuple[list[Any], Exception | None]:
+        """One wire page: up to *count* rows, and the error that cut it
+        short (None).  Unlike :meth:`take` it returns the rows pulled
+        before an error along with it, and it stops at a statement
+        boundary; the next page starts past it."""
+        out: list[Any] = []
+        error = None
+        try:
+            while len(out) < count:
+                out.extend(islice(self._page, count - len(out)))
+                if len(out) == count or not self._turn_page(count - len(out)) \
+                        or self._page is _BOUNDARY:
+                    break
+        except Exception as exc:  # shipped with the rows, raised remotely
+            error = exc
+        self.fetched += len(out)
+        return out, error
 
     def __iter__(self) -> Iterator[Any]:
         while True:
@@ -438,6 +465,13 @@ class Cursor:
         """Objects produced so far; -1 while the stream is still open."""
         return self._rows.rowcount
 
+    def fetch_page(self, count: int) -> tuple[list[Any], Exception | None]:
+        """The wire server's fetch: up to *count* objects, and the error
+        that cut them short instead of raising it.  It never runs a
+        statement that follows a retrieval unless the page starts there
+        (see ``_BOUNDARY``)."""
+        return self._rows.page(count)
+
     def close(self) -> None:
         self._rows.close()
         self._closed = True
@@ -495,8 +529,9 @@ class Cursor:
         batch.  The view is entered around each batch pull and left
         before the ``yield`` — held across it, it would leak into
         whatever code consumes the cursor (PEP 567, see
-        ``classes._VIEW``)."""
-        for node in nodes:
+        ``classes._VIEW``).  A retrieval with statements after it ends
+        with the ``_BOUNDARY`` page."""
+        for position, node in enumerate(nodes, start=1):
             if not isinstance(node, QueryNode):
                 self.results.append(self._run_node(node))
                 continue
@@ -508,6 +543,8 @@ class Cursor:
                 if batch is None:
                     break
                 yield batch.to_rows()
+            if position < len(nodes):
+                yield _BOUNDARY
 
     def _run_node(self, node: PlanNode) -> QueryResult:
         """Run one plan node to completion under one statement view (no

@@ -68,8 +68,9 @@ __all__ = ["PhysicalPlanner"]
 class PhysicalPlanner:
     """Compiles logical plan nodes into physical operator trees.
 
-    ``batch_size`` is the scans' target batch row count (``None``: the
-    storage layer's default); tests shrink it to reach batch-edge cases.
+    ``batch_size`` is the ceiling of the scans' batch row counts, which
+    start at 64 and double (``None``: the storage layer's default); tests
+    shrink it to reach batch-edge cases.
     """
 
     kernel: MetadataManager

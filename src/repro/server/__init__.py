@@ -3,8 +3,9 @@
 A small, self-contained serving layer over the client API:
 
 * :mod:`repro.server.protocol` — the frame format (4-byte big-endian
-  length prefix + JSON body) and the value codec that carries Gaea's
-  ADTs (boxes, abstimes, images, scientific objects) over JSON;
+  length prefix + JSON body), the value codec that carries Gaea's
+  ADTs (boxes, abstimes, images, scientific objects) over JSON, and the
+  page codec that ships result rows column-major;
 * :mod:`repro.server.server` — :class:`GaeaServer`, a thread-per-
   connection socket server; every wire connection gets its own
   DB-API :class:`~repro.query.client.Connection` over the one shared

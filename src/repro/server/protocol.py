@@ -37,11 +37,27 @@ Plain ``None``/``bool``/``int``/``float``/``str`` pass through, and
 lists/tuples/dicts encode element-wise.  A plain dict whose keys happen
 to start with ``"$"`` would be misread on decode; Gaea attribute values
 are never such dicts, so the tag space is reserved for the codec.
+
+Page codec
+----------
+
+Result rows cross the wire as *pages*, column-major.
+:func:`encode_page` cuts a list of rows (``SciObject`` rows and dicts)
+into runs of consecutive rows that share a class and attribute names,
+one JSON object per run::
+
+    {"class": str, "oids": [...],      # object rows only
+     "names": [...], "columns": [[...], ...], "count": n}
+
+A column holding only plain JSON scalars ships as it is; any other
+column ships as ``{"$values": [...]}``, value by value through
+:func:`encode_value`.  :func:`decode_page` rebuilds the rows.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import socket
 import struct
@@ -60,6 +76,8 @@ __all__ = [
     "ProtocolError",
     "encode_value",
     "decode_value",
+    "encode_page",
+    "decode_page",
     "send_frame",
     "recv_frame",
 ]
@@ -145,6 +163,72 @@ def decode_value(value: Any) -> Any:
     if "$opaque" in value:
         return value
     return {key: decode_value(item) for key, item in value.items()}
+
+
+# ---------------------------------------------------------------------------
+# Page codec
+# ---------------------------------------------------------------------------
+
+#: Types a column may hold to ship without going through the value codec.
+_PLAIN = frozenset({type(None), bool, int, float, str})
+
+
+def _layout(row: Any) -> tuple[str | None, tuple]:
+    """What a run's rows share: the class (None for a dict row) and the
+    attribute names, in order."""
+    if isinstance(row, SciObject):
+        return row.class_name, tuple(row.values)
+    return None, tuple(row)
+
+
+def _encode_column(values: tuple) -> Any:
+    if _PLAIN.issuperset(map(type, values)):
+        return values
+    return {"$values": [encode_value(value) for value in values]}
+
+
+def _decode_column(column: Any) -> Any:
+    if isinstance(column, dict):
+        return [decode_value(value) for value in column["$values"]]
+    return column
+
+
+def encode_page(rows: list[Any]) -> list[dict[str, Any]]:
+    """*rows* (objects and dicts) as column-major runs (see the module
+    docstring)."""
+    runs = []
+    for (class_name, names), group in itertools.groupby(rows, _layout):
+        members = list(group)
+        run: dict[str, Any] = {"names": names, "count": len(members)}
+        values = members
+        if class_name is not None:
+            run["class"] = class_name
+            run["oids"] = [obj.oid for obj in members]
+            values = [obj.values for obj in members]
+        columns = zip(*[row.values() for row in values])
+        run["columns"] = [_encode_column(column) for column in columns]
+        runs.append(run)
+    return runs
+
+
+def decode_page(runs: list[dict[str, Any]]) -> list[Any]:
+    """Invert :func:`encode_page`: the page's rows, in order."""
+    rows: list[Any] = []
+    for run in runs:
+        names = run["names"]
+        columns = [_decode_column(column) for column in run["columns"]]
+        tuples = zip(*columns) if columns \
+            else itertools.repeat((), run["count"])
+        class_name = run.get("class")
+        if class_name is None:
+            rows.extend(dict(zip(names, values)) for values in tuples)
+        else:
+            rows.extend(
+                SciObject(class_name=class_name, oid=oid,
+                          values=dict(zip(names, values)))
+                for oid, values in zip(run["oids"], tuples)
+            )
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,12 @@ from typing import Any, Iterator
 from .. import errors
 from ..errors import GaeaError, InterfaceError
 from ..query.client import _RowBuffer
-from .protocol import decode_value, encode_value, recv_frame, send_frame
+from .protocol import decode_page, encode_value, recv_frame, send_frame
 
 __all__ = ["RemoteConnection", "RemoteCursor", "remote_connect"]
 
-#: Rows pulled per fetch frame when draining (fetchall / iteration).
+#: Rows the ``execute`` reply carries, and rows pulled per fetch frame
+#: when draining (fetchall / iteration): a stored scan's first batch.
 _FETCH_BATCH = 64
 
 
@@ -41,6 +42,13 @@ def _raise_remote(error: dict[str, Any]) -> None:
         exc_type = InterfaceError
         message = f"{name}: {message}"
     raise exc_type(message)
+
+
+def _rows_then_raise(rows: list[Any], error: dict[str, Any]
+                     ) -> Iterator[Any]:
+    """A page whose filling failed: its rows, then the server's error."""
+    yield from rows
+    _raise_remote(error)
 
 
 class RemoteConnection:
@@ -145,8 +153,9 @@ class RemoteConnection:
 
 class RemoteCursor:
     """A streaming result handle over the wire (PEP-249 shaped): the
-    local cursor's row buffer, refilled one ``fetch`` frame at a time —
-    one row for ``fetchone()``, the rows it still lacks for
+    local cursor's row buffer, seeded with the ``_FETCH_BATCH`` rows the
+    ``execute`` reply carries and refilled one ``fetch`` frame at a time
+    — one row for ``fetchone()``, the rows it still lacks for
     ``fetchmany(n)``, ``_FETCH_BATCH`` pages when draining."""
 
     arraysize = 1
@@ -168,15 +177,15 @@ class RemoteCursor:
             "cursor": self._cursor_id,
             "source": source,
             "params": encode_value(params),
+            "count": _FETCH_BATCH,
         })
         self._cursor_id = ok["cursor"]
         self.description = (
             [tuple(column) for column in ok["description"]]
             if ok.get("description") else None
         )
-        self.results = list(ok.get("results", []))
-        self._rows = _RowBuffer(self._fetch_page)
-        self._done = False
+        self.results = []
+        self._rows = _RowBuffer(self._fetch_page, self._page(ok))
         return self
 
     def executemany(self, source: str, seq_of_params: Any) -> "RemoteCursor":
@@ -199,16 +208,22 @@ class RemoteCursor:
         """The row buffer's refill: one ``fetch`` frame."""
         if self._done:
             return None
-        ok = self.connection.request({
+        return self._page(self.connection.request({
             "op": "fetch", "cursor": self._cursor_id,
             "count": _FETCH_BATCH if want is None else want,
-        })
+        }))
+
+    def _page(self, ok: dict[str, Any]) -> Iterator[Any]:
+        """The page an ``execute`` or ``fetch`` reply carries."""
         # The server re-ships the cursor's full message list (statements
         # past a retrieval run as the stream drains); keep the superset.
         if len(ok.get("results", [])) > len(self.results):
             self.results = list(ok["results"])
         self._done = ok["done"]
-        return iter([decode_value(row) for row in ok["rows"]])
+        rows = decode_page(ok["rows"])
+        if "error" in ok:
+            return _rows_then_raise(rows, ok["error"])
+        return iter(rows)
 
     def fetchone(self) -> Any | None:
         rows = self._rows.take(1)

@@ -16,7 +16,8 @@ request per frame, one response per frame, processed strictly in order
 per connection.  Requests::
 
     {"op": "hello"}
-    {"op": "execute", "cursor": id?, "source": str, "params": [...]?}
+    {"op": "execute", "cursor": id?, "source": str, "params": [...]?,
+     "count": int?}
     {"op": "fetch", "cursor": id, "count": int}
     {"op": "explain", "source": str, "params": [...]?}
     {"op": "store", "class": str, "values": {...}}
@@ -28,6 +29,16 @@ per connection.  Requests::
 Success responses are ``{"ok": {...}}``; failures are
 ``{"error": {"type": <exception class name>, "message": str}}`` and
 leave the connection alive (protocol-level corruption closes it).
+
+``execute`` and ``fetch`` both reply with a *page*: up to ``count``
+rows, column-major (:func:`.protocol.encode_page`), plus ``done`` once
+the stream's end has been found and the cursor's ``results`` so far.
+So a result that fits in ``execute``'s page costs one round trip.  A
+page stops before a statement that follows a retrieval (that statement
+runs in the fetch that asks past the retrieval's end), and an error
+raised while the page fills rides in the page as ``"error"``, after its
+rows: the client raises it in the fetch that reaches it, where a local
+cursor would.
 """
 
 from __future__ import annotations
@@ -37,12 +48,18 @@ import threading
 from typing import Any
 
 from ..core.metadata_manager import MetadataManager, WORLD, open_kernel
-from ..errors import GaeaError, InterfaceError
+from ..errors import InterfaceError
 from ..gis import register_gis_operators
 from ..query.client import Connection, Cursor
-from .protocol import ProtocolError, encode_value, decode_value, recv_frame, send_frame
+from .protocol import (ProtocolError, decode_value, encode_page, recv_frame,
+                       send_frame)
 
 __all__ = ["GaeaServer"]
+
+
+def _error(exc: Exception) -> dict[str, str]:
+    """The wire form of a failure."""
+    return {"type": type(exc).__name__, "message": str(exc)}
 
 
 class _WireSession:
@@ -53,17 +70,21 @@ class _WireSession:
         self.cursors: dict[int, Cursor] = {}
         self._next_cursor = 0
 
-    def cursor_for(self, cursor_id: Any) -> tuple[int, Cursor]:
-        """The numbered cursor for a request (fresh when id is None)."""
+    def cursor_for(self, cursor_id: Any) -> Cursor:
+        """The numbered cursor for a request; a fresh, unnumbered one
+        when id is None (:meth:`register` numbers it)."""
         if cursor_id is None:
-            self._next_cursor += 1
-            cursor = self.connection.cursor()
-            self.cursors[self._next_cursor] = cursor
-            return self._next_cursor, cursor
+            return self.connection.cursor()
         try:
-            return cursor_id, self.cursors[cursor_id]
+            return self.cursors[cursor_id]
         except KeyError:
             raise InterfaceError(f"no cursor {cursor_id!r}") from None
+
+    def register(self, cursor: Cursor) -> int:
+        """Number *cursor* so later requests can name it."""
+        self._next_cursor += 1
+        self.cursors[self._next_cursor] = cursor
+        return self._next_cursor
 
     def close(self) -> None:
         for cursor in self.cursors.values():
@@ -198,14 +219,8 @@ class GaeaServer:
                     return  # clean EOF
                 try:
                     response, stay = self._dispatch(session, request)
-                except GaeaError as exc:
-                    response = {"error": {"type": type(exc).__name__,
-                                          "message": str(exc)}}
-                    stay = True
                 except Exception as exc:  # request bugs must not kill serving
-                    response = {"error": {"type": type(exc).__name__,
-                                          "message": str(exc)}}
-                    stay = True
+                    response, stay = {"error": _error(exc)}, True
                 try:
                     send_frame(sock, response)
                 except OSError:
@@ -274,27 +289,30 @@ class GaeaServer:
 
     def _op_execute(self, session: _WireSession,
                     request: dict[str, Any]) -> dict[str, Any]:
-        cursor_id, cursor = session.cursor_for(request.get("cursor"))
-        params = decode_value(request.get("params"))
-        cursor.execute(request["source"], params)
+        cursor_id = request.get("cursor")
+        cursor = session.cursor_for(cursor_id)
+        cursor.execute(request["source"], decode_value(request.get("params")))
+        if cursor_id is None:
+            cursor_id = session.register(cursor)
         return {"ok": {
             "cursor": cursor_id,
             "description": cursor.description,
-            "results": [
-                {"kind": result.kind, "message": result.message,
-                 "path": result.path}
-                for result in cursor.results
-            ],
+            **self._page(cursor, int(request.get("count", 0))),
         }}
 
     def _op_fetch(self, session: _WireSession,
                   request: dict[str, Any]) -> dict[str, Any]:
-        cursor_id, cursor = session.cursor_for(request.get("cursor"))
-        count = int(request.get("count", 1))
-        rows = cursor.fetchmany(count)
-        return {"ok": {
-            "rows": [encode_value(row) for row in rows],
-            "done": len(rows) < count,
+        cursor = session.cursor_for(request.get("cursor"))
+        return {"ok": self._page(cursor, int(request.get("count", 1)))}
+
+    @staticmethod
+    def _page(cursor: Cursor, count: int) -> dict[str, Any]:
+        """Up to *count* rows of *cursor* as one reply page (see the
+        module docstring)."""
+        rows, error = cursor.fetch_page(count)
+        page = {
+            "rows": encode_page(rows),
+            "done": cursor.rowcount != -1,
             # Statements past a retrieval execute as the stream drains;
             # ship any messages they produced along with the rows.
             "results": [
@@ -302,4 +320,7 @@ class GaeaServer:
                  "path": result.path}
                 for result in cursor.results
             ],
-        }}
+        }
+        if error is not None:
+            page["error"] = _error(error)
+        return page

@@ -37,7 +37,21 @@ from .transactions import (ABORTED, Snapshot, Transaction,
 from .tuples import TID, TupleVersion
 from .wal import LogKind, WriteAheadLog
 
-__all__ = ["StorageEngine", "Row"]
+__all__ = ["StorageEngine", "Row", "batch_sizes"]
+
+#: Rows in a scan's first batch: a consumer that wants one row waits
+#: for this many, not for a full batch.
+FIRST_BATCH_ROWS = 64
+
+
+def batch_sizes(batch_size: int) -> Iterator[int]:
+    """Every stored scan's batch sizes: 64 rows first, then doubling up
+    to *batch_size*, which repeats from there on.  A *batch_size* under
+    64 applies from the first batch."""
+    size = min(FIRST_BATCH_ROWS, batch_size)
+    while True:
+        yield size
+        size = min(2 * size, batch_size)
 
 
 @dataclass(frozen=True)
@@ -366,7 +380,8 @@ class StorageEngine:
                       tids: Iterator[TID] | None = None
                       ) -> Iterator[list[tuple]]:
         """Visible raw value tuples (schema order, ``_oid`` first) in
-        batches of at most *batch_size* — the columnar scan surface.
+        batches that ramp up to *batch_size* (:func:`batch_sizes`) — the
+        columnar scan surface.
 
         No :class:`Row` dicts are built: the version value tuples are
         handed out by reference (sound under append-only storage — a
@@ -380,6 +395,8 @@ class StorageEngine:
         snap = snapshot or self.snapshot()
         state = self._state(relation)
         out: list[tuple] = []
+        sizes = batch_sizes(batch_size)
+        size = next(sizes)
         if tids is None:
             # Page-at-a-time with ``visible()`` inlined: the per-row
             # function-call overhead would dominate a columnar scan that
@@ -399,18 +416,20 @@ class StorageEngine:
                     if v.xmin not in in_flight and v.xmin < horizon
                     or v.xmin == own or v.xmin in own_commits
                 )
-                while len(out) >= batch_size:
-                    yield out[:batch_size]
-                    out = out[batch_size:]
+                while len(out) >= size:
+                    yield out[:size]
+                    out = out[size:]
+                    size = next(sizes)
         else:
             heap = state.heap
             for tid in tids:
                 version = heap.get(tid)  # index TIDs never dangle
                 if visible(version, snap):
                     out.append(version.values)
-                    if len(out) >= batch_size:
+                    if len(out) >= size:
                         yield out
                         out = []
+                        size = next(sizes)
         if out:
             yield out
 

@@ -2,27 +2,33 @@
 
 Row views ask ``StorageEngine.value_batches`` for small chunks, so an
 existence probe or a first-row fetch on a large class does not start
-assembling 1024-row chunks; a cursor's ``fetchone()`` on an indexed
-SELECT pulls no TID past its first batch.
+assembling 1024-row chunks; every stored scan starts with a 64-row
+batch and doubles up to its batch size, so a cursor's ``fetchone()`` on
+an indexed SELECT pulls 64 TIDs.
 """
 
 import pytest
 
 from repro import connect
 from repro.query.batch import DEFAULT_BATCH_SIZE
+from repro.storage.engine import FIRST_BATCH_ROWS
 
 ROWS = 20_000
+RAMPED = 5_000
 
 
 @pytest.fixture(scope="module")
 def conn():
     connection = connect()
     connection.cursor().execute(
-        "DEFINE CLASS big ( ATTRIBUTES: code = int4; tag = char16; )")
+        "DEFINE CLASS big ( ATTRIBUTES: code = int4; tag = char16; );"
+        "DEFINE CLASS ramp ( ATTRIBUTES: code = int4; )")
     store = connection.kernel.store
     connection.begin()
     for i in range(ROWS):
         store.store("big", {"code": i, "tag": f"t{i % 7}"})
+    for i in range(RAMPED):
+        store.store("ramp", {"code": i})
     connection.commit()
     connection.cursor().execute("CREATE INDEX ON big (code)")
     return connection
@@ -75,8 +81,45 @@ def test_fetchone_pulls_no_tid_past_the_first_batch(conn, monkeypatch):
     tids.clear()  # the explain probed the store
     row = cur.execute(source, (15_000,)).fetchone()
     assert row["code"] == 15_000
-    assert len(tids) == DEFAULT_BATCH_SIZE
+    assert len(tids) == FIRST_BATCH_ROWS == 64
     assert len(cur.fetchall()) == ROWS - 15_000 - 1
+
+
+RAMP = [64, 128, 256, 512, 1024, 1024, 1024, 968]
+#: An explicit batch size under 64 holds from the first batch on.
+SMALL = [3] * (RAMPED // 3) + [RAMPED % 3]
+#: The first RAMPED codes of ``big``: an index range of RAMPED TIDs.
+LOW_CODES = (("code", "<=", RAMPED - 1),)
+
+
+@pytest.mark.parametrize("source, predicates, kind", [
+    ("ramp", {}, "full-scan"),                          # heap walk
+    ("big", {"ranges": LOW_CODES}, "index-range"),      # TID stream
+])
+def test_scan_batches_ramp_up_to_the_batch_size(conn, source, predicates,
+                                                kind):
+    store = conn.kernel.store
+    assert store.choose_path(source, **predicates).kind == kind
+
+    def sizes(**options):
+        return [batch.length for batch in store.iter_scan_batches(
+            source, **predicates, **options)]
+
+    assert sizes() == RAMP
+    assert sizes(batch_size=3) == SMALL
+
+
+def test_index_only_batches_ramp_up_to_the_batch_size(conn):
+    store = conn.kernel.store
+    path = store.choose_path("big", ranges=LOW_CODES, projection=("code",))
+    assert path.index_only
+
+    def sizes(**options):
+        return [batch.length for batch
+                in store.iter_index_only_batches("big", path, **options)]
+
+    assert sizes() == RAMP
+    assert sizes(batch_size=3) == SMALL
 
 
 @pytest.mark.parametrize("source, scans", [

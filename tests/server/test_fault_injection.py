@@ -18,6 +18,7 @@ from repro.adt import make_standard_registries
 from repro.client import remote_connect
 from repro.errors import InterfaceError
 from repro.server import GaeaServer
+from repro.server.remote import _FETCH_BATCH
 from repro.spatial import Box
 from repro.storage import StorageEngine
 from repro.storage.wal import LogKind
@@ -142,14 +143,19 @@ class TestClientDeathMidFetch:
         with GaeaServer() as server:
             conn = remote_connect(server.host, server.port)
             conn.cursor().execute(DDL)
-            conn.store("land_cover", {
-                "label": "forest",
-                "spatialextent": Box(0, 0, 5, 5),
-                "timestamp": AbsTime(days=1),
-            })
+            conn.begin()
+            for i in range(_FETCH_BATCH + 1):
+                conn.store("land_cover", {
+                    "label": "forest",
+                    "spatialextent": Box(0, 0, 5, 5),
+                    "timestamp": AbsTime(days=i),
+                })
+            conn.commit()
             cur = conn.cursor()
             cur.execute("SELECT FROM land_cover")
             conn._sock.close()  # transport dies under the cursor
+            # the page that came with execute is already client-side
+            assert len(cur.fetchmany(_FETCH_BATCH)) == _FETCH_BATCH
             with pytest.raises(InterfaceError):
                 cur.fetchall()
 

@@ -1,10 +1,14 @@
-"""Tests for the wire protocol: framing and the value codec."""
+"""Tests for the wire protocol: framing, the value codec and the page
+codec."""
 
+import json
 import socket
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.adt import Image
 from repro.core.classes import SciObject
@@ -12,7 +16,9 @@ from repro.errors import GaeaError
 from repro.server.protocol import (
     MAX_FRAME,
     ProtocolError,
+    decode_page,
     decode_value,
+    encode_page,
     encode_value,
     recv_frame,
     send_frame,
@@ -22,7 +28,6 @@ from repro.temporal import AbsTime
 
 
 def _roundtrip(value):
-    import json
     encoded = encode_value(value)
     json.dumps(encoded)  # must be JSON-representable
     return decode_value(encoded)
@@ -75,6 +80,73 @@ class TestValueCodec:
         encoded = encode_value(Weird())
         assert encoded == {"$opaque": {"type": "Weird", "repr": "Weird()"}}
         assert decode_value(encoded) == encoded  # stays tagged, lossy
+
+
+# -- the page codec ------------------------------------------------------------
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**62, 2**62), _finite,
+    st.text(max_size=6),
+    st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+              _finite, _finite, st.floats(0, 10), st.floats(0, 10)),
+    st.integers(-10**5, 10**5).map(lambda days: AbsTime(days=days)),
+    st.lists(st.integers(0, 255), min_size=4, max_size=4).map(
+        lambda pixels: Image.from_array(
+            np.array(pixels, dtype=np.uint8).reshape(2, 2))),
+    st.integers(-1000, 1000).map(np.int64),
+    st.floats(-1e3, 1e3, width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+#: A concept's members: different classes, different attribute sets.
+_CLASSES = {"scene": ("band", "extent"), "cover": ("label",), "bare": ()}
+
+
+@st.composite
+def _objects(draw):
+    name = draw(st.sampled_from(sorted(_CLASSES)))
+    return SciObject(class_name=name, oid=draw(st.integers(1, 10**6)),
+                     values={attr: draw(_values) for attr in _CLASSES[name]})
+
+
+#: Projection/aggregate rows: a few layouts, NULLs among the values.
+_dicts = st.sampled_from([("serial", "reading"), ("count(*)",), ()]).flatmap(
+    lambda names: st.fixed_dictionaries({name: _values for name in names}))
+
+
+def _shape(row):
+    """A row's type and attribute names, in order."""
+    names = row.values if isinstance(row, SciObject) else row
+    return type(row), list(names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(_objects(), _dicts), max_size=12))
+@example(rows=[])
+@example(rows=[{"serial": 7, "reading": None}])
+@example(rows=[{}, {}])
+def test_page_codec_matches_the_per_row_codec(rows):
+    got = decode_page(json.loads(json.dumps(encode_page(rows))))
+    oracle = [decode_value(json.loads(json.dumps(encode_value(row))))
+              for row in rows]
+    assert got == oracle == rows
+    assert list(map(_shape, got)) == list(map(_shape, rows))
+
+
+def test_a_page_is_one_run_per_layout_change():
+    rows = [SciObject("scene", oid, {"band": oid, "extent": Box(0, 0, 1, 1)})
+            for oid in (1, 2)] \
+        + [SciObject("cover", 3, {"label": "forest"}),
+           {"serial": 1, "reading": 2.5}, {"serial": 2, "reading": None}]
+    runs = encode_page(rows)
+    assert [(run.get("class"), run["count"]) for run in runs] \
+        == [("scene", 2), ("cover", 1), (None, 2)]
+    assert runs[0]["oids"] == [1, 2]
+    band, extent = runs[0]["columns"]
+    assert list(band) == [1, 2]                 # plain scalars ship as is
+    assert extent == {"$values": [encode_value(Box(0, 0, 1, 1))] * 2}
+    assert [list(column) for column in runs[2]["columns"]] \
+        == [[1, 2], [2.5, None]]
 
 
 class TestFraming:

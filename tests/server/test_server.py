@@ -15,8 +15,10 @@ import pytest
 import repro
 from repro.adt import Image
 from repro.client import remote_connect
-from repro.errors import InterfaceError, PlanningError, UnderivableError
+from repro.errors import (GaeaError, InterfaceError, PlanningError,
+                          UnderivableError)
 from repro.server import GaeaServer
+from repro.server import server as server_module
 from repro.spatial import Box
 from repro.storage.wal import LogKind
 from repro.temporal import AbsTime
@@ -139,6 +141,54 @@ class TestBasics:
         cur.execute("SELECT FROM land_cover")
         assert len(cur.fetchall()) == 1
         conn.close()
+
+    def test_failing_executes_leave_no_server_cursor(self, server,
+                                                     monkeypatch):
+        sessions = []
+        init = server_module._WireSession.__init__
+
+        def recording(session, kernel):
+            init(session, kernel)
+            sessions.append(session)
+
+        monkeypatch.setattr(server_module._WireSession, "__init__", recording)
+        conn = _connect(server)
+        [session] = sessions
+        conn.cursor().execute("SELECT FROM land_cover WHERE label = 'x'")
+        assert len(session.cursors) == 1
+        for _ in range(50):
+            with pytest.raises(GaeaError):
+                conn.cursor().execute("SELECT FROM WHERE")   # malformed
+        assert len(session.cursors) == 1
+        conn.close()
+
+    @pytest.mark.parametrize("surface", ["local", "remote"])
+    def test_a_page_error_raises_in_the_fetch_that_reaches_it(
+            self, server, surface):
+        """Member ``a`` answers first; ``b`` stores nothing at the stamp
+        and cannot derive it, so the stream fails after ``a``'s rows —
+        in the page execute ships, over the wire."""
+        local = repro.connect(kernel=server.kernel)
+        local.cursor().execute(
+            "DEFINE CLASS a ( ATTRIBUTES: n = int4; "
+            "TEMPORAL EXTENT: timestamp = abstime; );"
+            "DEFINE CLASS b ( ATTRIBUTES: n = int4; "
+            "TEMPORAL EXTENT: timestamp = abstime; );"
+            "DEFINE CONCEPT ab MEMBERS a, b")
+        store = server.kernel.store
+        for n in range(3):
+            store.store("a", {"n": n, "timestamp": AbsTime(days=1)})
+        for n in range(200):
+            store.store("b", {"n": n, "timestamp": AbsTime(days=500 + n)})
+        conn = local if surface == "local" else _connect(server)
+        cur = conn.cursor()
+        cur.execute("SELECT FROM ab WHERE timestamp = ?", [AbsTime(days=1)])
+        assert [row["n"] for row in cur.fetchmany(3)] == [0, 1, 2]
+        with pytest.raises(UnderivableError):
+            cur.fetchone()
+        assert cur.fetchall() == [] and cur.rowcount == 3
+        conn.close()
+        local.close()
 
     def test_statements_past_retrieval_deliver_messages_on_drain(self, server):
         conn = _connect(server)

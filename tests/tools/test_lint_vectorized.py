@@ -3,9 +3,10 @@ second ``run`` implementation growing back, a ``src/`` consumer of
 the engine's ``Row`` streams growing back, a second home for the
 §2.1.5 fallback ladder growing back, a fetch call regressing to a
 loop over ``fetchone()``, a second write path or a deleter stamp
-growing back beside ``StorageEngine.insert``, and a second piece of
+growing back beside ``StorageEngine.insert``, a second piece of
 context state or a kernel-wide open transaction growing back beside the
-connection's view."""
+connection's view, and a per-row value-codec call growing back in the
+wire modules."""
 
 import pathlib
 import subprocess
@@ -332,6 +333,52 @@ def test_classes_holds_the_only_context_var(monkeypatch):
     classes = pathlib.Path("src/repro/core/classes.py").read_text()
     assert classes.count("ContextVar(") == 1
     assert lint_vectorized.check_views(classes, "src/repro/core/view.py")
+
+
+def test_flags_the_value_codec_per_row_on_the_wire():
+    bad = textwrap.dedent("""
+        def _op_fetch(self, cursor, count):
+            rows = cursor.fetchmany(count)
+            return {"rows": [encode_value(row) for row in rows]}
+
+        def _fetch_page(self, ok):
+            out = []
+            for row in ok["rows"]:
+                out.append(protocol.decode_value(row))
+            return out
+    """)
+    for home in ("src/repro/server/server.py", "src/repro/server/remote.py"):
+        violations = lint_vectorized.check_wire_codec(bad, home)
+        assert [line for line, _ in violations] == [4, 9]
+        assert "value codec called per iteration" in violations[0][1]
+    # the codec's own module recurses element-wise, by design
+    assert lint_vectorized.check_wire_codec(
+        bad, "src/repro/server/protocol.py") == []
+
+
+def test_wire_codec_check_allows_pages_and_single_values():
+    good = textwrap.dedent("""
+        def _op_execute(self, cursor, request):
+            cursor.execute(request["source"],
+                           decode_value(request.get("params")))
+            rows, error = cursor.fetch_page(request["count"])
+            return {"rows": encode_page(rows)}
+
+        def pages(replies):
+            for ok in replies:
+                yield decode_page(ok["rows"])
+    """)
+    assert lint_vectorized.check_wire_codec(
+        good, "src/repro/server/server.py") == []
+
+
+def test_wire_modules_ship_rows_as_pages(monkeypatch):
+    monkeypatch.chdir(REPO)
+    wire = [f"src/repro/{module}"
+            for module in lint_vectorized.WIRE_MODULES]
+    assert all(pathlib.Path(path).exists() for path in wire)
+    assert lint_vectorized.check_paths(
+        wire, lint_vectorized.check_wire_codec) == []
 
 
 def test_planner_is_the_ladders_only_home(monkeypatch):

@@ -55,14 +55,21 @@ A seventh check keeps the transaction with its connection: under
 may name ``current_tx`` — a kernel-wide open-transaction slot that
 every connection's reads and stores consult must not grow back.
 
+An eighth check keeps rows crossing the wire as pages: in
+``server/server.py`` and ``server/remote.py``, no ``encode_value`` /
+``decode_value`` call may sit inside loop context.  Result rows travel
+column-major through ``protocol.encode_page`` / ``decode_page``; a
+per-row value-codec call there is the row-at-a-time regression.
+
 Usage::
 
     python tools/lint_vectorized.py [path ...]
 
 Defaults to ``src/repro/query/operators.py`` for the operator checks
 and every module under ``src/repro/`` for the ``Row``-stream,
-fallback-ladder, fetch-loop, write-path and view checks; explicit paths
-get all of them.
+fallback-ladder, fetch-loop, write-path, view and wire-codec checks;
+explicit paths get all of them (the wire-codec check only when they are
+the two wire modules).
 Exits non-zero and prints one ``file:line: message`` per violation.
 """
 
@@ -83,6 +90,8 @@ BOX_HOMES = ("repro/spatial/", "repro/gis/", "repro/server/protocol.py")
 _XMAX = re.compile(r"\bxmax\b")
 VIEW_HOME = "core/classes.py"
 _CURRENT_TX = re.compile(r"\bcurrent_tx\b")
+WIRE_MODULES = ("server/server.py", "server/remote.py")
+VALUE_CODEC = frozenset({"encode_value", "decode_value"})
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor,
           ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
@@ -106,6 +115,15 @@ def _fetchone_violation(node: ast.AST) -> str | None:
             and node.func.attr == "fetchone":
         return ("fetchone() called per iteration — slice the cursor's row "
                 "buffer (fetchmany/fetchall/iteration), one call per page")
+    return None
+
+
+def _codec_violation(node: ast.AST) -> str | None:
+    """A message if *node* calls ``encode_value``/``decode_value``."""
+    if isinstance(node, ast.Call) \
+            and any(_is_named(node.func, name) for name in VALUE_CODEC):
+        return ("value codec called per iteration — rows cross the wire "
+                "as pages (protocol.encode_page/decode_page)")
     return None
 
 
@@ -220,6 +238,18 @@ def check_fetch_loops(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
+def check_wire_codec(source: str, filename: str = "<string>"
+                     ) -> list[tuple[int, str]]:
+    """``(line, message)`` for every ``encode_value``/``decode_value``
+    call under a ``for``/``while``/comprehension in *source*, when it is
+    one of the wire modules."""
+    violations: list[tuple[int, str]] = []
+    if pathlib.PurePath(filename).as_posix().endswith(WIRE_MODULES):
+        _scan_loop_context(ast.parse(source, filename=filename), violations,
+                           False, _codec_violation)
+    return sorted(violations)
+
+
 def check_write_path(source: str, filename: str = "<string>"
                      ) -> list[tuple[int, str]]:
     """``(line, message)`` for every heap ``insert`` call,
@@ -300,6 +330,7 @@ def main(argv: list[str]) -> int:
         + check_paths(sources, check_fetch_loops) \
         + check_paths(sources, check_write_path) \
         + check_paths(sources, check_views) \
+        + check_paths(sources, check_wire_codec) \
         + check_paths([path for path in sources
                        if not path.endswith(LADDER_HOME)],
                       check_fallback_ladder)
