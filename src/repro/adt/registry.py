@@ -137,8 +137,3 @@ class TypeRegistry:
             if cls.parent is not None:
                 out[cls.parent].append(cls.name)
         return out
-
-    def validate_value(self, type_name: str, value: Any) -> Any:
-        """Validate *value* against the named class, returning the
-        normalized internal value."""
-        return self.get(type_name).validate(value)

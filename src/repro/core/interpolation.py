@@ -30,7 +30,7 @@ from ..spatial.box import Box
 from ..temporal.abstime import AbsTime
 from .classes import NonPrimitiveClass, SciObject
 
-__all__ = ["TemporalInterpolator", "InterpolationError",
+__all__ = ["TemporalInterpolator", "InterpolationError", "mosaic_values",
            "replay_interpolation_task"]
 
 
@@ -110,6 +110,31 @@ class TemporalInterpolator:
         return values
 
 
+def mosaic_values(cls: NonPrimitiveClass, pieces: list[SciObject],
+                  region: Box) -> dict[str, Any]:
+    """Attribute dict of the spatial interpolation of *pieces* over
+    *region*: their ``data`` images mosaicked, the spatial extent set to
+    *region*, and every other attribute copied from the pieces, which
+    must agree on it."""
+    from ..gis.mosaic import mosaic
+
+    values: dict[str, Any] = {
+        "data": mosaic([(obj["data"], obj[cls.spatial_attr])
+                        for obj in pieces], region),
+        cls.spatial_attr: region,
+    }
+    for attr, _ in cls.attributes:
+        if attr in values:
+            continue
+        first = pieces[0][attr]
+        if any(obj[attr] != first for obj in pieces[1:]):
+            raise InterpolationError(
+                f"attribute {attr!r} differs across mosaic pieces"
+            )
+        values[attr] = first
+    return values
+
+
 def replay_interpolation_task(manager, task) -> "SciObject":
     """Re-run a recorded interpolation task (temporal or spatial).
 
@@ -127,18 +152,9 @@ def replay_interpolation_task(manager, task) -> "SciObject":
         values = TemporalInterpolator().interpolate(cls, before, after,
                                                     target)
     elif kind == "spatial":
-        from ..gis.mosaic import mosaic
-
-        region = Box.parse(task.parameters["region"])
-        pieces_objs = [manager.store.get(oid)
-                       for oid in task.input_oids["pieces"]]
-        pieces = [(obj["data"], obj[cls.spatial_attr])
-                  for obj in pieces_objs]
-        values = {"data": mosaic(pieces, region), cls.spatial_attr: region}
-        for attr, _ in cls.attributes:
-            if attr in ("data", cls.spatial_attr):
-                continue
-            values[attr] = pieces_objs[0][attr]
+        values = mosaic_values(
+            cls, [manager.store.get(oid) for oid in task.input_oids["pieces"]],
+            Box.parse(task.parameters["region"]))
     else:
         raise DerivationError(
             f"task {task.task_id} is not an interpolation task"

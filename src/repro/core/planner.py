@@ -26,7 +26,8 @@ from ..storage.access import AccessPath
 from ..temporal.abstime import AbsTime
 from .classes import SciObject, matches_extents, matches_predicates
 from .derivation import Bindings, CardinalityAssertion, Process
-from .interpolation import InterpolationError, TemporalInterpolator
+from .interpolation import (InterpolationError, TemporalInterpolator,
+                            mosaic_values)
 from .manager import DerivationManager
 from .tasks import Task
 
@@ -341,7 +342,7 @@ class RetrievalPlanner:
         Requires an image-typed ``data`` attribute; every other
         non-extent attribute must agree across the pieces.
         """
-        from ..gis.mosaic import covers, mosaic
+        from ..gis.mosaic import covers
 
         cls = self.manager.classes.get(class_name)
         if cls.spatial_attr is None:
@@ -362,19 +363,8 @@ class RetrievalPlanner:
                 f"stored {class_name!r} objects do not jointly cover the "
                 "requested region"
             )
-        pieces = [(obj["data"], obj[cls.spatial_attr]) for obj in candidates]
-        values: dict[str, object] = {"data": mosaic(pieces, region)}
-        values[cls.spatial_attr] = region
-        for attr, _ in cls.attributes:
-            if attr in ("data", cls.spatial_attr):
-                continue
-            first = candidates[0][attr]
-            if any(obj[attr] != first for obj in candidates[1:]):
-                raise InterpolationError(
-                    f"attribute {attr!r} differs across mosaic pieces"
-                )
-            values[attr] = first
-        obj = self.manager.store.store(class_name, values)
+        obj = self.manager.store.store(
+            class_name, mosaic_values(cls, candidates, region))
         task = self.manager.tasks.record(
             "interpolate-spatial",
             {"pieces": candidates},

@@ -8,8 +8,6 @@ name.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..adt.operators import OperatorRegistry
 from .change import (
     change_fraction,
@@ -181,8 +179,3 @@ def register_gis_operators(ops: OperatorRegistry) -> None:
                  doc="change component (last of 2) from PCA")
     ops.register("spca_change", ["setof>=2 image"], "image", _spca_change,
                  doc="change component (last of 2) from SPCA")
-
-
-def make_signatures(class_means: list[list[float]]) -> np.ndarray:
-    """Helper to build a supervised-classification signature matrix."""
-    return np.asarray(class_means, dtype=np.float64)

@@ -225,8 +225,8 @@ class AggCall:
 
 @dataclass(frozen=True)
 class SelectItem:
-    """One output column of an extended SELECT; ``alias`` is the output
-    name (the rendered source text)."""
+    """One output column of a select list; ``alias`` is the output name
+    (the rendered source text)."""
 
     expr: Any  # ColumnRef | OpCall | AggCall
     alias: str
@@ -266,11 +266,6 @@ class Select(Statement):
     ``ranges`` as ``(attr, op, value)`` with op in ``< <= > >=``.  The
     optimizer pushes both into index-backed access paths when it can.
 
-    ``projection`` lists the requested attributes (empty = whole
-    objects); projected retrievals yield plain dicts and, when an
-    attribute B-tree covers the projection and every predicate, ride a
-    covering index-only scan.
-
     Any value position may hold a :class:`Param` placeholder (a box may
     also be a :class:`BoxTemplate`); such statements must be bound
     before execution."""
@@ -280,10 +275,8 @@ class Select(Statement):
     temporal: AbsTime | Param | None = None
     filters: tuple[tuple[str, Any], ...] = ()
     ranges: tuple[tuple[str, str, Any], ...] = ()
-    projection: tuple[str, ...] = ()
-    #: Extended select list (expression projection, aggregates).  Only
-    #: set when the statement uses algebra features beyond a plain
-    #: attribute projection; ``projection`` stays the fast path.
+    #: The select list (empty = whole objects): attributes, operator
+    #: calls, aggregates.  Rows of a select list are plain dicts.
     items: tuple[SelectItem, ...] = ()
     #: ``JOIN ... ON`` second source.
     join: JoinClause | None = None

@@ -196,25 +196,6 @@ class Batch:
     def slice_rows(self, start: int, stop: int | None = None) -> "Batch":
         return self.take(slice(start, stop))
 
-    def project(self, names: Sequence[str]) -> "Batch":
-        """Column slice: keeps arrays, drops class identity (rows become dicts)."""
-        columns: dict[str, np.ndarray] = {}
-        masks: dict[str, np.ndarray] = {}
-        for name in names:
-            arr = self.columns.get(name)
-            if arr is None:
-                arr = np.full(self.length, None, dtype=object)
-            columns[name] = arr
-            mask = self.masks.get(name)
-            if mask is not None:
-                masks[name] = mask
-        return Batch(
-            length=self.length,
-            columns=columns,
-            masks=masks,
-            order=tuple(names),
-        )
-
     def _aligned(self, name: str, dtype: np.dtype
                  ) -> tuple[np.ndarray, np.ndarray | None]:
         """Column *name* as *dtype*, ready to concatenate, plus its explicit

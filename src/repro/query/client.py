@@ -495,27 +495,24 @@ class Cursor:
     def _describe(self, nodes: list[PlanNode]) -> None:
         """PEP-249 ``description`` from the first retrieval's class.
 
-        Projected retrievals describe only the requested attributes
-        (their rows are plain dicts restricted to the projection).
+        Whole objects describe the class's attributes; a select list its
+        items.  An item of a plain attribute projection (the leg's
+        covering columns) has the class's type for it, every other item
+        None — its type is whatever the expression produces.
         """
         self.description = None
         for node in nodes:
             if not isinstance(node, QueryNode):
                 continue
-            if node.items:
-                # Expression/aggregate columns: types are whatever the
-                # expressions produce.
-                self.description = [
-                    (item.alias, None, None, None, None, None, None)
-                    for item in node.items
-                ]
-                return
             leg = node.inputs[0]
-            cls = self.connection.kernel.classes.get(leg.class_name)
-            attributes = cls.attributes
-            if leg.projection:
+            attributes = self.connection.kernel.classes.get(
+                leg.class_name).attributes
+            if node.items:
+                types = dict(attributes)
+                columns = leg.projection or (None,) * len(node.items)
                 attributes = tuple(
-                    (attr, cls.type_of(attr)) for attr in leg.projection
+                    (item.alias, types.get(attr))
+                    for item, attr in zip(node.items, columns)
                 )
             self.description = [
                 (attr, type_name, None, None, None, None, None)

@@ -227,8 +227,6 @@ class Executor:
             "filters": list(first.filters),
             "ranges": list(first.ranges),
         }
-        if first.projection:
-            details["projection"] = list(first.projection)
         if node.items:
             details["columns"] = [item.alias for item in node.items]
         if node.join is not None:

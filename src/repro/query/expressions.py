@@ -81,12 +81,17 @@ class Accumulator:
 VectorExpr = Callable[[Batch], tuple[np.ndarray, np.ndarray]]
 
 
-def _first_column(batch: Batch, names: Iterable[str]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The first of *names* the batch has as a column."""
+def _first_column(batch: Batch, names: Iterable[str],
+                  explicit_nulls: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The first of *names* the batch has as a column.  With
+    *explicit_nulls* its mask is only the batch's explicit one (None:
+    any NULLs are in-band), never computed."""
     for name in names:
         arr = batch.column(name)
         if arr is not None:
+            if explicit_nulls:
+                return arr, batch.masks.get(name)
             return arr, batch.mask(name)
     # A column the rows do not have reads as NULL.
     return (np.full(batch.length, None, dtype=object),
@@ -115,25 +120,28 @@ def nulls_in_band(values: np.ndarray, null: np.ndarray) -> np.ndarray:
     return out
 
 
-def compile_column(ref: ColumnRef) -> VectorExpr:
+def compile_column(ref: ColumnRef,
+                   explicit_nulls: bool = False) -> VectorExpr:
     """Column lookup for *ref*.
 
     On a join's output every column is ``side.attr``: a qualified
     reference reads that side's column and nothing else (NULL when the
     side has no such attribute), an unqualified one the left side's,
     else the right's.  Anywhere else the rendered name comes first —
-    an aggregate output's alias — then the bare attribute.
+    an aggregate output's alias — then the bare attribute.  With
+    *explicit_nulls* the mask may be None (see :func:`_first_column`):
+    for a consumer that passes the column on rather than reading it.
     """
     rendered = ref.describe()
 
-    def fetch(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    def fetch(batch: Batch) -> tuple[np.ndarray, np.ndarray | None]:
         if batch.sides is None:
             names: Iterable[str] = (rendered, ref.attr)
         elif ref.qualifier is None:
             names = (f"{side}.{ref.attr}" for side in batch.sides)
         else:
             names = (rendered,)
-        return _first_column(batch, names)
+        return _first_column(batch, names, explicit_nulls)
 
     return fetch
 

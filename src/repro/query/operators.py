@@ -16,8 +16,8 @@ The operators:
   :class:`~repro.storage.access.AccessPath`;
 * :class:`Filter` — extent and attribute predicate re-checks, with
   row counters the fallback decision reads;
-* :class:`Project` / :class:`ExprProject` — attribute and expression
-  projection (plain dict rows);
+* :class:`ExprProject` — the select list: attributes, operator calls
+  (plain dict rows);
 * :class:`Sort` / :class:`Limit` / :class:`HashAggregate` — the
   ORDER BY / LIMIT / GROUP BY algebra;
 * :class:`HashJoin` / :class:`IndexNestedLoopJoin` — two-source
@@ -78,7 +78,6 @@ __all__ = [
     "IndexScan",
     "IndexOnlyScan",
     "Filter",
-    "Project",
     "ExprProject",
     "Sort",
     "Limit",
@@ -315,40 +314,15 @@ class Filter(PhysicalOperator):
             yield out
 
 
-class Project(PhysicalOperator):
-    """Projection: keep only the requested attributes, as plain dicts.
-
-    Index-only children already stream rows restricted to the key
-    column; everything else is cut down from full objects here.
-    """
-
-    def __init__(self, child: PhysicalOperator, attrs: tuple[str, ...]):
-        self.child = child
-        self.attrs = attrs
-        self.estimated_rows = child.estimated_rows
-        self.estimated_cost = child.estimated_cost
-
-    @property
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        return f"Project({', '.join(self.attrs)})"
-
-    def run_batches(self) -> Iterator[Batch]:
-        for batch in self.child.run_batches():
-            out = batch.project(self.attrs)
-            self.rows_out += out.length
-            yield out
-
-
 class ExprProject(PhysicalOperator):
-    """Expression projection: evaluate each select item per batch.
+    """The select list: evaluate each item per batch.
 
     Column references, and registered ADT operator calls resolved
     through the kernel's :class:`~repro.adt.operators.OperatorRegistry`
     (``SELECT area(extent) FROM ...``); rows come out as plain dicts
-    keyed by the item aliases.
+    keyed by the item aliases.  A bare column passes through untouched,
+    its explicit null mask with it: nothing scans an object column for
+    NULLs it already carries in-band.
     """
 
     def __init__(self, child: PhysicalOperator,
@@ -356,7 +330,10 @@ class ExprProject(PhysicalOperator):
         self.child = child
         self.items = items
         self.item_fns = tuple(
-            (item.alias, compile_vector_expr(item.expr, operators))
+            (item.alias,
+             compile_column(item.expr, explicit_nulls=True)
+             if isinstance(item.expr, ColumnRef)
+             else compile_vector_expr(item.expr, operators))
             for item in items
         )
         self.estimated_rows = child.estimated_rows
@@ -378,7 +355,7 @@ class ExprProject(PhysicalOperator):
             for alias, fn in self.item_fns:
                 values, null = fn(batch)
                 columns[alias] = values
-                if null.any():
+                if null is not None and null.any():
                     masks[alias] = null
             out = Batch(length=batch.length, columns=columns, masks=masks,
                         order=aliases)

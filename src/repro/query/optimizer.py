@@ -97,8 +97,10 @@ class RetrieveNode(PlanNode):
     #: Carries the catalog index version it was priced under; a stale
     #: recorded path is re-chosen by the store rather than trusted.
     access_path: AccessPath | None = None
-    #: Requested attributes (``SELECT a, b FROM ...``); empty means all.
-    #: A projection an attribute index covers enables index-only scans.
+    #: Covering columns: every attribute the statement reads of this
+    #: leg, when its select list is a plain attribute projection (empty:
+    #: the leg's consumers may read any attribute).  An attribute index
+    #: whose key covers them and every predicate enables index-only scans.
     projection: tuple[str, ...] = ()
 
 
@@ -122,7 +124,7 @@ class JoinSpec(PlanNode):
 class QueryNode(PlanNode):
     """The plan of one SELECT or DERIVE: retrieval legs under the
     relational algebra clauses (join / aggregate / order / limit /
-    expression projection), all optional.
+    select-list projection), all optional.
 
     ``inputs`` holds one :class:`RetrieveNode` per class of the source
     (several for a concept, which unions its members; one with
@@ -316,15 +318,6 @@ class Optimizer:
         )
         nodes = []
         for class_name in targets:
-            cls = self.kernel.classes.get(class_name)
-            for attr in projection:
-                try:
-                    cls.type_of(attr)
-                except DerivationError:
-                    raise PlanningError(
-                        f"class {class_name!r} has no attribute {attr!r} "
-                        "to project"
-                    ) from None
             access_path = None
             if not parameterized and predicates_bound:
                 # Cost-based physical access path, recorded in the
@@ -381,7 +374,8 @@ class Optimizer:
 
         inputs = tuple(self._retrieve_nodes(
             select.source, select.spatial, select.temporal,
-            tuple(left_filters), tuple(left_ranges), select.projection,
+            tuple(left_filters), tuple(left_ranges),
+            self._covering_columns(select),
         ))
         join_spec = None
         if join is not None:
@@ -408,6 +402,24 @@ class Optimizer:
             limit=select.limit,
             offset=select.offset,
         )
+
+    @staticmethod
+    def _covering_columns(select: Select) -> tuple[str, ...]:
+        """The attributes the statement reads of its FROM source's rows,
+        when a covering scan could supply them all: a select list of
+        stored attributes of the source (bare or source-qualified), and
+        no join, GROUP BY, ORDER BY or aggregate reading anything else.
+        LIMIT and OFFSET read no column; whether the predicates are
+        covered too is the access path's call.  Empty otherwise."""
+        if select.join is not None or select.group_by or select.order_by:
+            return ()
+        attrs = tuple(
+            item.expr.attr for item in select.items
+            if isinstance(item.expr, ColumnRef)
+            and item.expr.qualifier in (None, select.source)
+            and item.expr.attr != "oid"
+        )
+        return attrs if len(attrs) == len(select.items) else ()
 
     def _orient_join(self, left_source: str, join: JoinClause
                      ) -> tuple[ColumnRef, ColumnRef]:

@@ -650,27 +650,9 @@ class _Parser:
             limit = self._bounded_count("LIMIT")
             if self._match(TokenType.KEYWORD, "OFFSET"):
                 offset = self._bounded_count("OFFSET")
-        # A plain attribute projection with none of the algebra clauses
-        # stays on the established fast path (`projection`), preserving
-        # covering index-only scans and cached-plan shapes.  The `oid`
-        # pseudo-attribute is not a stored column, so it always takes
-        # the expression-projection path.
-        projection: tuple[str, ...] = ()
-        simple = (
-            join is None and not group_by and not order_by
-            and limit is None and not offset
-            and not qualified_filters and not qualified_ranges
-            and all(isinstance(item.expr, ColumnRef)
-                    and item.expr.qualifier is None
-                    and item.expr.attr != "oid" for item in items)
-        )
-        if simple:
-            projection = tuple(item.expr.attr for item in items)
-            items = ()
         return Select(source=source, spatial=spatial, temporal=temporal,
                       filters=tuple(filters), ranges=tuple(ranges),
-                      projection=projection, items=tuple(items),
-                      join=join,
+                      items=items, join=join,
                       qualified_filters=tuple(qualified_filters),
                       qualified_ranges=tuple(qualified_ranges),
                       group_by=tuple(group_by), order_by=tuple(order_by),

@@ -14,8 +14,8 @@ compiles those nodes into :mod:`.operators` trees per execution:
 * a concept source's legs are one :class:`~.operators.ConceptUnion`
   ordered by estimated cost, sharing a single
   :class:`~.operators.ExecutionContext`;
-* the algebra clauses (join / aggregate / order / limit / expression
-  projection) compose on top;
+* the algebra clauses (join / aggregate / order / limit) compose on
+  top, under one :class:`~.operators.ExprProject` for a select list;
 * ``RUN`` becomes a :class:`~.operators.Run` leaf.
 
 Building a tree prices the access paths from O(1) statistics but never
@@ -49,7 +49,6 @@ from .operators import (
     IndexScan,
     Limit,
     PhysicalOperator,
-    Project,
     Run,
     Sort,
 )
@@ -100,10 +99,9 @@ class PhysicalPlanner:
             cls, node.filters, node.ranges
         )
         if node.force_derivation:
-            tree: PhysicalOperator = Derive(
-                ctx, node.class_name, node.spatial, node.temporal)
-            tree = self._attr_filter(tree, filters, ranges)
-            return self._project(tree, node)
+            return self._attr_filter(
+                Derive(ctx, node.class_name, node.spatial, node.temporal),
+                filters, ranges)
 
         path = store.validated_path(
             node.class_name, spatial=node.spatial, temporal=node.temporal,
@@ -121,14 +119,13 @@ class PhysicalPlanner:
                               filters=filters, ranges=ranges,
                               batch_size=self.batch_size)
             stored = self._extent_filter(stored, cls, node)
-        tree = FallbackSwitch(
+        return FallbackSwitch(
             stored=self._attr_filter(stored, filters, ranges),
             extent_counter=stored if path.observes_extents else None,
             fallback=Fallback(ctx, node.class_name, node.spatial,
                               node.temporal, filters, ranges),
             sort_keys=sort_keys,
         )
-        return self._project(tree, node)
 
     def _extent_filter(self, child: PhysicalOperator,
                        cls: NonPrimitiveClass, node: RetrieveNode
@@ -168,13 +165,6 @@ class PhysicalPlanner:
             selectivity=max(0.1, selectivity),
         )
 
-    @staticmethod
-    def _project(tree: PhysicalOperator, node: RetrieveNode
-                 ) -> PhysicalOperator:
-        if not node.projection:
-            return tree
-        return Project(tree, node.projection)
-
     def build(self, node: PlanNode, ctx: ExecutionContext | None = None
               ) -> PhysicalOperator | None:
         """The tree for one statement's plan node (None for statements
@@ -194,7 +184,7 @@ class PhysicalPlanner:
         """The operator tree of one SELECT or DERIVE.
 
         Composition order: inputs → join → aggregate → sort → limit →
-        expression projection.  Sorting runs *before* projection, so an
+        projection.  Sorting runs *before* projection, so an
         ORDER BY may reference projected-out attributes; after an
         aggregate, sort keys resolve against the aggregate's output
         aliases instead.  A Sort under a Limit keeps only the first K

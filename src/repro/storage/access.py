@@ -233,6 +233,50 @@ def _stats_note(stats: dict[str, Any]) -> str:
             f"hist_buckets={len(histogram) if histogram else 0}")
 
 
+def _range_key(column: str, op: str, value: Any) -> str:
+    """The key a path consumes a comparison predicate under."""
+    return f"rng:{column}:{op}:{value!r}"
+
+
+def _range_windows(ranges: tuple[tuple[str, str, Any], ...]
+                   ) -> dict[str, tuple[Any, Any, tuple[str, ...]]]:
+    """Per column, its comparison predicates collapsed into one B-tree
+    window: ``(lo, hi, consumed)``.  The window is inclusive on both
+    bounds, so only the ``<=``/``>=`` predicates are consumed; a strict
+    comparison (``>``, ``<``) still needs the per-row residual
+    re-check."""
+    windows: dict[str, tuple[Any, Any, tuple[str, ...]]] = {}
+    for column, op, value in ranges:
+        lo, hi, consumed = windows.get(column, (None, None, ()))
+        if op in (">", ">="):
+            if lo is None or value > lo:
+                lo = value
+        elif hi is None or value < hi:
+            hi = value
+        if op in ("<=", ">="):
+            consumed += (_range_key(column, op, value),)
+        windows[column] = (lo, hi, consumed)
+    return windows
+
+
+def _residual(info: dict[str, Any], consumed: tuple[str, ...],
+              equals: tuple[tuple[str, Any], ...],
+              ranges: tuple[tuple[str, str, Any], ...],
+              spatial: Any = None, temporal: Any = None) -> tuple[str, ...]:
+    """The plan-dump text of every predicate a path does not consume:
+    extents first, then equalities, then comparisons."""
+    labels: dict[str, str] = {}
+    if spatial is not None and info["spatial_column"] is not None:
+        labels["__spatial__"] = f"{info['spatial_column']} overlaps {spatial}"
+    if temporal is not None and info["temporal_column"] is not None:
+        labels["__temporal__"] = f"{info['temporal_column']}={temporal}"
+    for column, value in equals:
+        labels[f"eq:{column}"] = f"{column}={value!r}"
+    for column, op, value in ranges:
+        labels[_range_key(column, op, value)] = f"{column}{op}{value!r}"
+    return tuple(text for key, text in labels.items() if key not in consumed)
+
+
 def choose_access_path(engine: "StorageEngine", relation: str,
                        spatial: Any = None, temporal: Any = None,
                        equals: tuple[tuple[str, Any], ...] = (),
@@ -269,25 +313,6 @@ def choose_access_path(engine: "StorageEngine", relation: str,
             and all(c == column for c, _, _ in ranges)
         )
 
-    def predicate_labels() -> dict[str, str]:
-        labels: dict[str, str] = {}
-        if spatial is not None and info["spatial_column"] is not None:
-            labels["__spatial__"] = \
-                f"{info['spatial_column']} overlaps {spatial}"
-        if temporal is not None and info["temporal_column"] is not None:
-            labels["__temporal__"] = f"{info['temporal_column']}={temporal}"
-        for column, value in equals:
-            labels[f"eq:{column}"] = f"{column}={value!r}"
-        for column, op, value in ranges:
-            labels[f"rng:{column}:{op}:{value!r}"] = f"{column}{op}{value!r}"
-        return labels
-
-    labels = predicate_labels()
-
-    def residual_for(consumed: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(text for key, text in labels.items()
-                     if key not in consumed)
-
     candidates: list[_Candidate] = [_Candidate(AccessPath(
         kind="full-scan", estimated_rows=float(rows),
         cost=rows * SEQ_ROW_COST, index_version=version,
@@ -313,45 +338,26 @@ def choose_access_path(engine: "StorageEngine", relation: str,
             consumed=(f"eq:{column}",),
         ))
 
-    # Collapse per-column comparison predicates into one [lo, hi] window.
-    windows: dict[str, dict[str, Any]] = {}
-    for column, op, value in ranges:
-        window = windows.setdefault(
-            column, {"lo": None, "hi": None, "keys": []}
-        )
-        if op in (">", ">="):
-            if window["lo"] is None or value > window["lo"]:
-                window["lo"] = value
-        else:
-            if window["hi"] is None or value < window["hi"]:
-                window["hi"] = value
-        # The B-tree window is inclusive on both bounds, so a strict
-        # comparison (>, <) still needs the per-row residual re-check.
-        window["keys"].append(
-            (f"rng:{column}:{op}:{value!r}", op in ("<=", ">="))
-        )
-    for column, window in windows.items():
+    for column, (lo, hi, consumed) in _range_windows(ranges).items():
         stats = info["btrees"].get(column)
         if stats is None:
             continue
         est = estimate_range_rows(
-            stats["entries"], stats["bounds"], window["lo"], window["hi"],
+            stats["entries"], stats["bounds"], lo, hi,
             histogram=stats.get("histogram"),
         )
         index_only = covering(column)
         row_cost = INDEX_ONLY_ROW_COST if index_only else INDEX_ROW_COST
         candidates.append(_Candidate(
             AccessPath(
-                kind="index-range", column=column,
-                argument=(window["lo"], window["hi"]),
+                kind="index-range", column=column, argument=(lo, hi),
                 estimated_rows=est,
                 cost=INDEX_PROBE_COST + est * row_cost,
                 index_version=version,
                 index_only=index_only,
                 stats_note=_stats_note(stats),
             ),
-            consumed=tuple(key for key, inclusive in window["keys"]
-                           if inclusive),
+            consumed=consumed,
         ))
 
     if spatial is not None and info["spatial_column"] is not None \
@@ -387,7 +393,8 @@ def choose_access_path(engine: "StorageEngine", relation: str,
         argument=best.path.argument,
         estimated_rows=best.path.estimated_rows,
         cost=best.path.cost,
-        residual=residual_for(best.consumed),
+        residual=_residual(info, best.consumed, equals, ranges,
+                           spatial, temporal),
         index_version=version,
         index_only=best.path.index_only,
         stats_note=best.path.stats_note,
@@ -415,19 +422,7 @@ def choose_ordered_path(engine: "StorageEngine", relation: str,
     stats = info["btrees"].get(column)
     if stats is None:
         return None
-    lo = hi = None
-    consumed: list[str] = []
-    for rng_column, op, value in ranges:
-        if rng_column != column:
-            continue
-        if op in (">", ">="):
-            if lo is None or value > lo:
-                lo = value
-        else:
-            if hi is None or value < hi:
-                hi = value
-        if op in ("<=", ">="):
-            consumed.append(f"rng:{column}:{op}:{value!r}")
+    lo, hi, consumed = _range_windows(ranges).get(column, (None, None, ()))
     est = estimate_range_rows(stats["entries"], stats["bounds"], lo, hi,
                               histogram=stats.get("histogram"))
     touched = est
@@ -439,19 +434,11 @@ def choose_ordered_path(engine: "StorageEngine", relation: str,
         )
         selectivity = max(0.1, 0.5 ** residual_count)
         touched = min(est, max(1.0, limit_hint / selectivity))
-    labels: dict[str, str] = {}
-    for eq_column, value in equals:
-        labels[f"eq:{eq_column}"] = f"{eq_column}={value!r}"
-    for rng_column, op, value in ranges:
-        labels[f"rng:{rng_column}:{op}:{value!r}"] = \
-            f"{rng_column}{op}{value!r}"
-    residual = tuple(text for key, text in labels.items()
-                     if key not in consumed)
     return AccessPath(
         kind="index-range", column=column, argument=(lo, hi),
         estimated_rows=est,
         cost=INDEX_PROBE_COST + touched * INDEX_ROW_COST,
-        residual=residual,
+        residual=_residual(info, consumed, equals, ranges),
         index_version=info["index_version"],
         ordered=True,
         descending=descending,

@@ -8,8 +8,14 @@ import repro
 from repro.adt import Image
 from repro.core import NonPrimitiveClass
 from repro.errors import PlanningError, UnderivableError
-from repro.query import render_tree
-from repro.query.operators import FallbackSwitch, HeapScan
+from repro.query import ColumnRef, SelectItem, render_tree
+from repro.query.batch import Batch
+from repro.query.operators import (
+    ExprProject,
+    FallbackSwitch,
+    HeapScan,
+    PhysicalOperator,
+)
 from repro.query.physical import PhysicalPlanner
 from repro.spatial import Box
 from repro.temporal import AbsTime
@@ -239,9 +245,68 @@ class TestProjection:
         cur.execute("SELECT name, code FROM site")
         assert [entry[0] for entry in cur.description] == ["name", "code"]
 
+    def test_bare_columns_pass_through_untouched(self):
+        """A bare attribute item hands on its column and its explicit
+        null mask as they are: no NULL scan of an object column."""
+
+        class Source(PhysicalOperator):
+            def run_batches(self):
+                yield batch
+
+        null = np.array([False, True, False])
+        batch = Batch(length=3, columns={
+            "name": np.array(["a", "b", "c"], dtype=object),
+            "code": np.array([1, 0, 3]),
+        }, masks={"code": null}, class_name="site")
+        items = tuple(SelectItem(expr=ColumnRef(attr=name), alias=name)
+                      for name in ("name", "code"))
+        [out] = ExprProject(Source(), items, operators=None).run_batches()
+        assert out.columns["name"] is batch.columns["name"]
+        assert out.columns["code"] is batch.columns["code"]
+        assert out.masks == {"code": null} and out.masks["code"] is null
+        assert "name" not in batch.masks
+        assert list(out.to_rows()) == [{"name": "a", "code": 1},
+                                       {"name": "b", "code": None},
+                                       {"name": "c", "code": 3}]
+
     def test_unknown_projection_attribute_rejected(self, site_conn):
         with pytest.raises(PlanningError):
             site_conn.cursor().execute("SELECT ghost FROM site")
+
+    @pytest.mark.parametrize("source", [
+        "SELECT code, tag FROM obs",
+        "SELECT code, tag FROM obs LIMIT 100",
+    ])
+    def test_concept_member_without_the_attribute_reads_null(self, source):
+        """One member having the attribute is enough; the other's rows
+        carry NULL for it, with or without a LIMIT."""
+        connection = repro.connect(universe=UNIVERSE)
+        cur = connection.cursor()
+        cur.execute("""
+        DEFINE CLASS a_obs (
+          ATTRIBUTES: code = int4; tag = char16;
+          SPATIAL EXTENT: cell = box;
+        );
+        DEFINE CLASS b_obs (
+          ATTRIBUTES: code = int4;
+          SPATIAL EXTENT: cell = box;
+        );
+        DEFINE CONCEPT obs MEMBERS a_obs, b_obs
+        """)
+        store = connection.kernel.store
+        for i in range(3):
+            store.store("a_obs", {"code": i, "tag": f"t{i}",
+                                  "cell": Box(i, 0, i + 1, 1)})
+            store.store("b_obs", {"code": 10 + i,
+                                  "cell": Box(i, 2, i + 1, 3)})
+        rows = cur.execute(source).fetchall()
+        assert sorted(rows, key=lambda row: row["code"]) == [
+            {"code": 0, "tag": "t0"}, {"code": 1, "tag": "t1"},
+            {"code": 2, "tag": "t2"}, {"code": 10, "tag": None},
+            {"code": 11, "tag": None}, {"code": 12, "tag": None},
+        ]
+        assert [entry[:2] for entry in cur.description] \
+            == [("code", "int4"), ("tag", "char16")]
 
 
 class TestIndexOnlyScans:
@@ -314,6 +379,29 @@ class TestIndexOnlyScans:
             "'1990-06-01'"
         )
         assert "index-only" not in dump
+
+    @pytest.mark.parametrize("variant", [
+        "SELECT code FROM site WHERE code = 3 LIMIT 10",
+        "SELECT code FROM site WHERE code = 3 LIMIT 60",
+        "SELECT code FROM site WHERE code = 3 LIMIT 60 OFFSET 0",
+        "SELECT code FROM site WHERE site.code = 3",
+    ])
+    def test_equivalent_projections_answer_alike(self, indexed_conn,
+                                                 variant):
+        """LIMIT n with n >= rows, OFFSET 0 and a source-qualified
+        predicate read no column: the same rows, the same description
+        (types included) and the same covering scan as the plain form."""
+        cur = indexed_conn.cursor()
+        answers = []
+        for source in ("SELECT code FROM site WHERE code = 3", variant):
+            rows = cur.execute(source).fetchall()
+            answers.append((rows, cur.description))
+            dump = cur.explain(source)
+            assert "access=index-only index-eq(code=3)" in dump
+            assert "IndexOnlyScan(cls_site.code)" in dump
+        assert answers[1] == answers[0]
+        assert answers[0] == ([{"code": 3}] * 10,
+                              [("code", "int4", None, None, None, None, None)])
 
     def test_index_only_cheaper_than_heap_fetch(self, indexed_conn):
         store = indexed_conn.kernel.store
