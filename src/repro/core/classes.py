@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 import threading
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -46,8 +47,10 @@ from ..errors import (
 from ..spatial.box import Box
 from ..storage.access import AccessPath, choose_access_path, choose_ordered_path
 from ..storage.catalog import IndexDef
+from ..storage.columns import build_column
 from ..storage.engine import StorageEngine, batch_sizes
 from ..storage.transactions import Snapshot, Transaction
+from ..storage.tuples import TID
 from ..temporal.abstime import AbsTime
 
 __all__ = ["NonPrimitiveClass", "SciObject", "ClassRegistry", "ClassStore",
@@ -334,8 +337,9 @@ class ClassStore:
     _oid_counter: Iterator[int] = field(default_factory=lambda: itertools.count(1))
     _oid_index: dict[int, tuple[str, Any]] = field(default_factory=dict)
     #: Called with the purged oids after a rollback (the task log
-    #: forgets their tasks).  Not pickled: owners re-register on load.
-    _rollback_hooks: list[Callable[[list[int]], None]] = field(
+    #: forgets their tasks).  Held weakly, so an owner and this store
+    #: form no reference cycle; not pickled: owners re-register on load.
+    _rollback_hooks: list[weakref.WeakMethod] = field(
         default_factory=list, repr=False, compare=False)
     #: Stored-data scans started, per class (cheap, always on).
     scan_counts: dict[str, int] = field(default_factory=dict)
@@ -387,13 +391,15 @@ class ClassStore:
         dropped = [values[0] for _, values in self.engine.abort(tx)]
         for oid in dropped:
             self._oid_index.pop(oid, None)
-        for hook in self._rollback_hooks:
-            hook(dropped)
+        for ref in self._rollback_hooks:
+            if (hook := ref()) is not None:
+                hook(dropped)
 
     def on_rollback(self, hook: Callable[[list[int]], None]) -> None:
-        """Register *hook* to run, with the oids a rolled-back
-        transaction had stored, after every rollback."""
-        self._rollback_hooks.append(hook)
+        """Register the bound method *hook* to run, with the oids a
+        rolled-back transaction had stored, after every rollback while
+        its object lives."""
+        self._rollback_hooks.append(weakref.WeakMethod(hook))
 
     def _view(self) -> View | None:
         """The current context's view, when it is one over this store."""
@@ -646,23 +652,21 @@ class ClassStore:
                                 temporal=temporal, filters=filters,
                                 ranges=ranges, projection=projection)
 
-    def _stored_values(self, class_name: str,
-                       spatial: Box | None, temporal: AbsTime | None,
-                       filters: tuple[tuple[str, Any], ...],
-                       ranges: tuple[tuple[str, str, Any], ...],
-                       access_path: AccessPath | None,
-                       chunk_rows: int) -> Iterator[list[tuple]]:
-        """The stored-read path: one scan's visible value tuples
-        (``_oid`` first, then the attributes in declaration order), in
-        chunks that ramp up to *chunk_rows*.
+    def _open_scan(self, class_name: str,
+                   spatial: Box | None, temporal: AbsTime | None,
+                   filters: tuple[tuple[str, Any], ...],
+                   ranges: tuple[tuple[str, str, Any], ...],
+                   access_path: AccessPath | None
+                   ) -> tuple[str, Snapshot | None, Iterator[TID] | None]:
+        """The stored-read path's start: one scan's relation, snapshot
+        and TID stream (None for a full scan).
 
-        Every stored row or batch stream is a view over this generator,
-        the only code that normalizes the predicates, re-validates the
-        access path, records the scan event (exactly one per call) and
-        turns the path into a TID stream for
-        :meth:`StorageEngine.value_batches`.  The tuples come straight
-        off the path with **no predicate re-checks**: pushdown only
-        prunes the candidates, consumers re-check.
+        Every stored row or batch stream starts here, the only code that
+        normalizes the predicates, re-validates the access path, records
+        the scan event (exactly one per call) and turns the path into a
+        TID stream.  Rows come straight off the path with **no predicate
+        re-checks**: pushdown only prunes the candidates, consumers
+        re-check.
         """
         cls = self.registry.get(class_name)
         filters, ranges = self.normalize_predicates(cls, filters, ranges)
@@ -684,9 +688,8 @@ class ClassStore:
         elif path.kind == "temporal-probe":
             tids = self.engine.iter_temporal_tids(relation, path.argument)
         else:
-            tids = None  # full scan: the heap walk batches directly
-        yield from self.engine.value_batches(relation, snapshot,
-                                             batch_size=chunk_rows, tids=tids)
+            tids = None  # full scan
+        return relation, snapshot, tids
 
     def _stored_objects(self, class_name: str,
                         spatial: Box | None, temporal: AbsTime | None,
@@ -694,11 +697,14 @@ class ClassStore:
                         ranges: tuple[tuple[str, str, Any], ...],
                         access_path: AccessPath | None,
                         chunk_rows: int) -> Iterator[SciObject]:
-        """Row view of :meth:`_stored_values`: one object per tuple."""
+        """One object per visible value tuple of :meth:`_open_scan`'s
+        path (``_oid`` first, then the attributes in declaration order),
+        fetched in chunks that ramp up to *chunk_rows*."""
         names = self.registry.get(class_name).attribute_names
-        for chunk in self._stored_values(class_name, spatial, temporal,
-                                         filters, ranges, access_path,
-                                         chunk_rows):
+        relation, snapshot, tids = self._open_scan(
+            class_name, spatial, temporal, filters, ranges, access_path)
+        for chunk in self.engine.value_batches(relation, snapshot,
+                                               chunk_rows, tids):
             for values in chunk:
                 yield SciObject(class_name=class_name, oid=values[0],
                                 values=dict(zip(names, values[1:])))
@@ -711,7 +717,7 @@ class ClassStore:
                   access_path: AccessPath | None = None
                   ) -> Iterator[SciObject]:
         """The raw candidate stream of one stored-data scan, one
-        :class:`SciObject` per stored row (see :meth:`_stored_values`:
+        :class:`SciObject` per stored row (see :meth:`_open_scan`:
         re-validated path, one scan event, no predicate re-checks)."""
         return self._stored_objects(class_name, spatial, temporal, filters,
                                     ranges, access_path, _ROW_VIEW_CHUNK)
@@ -723,16 +729,24 @@ class ClassStore:
                           ranges: tuple[tuple[str, str, Any], ...] = (),
                           access_path: AccessPath | None = None,
                           batch_size: int | None = None) -> Iterator["Batch"]:
-        """The columnar view of :meth:`_stored_values`: the same raw
-        candidate stream as :meth:`iter_scan`, in the same order,
-        delivered as :class:`~repro.query.batch.Batch` slabs."""
+        """The columnar view of :meth:`iter_scan`: the same raw candidate
+        stream, in the same order, as :class:`~repro.query.batch.Batch`
+        slabs.  A full scan reads :meth:`StorageEngine.column_batches`,
+        every TID path :meth:`StorageEngine.value_batches`."""
         from repro.query.batch import DEFAULT_BATCH_SIZE, Batch
 
         attributes = self.registry.get(class_name).attributes
-        for chunk in self._stored_values(class_name, spatial, temporal,
-                                         filters, ranges, access_path,
-                                         batch_size or DEFAULT_BATCH_SIZE):
-            yield Batch.from_values(class_name, attributes, chunk)
+        size = batch_size or DEFAULT_BATCH_SIZE
+        relation, snapshot, tids = self._open_scan(
+            class_name, spatial, temporal, filters, ranges, access_path)
+        if tids is None:
+            for columns in self.engine.column_batches(relation, snapshot,
+                                                      batch_size=size):
+                yield Batch.from_columns(class_name, attributes, columns)
+        else:
+            for chunk in self.engine.value_batches(relation, snapshot, size,
+                                                   tids):
+                yield Batch.from_values(class_name, attributes, chunk)
 
     def iter_index_only_batches(self, class_name: str, path: AccessPath,
                                 batch_size: int | None = None
@@ -744,7 +758,7 @@ class ClassStore:
         Only valid for an ``index_only`` path (the planner guarantees
         the key covers every requested attribute and every predicate).
         """
-        from repro.query.batch import DEFAULT_BATCH_SIZE, Batch, build_column
+        from repro.query.batch import DEFAULT_BATCH_SIZE, Batch
 
         if not path.index_only or path.column is None:
             raise StorageError(
@@ -820,8 +834,10 @@ class ClassStore:
             if spatial is not None and cls.spatial_attr is not None else 0
         time_at = names.index(cls.temporal_attr) + 1 \
             if temporal is not None and cls.temporal_attr is not None else 0
-        for chunk in self._stored_values(class_name, spatial, temporal,
-                                         (), (), None, chunk_rows):
+        relation, snapshot, tids = self._open_scan(
+            class_name, spatial, temporal, (), (), None)
+        for chunk in self.engine.value_batches(relation, snapshot,
+                                               chunk_rows, tids):
             for values in chunk:
                 if (not box_at or values[box_at].overlaps(spatial)) \
                         and (not time_at or values[time_at] == temporal):

@@ -16,6 +16,7 @@ caller opts out.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -63,9 +64,10 @@ class DerivationManager:
     #: at (both registries only ever grow).
     _net: tuple[tuple[int, int], DerivationNet] | None = field(
         default=None, init=False, repr=False, compare=False)
-    #: Called with the ids of the tasks each rollback discards (not
-    #: pickled: owners re-register on load).
-    _discard_hooks: list[Callable[[set[int]], None]] = field(
+    #: Called with the ids of the tasks each rollback discards (held
+    #: weakly, like the store's rollback hooks; not pickled: owners
+    #: re-register on load).
+    _discard_hooks: list[weakref.WeakMethod] = field(
         default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -83,12 +85,14 @@ class DerivationManager:
 
     def _discard_tasks(self, oids: list[int]) -> None:
         dropped = self.tasks.discard_outputs(oids)
-        for hook in self._discard_hooks if dropped else ():
-            hook(dropped)
+        for ref in self._discard_hooks if dropped else ():
+            if (hook := ref()) is not None:
+                hook(dropped)
 
     def on_discard(self, hook: Callable[[set[int]], None]) -> None:
-        """Run *hook* with the ids of the tasks each rollback discards."""
-        self._discard_hooks.append(hook)
+        """Run the bound method *hook* with the ids of the tasks each
+        rollback discards, while its object lives."""
+        self._discard_hooks.append(weakref.WeakMethod(hook))
 
     # -- definitions -----------------------------------------------------------
 

@@ -22,49 +22,16 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+# The column builders live with the stored columns they build.
+from repro.storage.columns import (NUMERIC_DTYPES, Column, build_column,
+                                   build_columns, object_column)
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.classes import NonPrimitiveClass, SciObject
 
 DEFAULT_BATCH_SIZE = 1024
 
-#: Attribute types that get typed (non-object) column arrays.
-NUMERIC_DTYPES: dict[str, Any] = {
-    "int4": np.int64,
-    "float4": np.float64,
-    "float8": np.float64,
-    "bool": np.bool_,
-}
-
 OID_TYPE = "int4"
-
-
-def object_column(values: Sequence[Any]) -> np.ndarray:
-    """Build an object-dtype column without NumPy broadcasting surprises.
-
-    ``np.asarray`` would try to interpret array-shaped elements (raster
-    ``Image`` payloads, matrices) as extra dimensions; ``fromiter`` treats
-    every element as an opaque scalar.
-    """
-    return np.fromiter(values, dtype=object, count=len(values))
-
-
-def typed_column(values: Sequence[Any], dtype: Any) -> tuple[np.ndarray, np.ndarray | None]:
-    """Build a typed column, demoting NULLs to a fill value + mask."""
-    try:
-        return np.asarray(values, dtype=dtype), None
-    except (TypeError, ValueError):
-        mask = np.fromiter((v is None for v in values), dtype=bool, count=len(values))
-        filled = [0 if v is None else v for v in values]
-        return np.asarray(filled, dtype=dtype), mask
-
-
-def build_column(type_name: str | None, values: Sequence[Any]) -> tuple[np.ndarray, np.ndarray | None]:
-    """Column array + null mask for one attribute's values."""
-    dtype = NUMERIC_DTYPES.get(type_name) if type_name else None
-    if dtype is not None:
-        return typed_column(values, dtype)
-    arr = object_column(values)
-    return arr, None
 
 
 def null_mask(values: np.ndarray) -> np.ndarray:
@@ -110,6 +77,24 @@ class Batch:
     # construction
     # ------------------------------------------------------------------
     @classmethod
+    def from_columns(
+        cls,
+        class_name: str,
+        attributes: Sequence[tuple[str, str]],
+        columns: Sequence[Column],
+    ) -> "Batch":
+        """Batch from stored columns (``oid``, then *attributes*), each a
+        ``(values, null mask)`` pair."""
+        batch = cls(length=len(columns[0][0]), columns={}, masks={},
+                    class_name=class_name)
+        for (name, _), (arr, mask) in zip((("oid", OID_TYPE), *attributes),
+                                          columns):
+            batch.columns[name] = arr
+            if mask is not None:
+                batch.masks[name] = mask
+        return batch
+
+    @classmethod
     def from_values(
         cls,
         class_name: str,
@@ -117,23 +102,9 @@ class Batch:
         rows: Sequence[tuple],
     ) -> "Batch":
         """Batch from raw storage value tuples ``(_oid, attr0, attr1, ...)``."""
-        n = len(rows)
-        columns: dict[str, np.ndarray] = {}
-        masks: dict[str, np.ndarray] = {}
-        if n:
-            transposed = list(zip(*rows))
-        else:
-            transposed = [()] * (len(attributes) + 1)
-        arr, mask = build_column(OID_TYPE, transposed[0])
-        columns["oid"] = arr
-        if mask is not None:
-            masks["oid"] = mask
-        for index, (name, type_name) in enumerate(attributes, start=1):
-            arr, mask = build_column(type_name, transposed[index])
-            columns[name] = arr
-            if mask is not None:
-                masks[name] = mask
-        return cls(length=n, columns=columns, masks=masks, class_name=class_name)
+        types = [OID_TYPE] + [type_name for _, type_name in attributes]
+        return cls.from_columns(class_name, attributes,
+                                build_columns(types, rows))
 
     @classmethod
     def from_objects(cls, objects: Sequence["SciObject"], klass: "NonPrimitiveClass") -> "Batch":

@@ -23,6 +23,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+import numpy as np
+
 from ..adt.registry import TypeRegistry
 from ..errors import StorageError, TupleNotFoundError, UnknownRelationError
 from ..spatial.box import Box
@@ -31,6 +33,8 @@ from ..temporal.abstime import AbsTime
 from ..temporal.timeline import Timeline
 from .btree import BTree
 from .catalog import Catalog, IndexDef, Schema
+from .columns import (Column, ColumnImage, build_columns, concat_columns,
+                      stop_page, take_columns)
 from .heap import HeapFile
 from .transactions import (ABORTED, Snapshot, Transaction,
                            TransactionManager, visible)
@@ -54,6 +58,26 @@ def batch_sizes(batch_size: int) -> Iterator[int]:
         size = min(2 * size, batch_size)
 
 
+def _visible_values(versions: list[TupleVersion], snap: Snapshot
+                    ) -> list[tuple]:
+    """The values of the *versions* visible under *snap*.
+
+    :func:`~repro.storage.transactions.visible` inlined: the per-row
+    function-call overhead would dominate a scan that does nothing else
+    per row.  ``xmin`` is read twice, and an abort may stamp it
+    ``ABORTED`` in between: testing ``in_flight`` first hides a version
+    read as its in-flight creator and then as ``ABORTED``, where
+    ``< horizon`` first would pass both tests.
+    """
+    horizon = snap.horizon
+    in_flight = snap.in_flight
+    own = snap.own_xid
+    own_commits = snap.own_commits
+    return [v.values for v in versions
+            if v.xmin not in in_flight and v.xmin < horizon
+            or v.xmin == own or v.xmin in own_commits]
+
+
 @dataclass(frozen=True)
 class Row:
     """A visible tuple returned by scans: its TID plus named values."""
@@ -69,6 +93,7 @@ class Row:
 @dataclass
 class _RelationState:
     heap: HeapFile
+    image: ColumnImage = field(default_factory=ColumnImage)
     btrees: dict[str, BTree] = field(default_factory=dict)
     spatial: GridIndex | None = None
     spatial_column: str | None = None
@@ -292,7 +317,9 @@ class StorageEngine:
             state = self._state(relation)
             schema = self.catalog.get(relation)
             version = state.heap.get(tid)
-            version.xmin = ABORTED
+            with state.image.lock:  # shared with the image's extension
+                version.xmin = ABORTED
+                state.image.stamp_aborted(tid)
             values = version.values
             purged.append((relation, values))
             for column, tree in state.btrees.items():
@@ -398,24 +425,8 @@ class StorageEngine:
         sizes = batch_sizes(batch_size)
         size = next(sizes)
         if tids is None:
-            # Page-at-a-time with ``visible()`` inlined: the per-row
-            # function-call overhead would dominate a columnar scan that
-            # does nothing else per row (same predicate as
-            # :func:`repro.storage.transactions.visible`).  ``xmin`` is
-            # read twice, and an abort may stamp it ``ABORTED`` in
-            # between: testing ``in_flight`` first hides a version read
-            # as its in-flight creator and then as ``ABORTED``, where
-            # ``< horizon`` first would pass both tests.
-            horizon = snap.horizon
-            in_flight = snap.in_flight
-            own = snap.own_xid
-            own_commits = snap.own_commits
             for versions in state.heap.iter_version_lists():
-                out.extend(
-                    v.values for v in versions
-                    if v.xmin not in in_flight and v.xmin < horizon
-                    or v.xmin == own or v.xmin in own_commits
-                )
+                out.extend(_visible_values(versions, snap))
                 while len(out) >= size:
                     yield out[:size]
                     out = out[size:]
@@ -432,6 +443,50 @@ class StorageEngine:
                         size = next(sizes)
         if out:
             yield out
+
+    def column_batches(self, relation: str,
+                       snapshot: Snapshot | None = None,
+                       batch_size: int = 1024) -> Iterator[list[Column]]:
+        """The full scan of :meth:`value_batches` as columns: the same
+        visible rows in the same batches, each one read-only ``(values,
+        null mask)`` pair per schema column (``_oid`` first).
+
+        The sealed pages are slices (or index-takes) of the relation's
+        :class:`~repro.storage.columns.ColumnImage`, first extended over
+        every page sealed now, with visibility one
+        :meth:`Snapshot.sees_each` mask per segment; the unsealed tail is
+        walked tuple by tuple, like every page in :meth:`value_batches`.
+        """
+        snap = snapshot or self.snapshot()
+        state = self._state(relation)
+        types = [col.type_name for col in self.catalog.get(relation).columns]
+        segments = state.image.extend(state.heap, types)
+
+        def runs() -> Iterator[tuple[list[Column], np.ndarray]]:
+            # (columns, visible rows) in TID order; the tail built last
+            for seg in segments:
+                yield seg.columns, np.flatnonzero(snap.sees_each(seg.xmin))
+            tail = [values for versions in state.heap.iter_version_lists(
+                        stop_page(segments))
+                    for values in _visible_values(versions, snap)]
+            yield build_columns(types, tail), np.arange(len(tail))
+
+        sizes = batch_sizes(batch_size)
+        size = next(sizes)
+        pieces: list[list[Column]] = []  # the next batch, so far
+        held = 0
+        for columns, rows in runs():
+            while len(rows):
+                need = size - held
+                pieces.append(take_columns(columns, rows[:need]))
+                held += min(need, len(rows))
+                rows = rows[need:]
+                if held == size:
+                    yield concat_columns(pieces)
+                    pieces, held = [], 0
+                    size = next(sizes)
+        if pieces:
+            yield concat_columns(pieces)
 
     def _btree(self, relation: str, column: str) -> BTree:
         tree = self._state(relation).btrees.get(column)

@@ -1,22 +1,26 @@
 """Slotted pages and heap files.
 
 A :class:`HeapFile` is an append-friendly sequence of :class:`SlottedPage`
-objects.  Inserts go to the last page with room (first-fit over a small
-free-space map); slots are never reused within a page so TIDs stay stable,
-which the indexes rely on.
+objects.  Inserts go to the last page with room among the last
+:data:`OPEN_PAGES` (first-fit); every earlier page is *sealed*: its
+slots are fixed.  Slots are never reused within a page so TIDs stay
+stable, which the indexes rely on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..errors import PageFullError, TupleNotFoundError
 from .tuples import TID, TupleVersion
 
-__all__ = ["SlottedPage", "HeapFile", "DEFAULT_PAGE_BYTES"]
+__all__ = ["SlottedPage", "HeapFile", "DEFAULT_PAGE_BYTES", "OPEN_PAGES"]
 
 DEFAULT_PAGE_BYTES = 8192
+#: Pages at a heap's tail that inserts try; every earlier page is sealed.
+OPEN_PAGES = 4
 _SLOT_OVERHEAD = 8  # rough per-slot bookkeeping charge
 
 
@@ -62,8 +66,8 @@ class SlottedPage:
         """The page's versions in slot order, as the stored list.
 
         Callers must not mutate it — this is the zero-copy surface the
-        columnar batch scan walks (slot numbers are implicit, so no TID
-        tuples are built per row).
+        scans walk (slot numbers are implicit, so no TID tuples are built
+        per row).
         """
         return self._slots
 
@@ -84,10 +88,18 @@ class HeapFile:
         """Number of allocated pages."""
         return len(self._pages)
 
+    @property
+    def sealed_page_count(self) -> int:
+        """Pages no insert will touch again: all but the last
+        :data:`OPEN_PAGES`, whose count only grows."""
+        return max(0, len(self._pages) - OPEN_PAGES)
+
     def _page_with_room(self, version: TupleVersion) -> SlottedPage:
         # First-fit from the tail: the common case is appending, and old
         # pages rarely regain space (no-overwrite storage never frees).
-        for page in reversed(self._pages[-4:]):
+        # A new page is appended only after the open ones were tried, so
+        # the page an insert lands in is never counted sealed.
+        for page in reversed(self._pages[self.sealed_page_count:]):
             if page.fits(version):
                 return page
         page = SlottedPage(page_no=len(self._pages), capacity=self.page_bytes)
@@ -121,14 +133,17 @@ class HeapFile:
             for slot, version in page:
                 yield TID(page=page.page_no, slot=slot), version
 
-    def iter_version_lists(self) -> Iterator[list[TupleVersion]]:
-        """Per-page version lists in TID order (no TID construction).
+    def iter_version_lists(self, first_page: int = 0
+                           ) -> Iterator[list[TupleVersion]]:
+        """Per-page version lists in TID order (no TID construction),
+        from *first_page* on, including pages appended while iterating.
 
-        The columnar scan surface: :meth:`StorageEngine.value_batches`
+        The tuple-walk scan surface: :meth:`StorageEngine.value_batches`
+        (and the unsealed tail of :meth:`StorageEngine.column_batches`)
         filters these lists for visibility page-at-a-time instead of
         paying a generator round-trip per row.
         """
-        for page in self._pages:
+        for page in itertools.islice(self._pages, first_page, None):
             yield page.versions()
 
     def version_count(self) -> int:

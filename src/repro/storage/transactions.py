@@ -19,6 +19,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..errors import TransactionError
 from .tuples import TupleVersion
 
@@ -55,6 +57,20 @@ class Snapshot:
         """Whether work by *xid* is visible under this snapshot."""
         return xid not in self.in_flight and xid < self.horizon \
             or xid == self.own_xid or xid in self.own_commits
+
+    def sees_each(self, xmin: np.ndarray) -> np.ndarray:
+        """:meth:`sees` over an array of xids, as a boolean mask.
+
+        An abort may stamp an element ``ABORTED`` between two reads of
+        it: testing ``in_flight`` first hides an element read as its
+        in-flight creator and then as ``ABORTED``, where ``< horizon``
+        first would pass both tests."""
+        seen = ~np.isin(xmin, list(self.in_flight)) & (xmin < self.horizon)
+        if self.own_xid is not None:
+            seen |= xmin == self.own_xid
+        if self.own_commits:
+            seen |= np.isin(xmin, list(self.own_commits))
+        return seen
 
     @property
     def committed(self) -> frozenset[int]:
