@@ -635,14 +635,14 @@ class ClassStore:
                        temporal: AbsTime | None = None,
                        filters: tuple[tuple[str, Any], ...] = (),
                        ranges: tuple[tuple[str, str, Any], ...] = (),
-                       access_path: AccessPath | None = None,
-                       projection: tuple[str, ...] = ()) -> AccessPath:
+                       access_path: AccessPath | None = None
+                       ) -> AccessPath:
         """*access_path* if still current, else a freshly chosen path.
 
-        A plan-time path choice is only trusted while the catalog's
-        index version still matches: CREATE/DROP INDEX since planning
-        means the recorded choice may name a structure that no longer
-        exists (or miss one that now would win).
+        A path chosen earlier (when an operator tree was built) is only
+        trusted while the catalog's index version still matches:
+        CREATE/DROP INDEX since means the choice may name a structure
+        that no longer exists (or miss one that now would win).
         """
         if access_path is not None \
                 and access_path.index_version \
@@ -650,7 +650,7 @@ class ClassStore:
             return access_path
         return self.choose_path(class_name, spatial=spatial,
                                 temporal=temporal, filters=filters,
-                                ranges=ranges, projection=projection)
+                                ranges=ranges)
 
     def _open_scan(self, class_name: str,
                    spatial: Box | None, temporal: AbsTime | None,
@@ -747,6 +747,33 @@ class ClassStore:
             for chunk in self.engine.value_batches(relation, snapshot, size,
                                                    tids):
                 yield Batch.from_values(class_name, attributes, chunk)
+
+    def probe_batch(self, class_name: str, attr: str, keys: list[Any],
+                    spatial: Box | None = None,
+                    temporal: AbsTime | None = None,
+                    filters: tuple[tuple[str, Any], ...] = (),
+                    ranges: tuple[tuple[str, str, Any], ...] = ()
+                    ) -> "Batch":
+        """The raw candidates of one B-tree ``attr = key`` probe per key
+        (one scan event each, see :meth:`_open_scan`) as one
+        :class:`~repro.query.batch.Batch`: the TIDs of each distinct key
+        are fetched once, in the order the probes stream them."""
+        from repro.query.batch import DEFAULT_BATCH_SIZE, Batch
+
+        streams: dict[Any, Iterator[TID]] = {}
+        for key in keys:
+            path = AccessPath(kind="index-eq", column=attr, argument=key,
+                              index_version=self.engine.catalog.index_version)
+            relation, snapshot, tids = self._open_scan(
+                class_name, spatial, temporal, filters + ((attr, key),),
+                ranges, path)
+            streams.setdefault(key, tids)  # equal keys: the same TIDs
+        rows = [values for chunk in self.engine.value_batches(
+            relation, snapshot, DEFAULT_BATCH_SIZE,
+            itertools.chain.from_iterable(streams.values()))
+            for values in chunk]
+        return Batch.from_values(
+            class_name, self.registry.get(class_name).attributes, rows)
 
     def iter_index_only_batches(self, class_name: str, path: AccessPath,
                                 batch_size: int | None = None

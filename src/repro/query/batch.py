@@ -416,4 +416,73 @@ def group_rows(
     return order, starts, first_seen
 
 
+# ----------------------------------------------------------------------
+# the equi-join kernel (shared by HashJoin and IndexNestedLoopJoin)
+# ----------------------------------------------------------------------
+#: Typed key columns that match as arrays once widened: one kind each.
+_KEY_DTYPES = {"i": np.int64, "f": np.float64, "b": np.bool_}
+
+
+def _join_keys(values: np.ndarray, null: np.ndarray, domain: Any,
+               code: Callable[[Any], int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, valid)``: *values* widened to *domain*, or mapped to int
+    codes by *code* when it is None (-1: matches nothing); invalid keys
+    are NULL or NaN."""
+    if domain is None:
+        keys = np.fromiter((code(v) for v in values.tolist()),
+                           dtype=np.int64, count=values.shape[0])
+        return keys, ~null & (keys >= 0)
+    keys = values.astype(domain, copy=False)
+    return keys, ~null & ~np.isnan(keys) if domain is np.float64 else ~null
+
+
+class JoinKeys:
+    """A join's build-side key column ``(values, null mask)``, sorted
+    once; :meth:`pairs` matches a probe key column against it.
+
+    Keys match under Python equality; NULL and NaN match nothing.  Typed
+    columns of one kind (int, float or bool) match as arrays; any other
+    pairing — object keys, int against float — first maps both sides to
+    int codes through one dict, so ``1`` still meets ``1.0``.
+    """
+
+    def __init__(self, values: np.ndarray, null: np.ndarray):
+        self.values, self.null = values, null
+        self._codes: dict[Any, int] = {}
+        self._runs: dict[Any, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _run(self, domain: Any) -> tuple[np.ndarray, np.ndarray]:
+        """``(build rows, their keys)`` in key order, equal keys in
+        build order — once per key domain."""
+        if domain not in self._runs:
+            table = self._codes
+            keys, valid = _join_keys(
+                self.values, self.null, domain,
+                lambda v: table.setdefault(v, len(table)) if v == v else -1)
+            rows = np.flatnonzero(valid)
+            order = rows[np.argsort(keys[rows], kind="stable")]
+            self._runs[domain] = (order, keys[order])
+        return self._runs[domain]
+
+    def pairs(self, values: np.ndarray, null: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe rows, build rows)`` of every matching pair: probe
+        order first, then build order within equal keys — a dict of
+        build-row lists probed row by row, without the rows."""
+        domain = _KEY_DTYPES.get(values.dtype.kind)
+        if domain is not _KEY_DTYPES.get(self.values.dtype.kind):
+            domain = None
+        order, sorted_keys = self._run(domain)
+        get = self._codes.get
+        keys, valid = _join_keys(values, null, domain, lambda v: get(v, -1))
+        rows = np.flatnonzero(valid)
+        probe = keys[rows]
+        lo = np.searchsorted(sorted_keys, probe, "left")
+        counts = np.searchsorted(sorted_keys, probe, "right") - lo
+        ends = np.cumsum(counts)
+        at = np.arange(int(ends[-1]) if ends.size else 0) \
+            + np.repeat(lo - ends + counts, counts)
+        return np.repeat(rows, counts), order[at]
+
+
 MaskFn = Callable[[Batch], np.ndarray]

@@ -49,12 +49,11 @@ needs row-at-a-time DB-API semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..core.classes import SciObject, matches_extents, matches_predicates
 from ..core.metadata_manager import MetadataManager
 from ..core.planner import MarkingCache, RetrievalResult
 from ..errors import UnderivableError, UnknownClassError
@@ -62,11 +61,14 @@ from ..spatial.box import Box
 from ..storage.access import AccessPath, INDEX_PROBE_COST, INDEX_ROW_COST
 from ..temporal.abstime import AbsTime
 from .ast import AggCall, ColumnRef, SelectItem
-from .batch import Batch, group_rows, object_column, order_by_keys
+from .batch import (Batch, JoinKeys, group_rows, object_column,
+                    order_by_keys)
 from .expressions import (
     Accumulator,
     VectorExpr,
     compile_column,
+    compile_extent_mask,
+    compile_predicate_mask,
     compile_vector_expr,
     nulls_in_band,
 )
@@ -367,11 +369,17 @@ class Sort(PhysicalOperator):
     """Explicit sort; keeps only the first k rows when a Limit sits above.
 
     ``keys`` pairs each key expression with its direction.  A pipeline
-    breaker: the whole input concatenates into one slab and a stable
+    breaker: the input concatenates into one slab and a stable
     ``np.argsort`` per key orders it (NULLs last, ties in input order —
     see :func:`~repro.query.batch.order_by_keys`).  ``top_k`` is pushed
-    down from ``LIMIT k [OFFSET m]`` as ``k+m``.
+    down from ``LIMIT k [OFFSET m]`` as ``k+m``; then each incoming
+    batch is cut, with one ``np.partition``, to the rows whose primary
+    key can still reach the first k — every row tied with the k-th key
+    stays — so at most k + ties + one batch rows are ever held
+    (``held_peak`` records the most).
     """
+
+    held_peak: int = 0
 
     def __init__(self, child: PhysicalOperator,
                  keys: tuple[tuple[Any, bool], ...], operators: Any,
@@ -401,8 +409,50 @@ class Sort(PhysicalOperator):
         suffix = f" top-{self.top_k}" if self.top_k is not None else ""
         return f"Sort({', '.join(rendered)}{suffix})"
 
+    def _contenders(self, batch: Batch, cut: Any = None
+                    ) -> tuple[np.ndarray, Any]:
+        """``(mask, cut)``: the rows whose primary key is ahead of or
+        tied with *cut* — by default the k-th smallest (DESC: largest)
+        key of *batch* — and that cut.  NULLs sort last and NaN as the
+        largest value, as in :func:`~repro.query.batch.order_by_keys`.
+        The cut is None when every row stays: the k-th key is NULL, or
+        NaN objects make the order inconsistent."""
+        k, descending = max(1, self.top_k), self.keys[0][1]
+        values, null = self.key_fns[0](batch)
+        live = np.flatnonzero(~null)
+        keys = values[live]
+        if keys.dtype.kind == "f":
+            keys = np.where(np.isnan(keys), np.inf, keys)
+        elif keys.dtype == object and bool((keys != keys).any()):
+            return np.ones(batch.length, dtype=bool), None
+        if cut is None:
+            if live.size < k:
+                return np.ones(batch.length, dtype=bool), None
+            at = live.size - k if descending else k - 1
+            cut = np.partition(keys, at)[at]
+        keep = np.zeros(batch.length, dtype=bool)
+        keep[live[keys >= cut if descending else keys <= cut]] = True
+        return keep, cut
+
     def run_batches(self) -> Iterator[Batch]:
-        batches = list(self.child.run_batches())
+        batches: list[Batch] = []
+        held, cut = 0, None
+        for batch in self.child.run_batches():
+            self.held_peak = max(self.held_peak, held + batch.length)
+            if self.top_k is None:
+                batches.append(batch)
+                held += batch.length
+                continue
+            if cut is not None:
+                # Only rows that beat or tie the held k-th key can enter.
+                ahead, _ = self._contenders(batch, cut)
+                if not ahead.any():
+                    continue
+                batch = batch.take(ahead)
+            staged = Batch.concat(batches + [batch])
+            keep, cut = self._contenders(staged)
+            batches = [staged.take(keep)]
+            held = batches[0].length
         if not batches:
             return
         big = Batch.concat(batches)
@@ -613,15 +663,6 @@ class HashAggregate(PhysicalOperator):
 # -- joins --------------------------------------------------------------------
 
 
-def _join_keys(batch: Batch, key_fn: VectorExpr) -> list[Any]:
-    """One side's join keys as Python values, NULLs as ``None``."""
-    return nulls_in_band(*key_fn(batch)).tolist()
-
-
-def _rows_at(batch: Batch, indices: list[int]) -> Batch:
-    return batch.take(np.asarray(indices, dtype=np.intp))
-
-
 class HashJoin(PhysicalOperator):
     """Two-source equi-join: hash the smaller input, probe the other.
 
@@ -674,22 +715,12 @@ class HashJoin(PhysicalOperator):
         # The build side may be a concept union over several classes:
         # concat aligns the member layouts into one slab.
         build = Batch.concat(list(build_op.run_batches()))
-        table: dict[Any, list[int]] = {}
-        for index, key in enumerate(_join_keys(build, build_key)):
-            if key is not None:
-                table.setdefault(key, []).append(index)
+        table = JoinKeys(*build_key(build))
         for batch in probe_op.run_batches():
-            probe_rows: list[int] = []
-            build_rows: list[int] = []
-            for index, key in enumerate(_join_keys(batch, probe_key)):
-                matches = table.get(key)  # a NULL key is never in it
-                if matches:
-                    probe_rows.extend([index] * len(matches))
-                    build_rows.extend(matches)
-            if not probe_rows:
+            probe_rows, build_rows = table.pairs(*probe_key(batch))
+            if not probe_rows.size:
                 continue
-            probed = _rows_at(batch, probe_rows)
-            built = _rows_at(build, build_rows)
+            probed, built = batch.take(probe_rows), build.take(build_rows)
             left, right = (built, probed) if build_left else (probed, built)
             out = Batch.joined(left, right, self.left_name, self.right_name,
                                self.left_attrs, self.right_attrs)
@@ -698,20 +729,20 @@ class HashJoin(PhysicalOperator):
 
 
 class IndexNestedLoopJoin(PhysicalOperator):
-    """Equi-join driven by per-left-row index probes on the right class.
+    """Equi-join driven by index probes on the right class, a run of
+    left rows at a time.
 
-    Each left row probes the right class through the storage layer's
-    cost-chosen access path (:meth:`ClassStore.iter_find` — B-tree probe
-    when the join attribute is indexed) with the right side's own
-    predicates pushed into the probe; one output batch pairs a run of
-    left rows with everything their probes found.  The runs start at one
-    row and double, so a ``Limit`` above stops the probing within twice
-    the probes a row-at-a-time loop would have made.  A join on the
-    ``oid`` pseudo-attribute (imagery → derivation provenance)
-    short-circuits to the O(1) object fetch.  Chosen over
-    :class:`HashJoin` when the left side is small and the right side
-    probes cheaply.  ``left_attrs`` is :class:`HashJoin`'s (the right
-    rows are whole objects of one class already).
+    Each non-NULL left row of a run opens one B-tree equality probe of
+    the right class, the right side's own predicates pushed in; the
+    run's candidates are fetched once (:meth:`ClassStore.probe_batch`),
+    re-checked with compiled masks and paired with the run's keys by
+    :class:`~repro.query.batch.JoinKeys`.  The runs start at one row
+    and double, so a ``Limit`` above stops the probing within twice the
+    probes a row-at-a-time loop would have made.  A join on the ``oid``
+    pseudo-attribute (imagery → derivation provenance) fetches each
+    key's object instead.  Chosen over :class:`HashJoin` when the left
+    side is small and the right side probes cheaply.  ``left_attrs`` is
+    :class:`HashJoin`'s (the right rows are whole objects of one class).
     """
 
     def __init__(self, ctx: ExecutionContext, left: PhysicalOperator,
@@ -729,6 +760,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
         self.left_key = compile_column(left_ref)
         self.right_class = right_class
         self.right_ref = right_ref
+        self.right_key = compile_column(right_ref)
         self.left_name = left_name
         self.right_name = right_name
         self.left_attrs = left_attrs
@@ -737,28 +769,24 @@ class IndexNestedLoopJoin(PhysicalOperator):
         self.filters = filters
         self.ranges = ranges
         self.per_probe_rows = per_probe_rows
+        self._checks: tuple[Callable[[Batch], np.ndarray], ...] = ()
+        if spatial is not None or temporal is not None or filters or ranges:
+            self._checks = (
+                compile_extent_mask(ctx.kernel.classes.get(right_class),
+                                    spatial, temporal),
+                compile_predicate_mask(filters, ranges),
+            )
         # §2.1.5 on the probe side: the first probe miss triggers one
         # interpolate/derive attempt for the right class at the join's
         # extents; produced objects answer this and later misses.
         self.probe_fallback: str | None = None
         self._fallback_tried = False
-        self._fallback_objects: list[SciObject] = []
+        self._fallback: tuple[Batch, JoinKeys] | None = None
         l_rows = left.estimated_rows
         self.estimated_rows = max(1.0, l_rows * per_probe_rows)
         self.estimated_cost = left.estimated_cost + l_rows * (
             INDEX_PROBE_COST + per_probe_rows * INDEX_ROW_COST
         )
-        # The probe access path varies only in its key: fix the shape
-        # once, so per-row probes skip path selection.
-        self._probe_template: AccessPath | None = None
-        if self.right_ref.attr != "oid":
-            engine = ctx.kernel.store.engine
-            self._probe_template = AccessPath(
-                kind="index-eq", column=self.right_ref.attr,
-                estimated_rows=per_probe_rows,
-                cost=INDEX_PROBE_COST + per_probe_rows * INDEX_ROW_COST,
-                index_version=engine.catalog.index_version,
-            )
 
     @property
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -769,30 +797,33 @@ class IndexNestedLoopJoin(PhysicalOperator):
                 f" = {self.right_name}.{self.right_ref.attr})"
                 f" probe={self.right_class}.{self.right_ref.attr}")
 
-    def _probe(self, key: Any) -> Iterator[SciObject]:
+    def _right_rows(self, keys: list[Any]) -> Batch:
+        """The right class's candidate rows for a run's non-NULL *keys*."""
         store = self.ctx.kernel.store
-        if self.right_ref.attr == "oid":
+        if self.right_ref.attr != "oid":
+            return store.probe_batch(
+                self.right_class, self.right_ref.attr, keys,
+                spatial=self.spatial, temporal=self.temporal,
+                filters=self.filters, ranges=self.ranges)
+        found = []
+        for key in dict.fromkeys(keys):
             try:
                 obj = store.get(key)
             except UnknownClassError:
-                return
-            if obj.class_name != self.right_class:
-                return
-            cls = self.ctx.kernel.classes.get(self.right_class)
-            if not matches_extents(obj, cls, self.spatial, self.temporal):
-                return
-            if not matches_predicates(obj, self.filters, self.ranges):
-                return
-            yield obj
-            return
-        path = None
-        if self._probe_template is not None:
-            path = dc_replace(self._probe_template, argument=key)
-        yield from store.iter_find(
-            self.right_class, spatial=self.spatial, temporal=self.temporal,
-            filters=self.filters + ((self.right_ref.attr, key),),
-            ranges=self.ranges, access_path=path,
-        )
+                continue
+            if obj.class_name == self.right_class:
+                found.append(obj)
+        return Batch.from_objects(
+            found, self.ctx.kernel.classes.get(self.right_class))
+
+    def _checked(self, right: Batch) -> Batch:
+        """*right* less the rows failing the extents, then the attribute
+        predicates: a :class:`FallbackSwitch`'s stored-branch filters."""
+        if not self._checks:
+            return right
+        extent, predicate = self._checks
+        right = right.take(extent(right))
+        return right.take(predicate(right))
 
     def _attempt_probe_fallback(self) -> None:
         """One-shot §2.1.5 for probe misses.  A miss is an unsatisfied
@@ -815,45 +846,58 @@ class IndexNestedLoopJoin(PhysicalOperator):
         except UnderivableError:
             return
         self.probe_fallback = result.path
-        self._fallback_objects = list(result.objects)
+        if result.objects:
+            produced = Batch.from_objects(
+                result.objects, self.ctx.kernel.classes.get(self.right_class))
+            self._fallback = (produced, JoinKeys(*self.right_key(produced)))
 
-    def _fallback_matches(self, key: Any) -> list[SciObject]:
-        """Fallback-produced right rows whose join attribute is *key*."""
-        attr = self.right_ref.attr
-        return [obj for obj in self._fallback_objects
-                if (obj.oid if attr == "oid" else obj.get(attr)) == key]
+    def _join_run(self, batch: Batch, start: int, values: np.ndarray,
+                  null: np.ndarray, keys: list[Any]) -> Batch | None:
+        """One run's output: the left rows ``start:start+len(keys)`` of
+        *batch* paired with their right rows (None when nothing pairs)."""
+        live = [key for key in keys if key is not None]
+        if not live:
+            return None
+        right = self._checked(self._right_rows(live))
+        probe_rows, build_rows = JoinKeys(*self.right_key(right)).pairs(
+            values, null)
+        paired = np.zeros(len(keys), dtype=bool)
+        paired[probe_rows] = True
+        missed = np.flatnonzero(~null & ~paired)
+        if missed.size and not self._fallback_tried:
+            self._attempt_probe_fallback()
+        if missed.size and self._fallback is not None:
+            produced, produced_keys = self._fallback
+            more, found = produced_keys.pairs(values[missed], null[missed])
+            if right.length:
+                found = found + right.length
+                produced = Batch.concat([right, produced])
+            right = produced
+            probe_rows = np.concatenate([probe_rows, missed[more]])
+            build_rows = np.concatenate([build_rows, found])
+            order = np.argsort(probe_rows, kind="stable")
+            probe_rows, build_rows = probe_rows[order], build_rows[order]
+        if not probe_rows.size:
+            return None
+        return Batch.joined(batch.take(probe_rows + start),
+                            right.take(build_rows), self.left_name,
+                            self.right_name, self.left_attrs)
 
     def run_batches(self) -> Iterator[Batch]:
-        right_cls = self.ctx.kernel.classes.get(self.right_class)
         span = 1  # left rows probed per output batch; doubles
         for batch in self.left.run_batches():
-            keys = _join_keys(batch, self.left_key)
+            values, null = self.left_key(batch)
+            keys = nulls_in_band(values, null).tolist()
             start = 0
             while start < batch.length:
                 stop = min(batch.length, start + span)
-                left_rows: list[int] = []
-                found: list[SciObject] = []
-                for index in range(start, stop):
-                    key = keys[index]
-                    if key is None:
-                        continue
-                    matches = list(self._probe(key))
-                    if not matches:
-                        if not self._fallback_tried:
-                            self._attempt_probe_fallback()
-                        matches = self._fallback_matches(key)
-                    left_rows.extend([index] * len(matches))
-                    found.extend(matches)
+                out = self._join_run(batch, start, values[start:stop],
+                                     null[start:stop], keys[start:stop])
                 start = stop
                 span *= 2
-                if not found:
-                    continue
-                out = Batch.joined(_rows_at(batch, left_rows),
-                                   Batch.from_objects(found, right_cls),
-                                   self.left_name, self.right_name,
-                                   self.left_attrs)
-                self.rows_out += out.length
-                yield out
+                if out is not None:
+                    self.rows_out += out.length
+                    yield out
 
 
 # -- planner-answered leaves and the fallback switch --------------------------

@@ -29,7 +29,6 @@ from typing import Any
 from ..core.metadata_manager import MetadataManager
 from ..errors import DerivationError, PlanningError
 from ..spatial.box import Box
-from ..storage.access import AccessPath
 from ..temporal.abstime import AbsTime
 from .ast import (
     AggCall,
@@ -80,9 +79,11 @@ class RetrieveNode(PlanNode):
 
     The node is the *logical* plan — what the plan cache stores.  The
     physical planner (:mod:`repro.query.physical`) compiles it into an
-    operator tree per execution, so the §2.1.5 logical path (retrieve
-    vs. interpolate vs. derive) is decided by the tree at run time, not
-    pinned at plan time; EXPLAIN resolves it on demand.
+    operator tree per execution: the access path is priced from current
+    statistics when the tree is built, and the §2.1.5 logical path
+    (retrieve vs. interpolate vs. derive) is decided by the tree at run
+    time — neither is pinned at plan time; EXPLAIN resolves both on
+    demand.
     """
 
     class_name: str
@@ -92,11 +93,6 @@ class RetrieveNode(PlanNode):
     force_derivation: bool = False
     filters: tuple[tuple[str, Any], ...] = ()
     ranges: tuple[tuple[str, str, Any], ...] = ()
-    #: Plan-time physical access path (None when any predicate value is
-    #: still a bind placeholder — the store chooses at execution time).
-    #: Carries the catalog index version it was priced under; a stale
-    #: recorded path is re-chosen by the store rather than trusted.
-    access_path: AccessPath | None = None
     #: Covering columns: every attribute the statement reads of this
     #: leg, when its select list is a plain attribute projection (empty:
     #: the leg's consumers may read any attribute).  An attribute index
@@ -307,41 +303,18 @@ class Optimizer:
                         projection: tuple[str, ...] = ()
                         ) -> list[RetrieveNode]:
         """One planned retrieval per target class of *source*."""
-        targets = self._resolve_source(source)
-        parameterized = (
-            isinstance(spatial, (Param, BoxTemplate))
-            or isinstance(temporal, Param)
-        )
-        predicates_bound = not (
-            any(isinstance(v, Param) for _, v in filters)
-            or any(isinstance(v, Param) for _, _, v in ranges)
-        )
-        nodes = []
-        for class_name in targets:
-            access_path = None
-            if not parameterized and predicates_bound:
-                # Cost-based physical access path, recorded in the
-                # (cacheable) plan from O(1) statistics — planning never
-                # scans data.  The schema version that guards cache
-                # entries includes the catalog index version, so
-                # CREATE/DROP INDEX invalidates this choice.
-                access_path = self.kernel.store.choose_path(
-                    class_name, spatial=spatial,
-                    temporal=temporal,
-                    filters=filters, ranges=ranges,
-                    projection=projection,
-                )
-            nodes.append(RetrieveNode(
+        return [
+            RetrieveNode(
                 class_name=class_name,
                 spatial=spatial,
                 temporal=temporal,
                 concept=source if source != class_name else None,
                 filters=filters,
                 ranges=ranges,
-                access_path=access_path,
                 projection=projection,
-            ))
-        return nodes
+            )
+            for class_name in self._resolve_source(source)
+        ]
 
     def _plan_select(self, select: Select) -> QueryNode:
         """Plan a SELECT — plain, projected or using the algebra

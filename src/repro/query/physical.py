@@ -25,12 +25,13 @@ effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from ..core.classes import NonPrimitiveClass
 from ..core.metadata_manager import MetadataManager
 from ..errors import BindError, DerivationError
+from ..storage.access import AccessPath
 from .ast import AggCall, ColumnRef, Param, RunProcess
 from .expressions import compile_extent_mask, compile_predicate_mask
 from .operators import (
@@ -83,12 +84,13 @@ class PhysicalPlanner:
 
     def build_retrieve(self, node: RetrieveNode,
                        ctx: ExecutionContext | None = None,
-                       sort_keys: tuple[tuple[Any, bool], ...] | None = None
-                       ) -> PhysicalOperator:
-        """The operator tree of one (bound) retrieval node.
+                       sort_keys: tuple[tuple[Any, bool], ...] | None = None,
+                       path: AccessPath | None = None) -> PhysicalOperator:
+        """The operator tree of one (bound) retrieval node, down *path*
+        or else the access path current statistics price cheapest.
 
-        *sort_keys* is set when an ordered index scan replaced an
-        explicit Sort (sort avoidance): the fallback leaf — whose
+        *sort_keys* is set when an ordered index scan (*path*) replaced
+        an explicit Sort (sort avoidance): the fallback leaf — whose
         output order the index cannot guarantee — gets a Sort of its
         own, so the tree's order contract holds on every path.
         """
@@ -103,10 +105,9 @@ class PhysicalPlanner:
                 Derive(ctx, node.class_name, node.spatial, node.temporal),
                 filters, ranges)
 
-        path = store.validated_path(
+        path = path or store.choose_path(
             node.class_name, spatial=node.spatial, temporal=node.temporal,
-            filters=filters, ranges=ranges, access_path=node.access_path,
-            projection=node.projection,
+            filters=filters, ranges=ranges, projection=node.projection,
         )
         if path.index_only:
             stored: PhysicalOperator = IndexOnlyScan(
@@ -286,9 +287,8 @@ class PhysicalPlanner:
             return explicit
         if ordered is None:
             return explicit
-        ordered_tree = self.build_retrieve(
-            replace(node, access_path=ordered), ctx, sort_keys=keys,
-        )
+        ordered_tree = self.build_retrieve(node, ctx, sort_keys=keys,
+                                           path=ordered)
         if ordered_tree.estimated_cost < explicit.estimated_cost:
             return ordered_tree
         return explicit

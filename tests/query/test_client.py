@@ -263,6 +263,39 @@ class TestPlanCache:
         assert {o.class_name for o in result.objects} == \
             {"land_cover", "landsat_tm"}
 
+    def test_a_cached_literal_plan_prices_its_path_when_built(
+            self, conn, monkeypatch):
+        """Regression: a literal statement's access path was priced once,
+        at plan time, so its cached plan kept the full scan chosen over
+        one row after the relation grew to 2,000 — and EXPLAIN's summary
+        line named the index probe above a tree that scanned the heap."""
+        cur = conn.cursor()
+        cur.execute("DEFINE CLASS station_obs ( ATTRIBUTES: serial = int4; "
+                    "reading = float8; )")
+        cur.execute("CREATE INDEX ON station_obs (serial)")
+        store = conn.kernel.store
+        store.store("station_obs", {"serial": 0, "reading": 0.0})
+        source = "SELECT FROM station_obs WHERE serial = 7"
+        assert cur.execute(source).fetchall() == []
+        assert "HeapScan(cls_station_obs) full-scan" in cur.explain(source)
+        for serial in range(1, 2000):
+            store.store("station_obs", {"serial": serial, "reading": 0.5})
+
+        probes = []
+        lookup = store.engine.iter_lookup_tids
+        monkeypatch.setattr(store.engine, "iter_lookup_tids",
+                            lambda *args: probes.append(args) or lookup(*args))
+        hits = conn.cache_hits
+        rows = cur.execute(source).fetchall()
+        assert conn.cache_hits == hits + 1
+        assert [(row["serial"], row["reading"]) for row in rows] == [(7, 0.5)]
+        assert probes == [("cls_station_obs", "serial", 7)]
+
+        summary, tree = cur.explain(source).split("\n", 1)
+        assert "access=index-eq(serial=7)" in summary
+        assert "IndexScan(cls_station_obs.serial) index-eq(serial=7)" in tree
+        assert "HeapScan" not in tree
+
     def test_lru_eviction_is_bounded(self, conn):
         small = connect(kernel=conn.kernel, plan_cache_size=2)
         cur = small.cursor()

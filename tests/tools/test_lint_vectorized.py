@@ -5,8 +5,9 @@ the engine's ``Row`` streams growing back, a second home for the
 loop over ``fetchone()``, a second write path or a deleter stamp
 growing back beside ``StorageEngine.insert``, a second piece of
 context state or a kernel-wide open transaction growing back beside the
-connection's view, and a per-row value-codec call growing back in the
-wire modules."""
+connection's view, a per-row value-codec call growing back in the
+wire modules, and a per-object find or predicate re-check growing back
+into the query tree."""
 
 import pathlib
 import subprocess
@@ -379,6 +380,34 @@ def test_wire_modules_ship_rows_as_pages(monkeypatch):
     assert all(pathlib.Path(path).exists() for path in wire)
     assert lint_vectorized.check_paths(
         wire, lint_vectorized.check_wire_codec) == []
+
+
+def test_flags_per_object_rechecks_in_the_query_tree():
+    bad = textwrap.dedent("""
+        from ..core.classes import matches_extents, matches_predicates
+
+        def probe(store, cls, key):
+            for obj in store.iter_find(cls, filters=(("k", key),)):
+                if matches_extents(obj, cls, None, None) \\
+                        and matches_predicates(obj, (), ()):
+                    yield obj
+            return store.find(cls)
+    """)
+    violations = lint_vectorized.check_compiled_rechecks(
+        bad, "src/repro/query/operators.py")
+    assert [line for line, _ in violations] == [5, 6, 7, 9]
+    assert "compiled masks" in violations[0][1]
+    # outside the query tree the Python retrieval function still rides them
+    assert lint_vectorized.check_compiled_rechecks(
+        bad, "src/repro/core/planner.py") == []
+
+
+def test_the_query_tree_rechecks_with_compiled_masks(monkeypatch):
+    monkeypatch.chdir(REPO)
+    query = sorted(str(path) for path
+                   in pathlib.Path("src/repro/query").rglob("*.py"))
+    assert query and lint_vectorized.check_paths(
+        query, lint_vectorized.check_compiled_rechecks) == []
 
 
 def test_planner_is_the_ladders_only_home(monkeypatch):

@@ -61,15 +61,24 @@ An eighth check keeps rows crossing the wire as pages: in
 column-major through ``protocol.encode_page`` / ``decode_page``; a
 per-row value-codec call there is the row-at-a-time regression.
 
+A ninth check keeps the query tree's predicate re-checks compiled:
+no module under ``src/repro/query/`` may call ``iter_find``, ``find``,
+``matches_predicates`` or ``matches_extents``.  Operators read stored
+rows as batches and re-check them with the masks of
+``query/expressions.py`` (``compile_predicate_mask`` /
+``compile_extent_mask``); one of those calls is the per-object
+``SciObject`` path growing back into the tree.
+
 Usage::
 
     python tools/lint_vectorized.py [path ...]
 
 Defaults to ``src/repro/query/operators.py`` for the operator checks
 and every module under ``src/repro/`` for the ``Row``-stream,
-fallback-ladder, fetch-loop, write-path, view and wire-codec checks;
-explicit paths get all of them (the wire-codec check only when they are
-the two wire modules).
+fallback-ladder, fetch-loop, write-path, view, wire-codec and
+compiled-recheck checks; explicit paths get all of them (the wire-codec
+check only when they are the two wire modules, the compiled-recheck
+check only under ``query/``).
 Exits non-zero and prints one ``file:line: message`` per violation.
 """
 
@@ -92,6 +101,9 @@ VIEW_HOME = "core/classes.py"
 _CURRENT_TX = re.compile(r"\bcurrent_tx\b")
 WIRE_MODULES = ("server/server.py", "server/remote.py")
 VALUE_CODEC = frozenset({"encode_value", "decode_value"})
+QUERY_TREE = "repro/query/"
+ROW_RECHECKS = frozenset(
+    {"iter_find", "find", "matches_predicates", "matches_extents"})
 
 _LOOPS = (ast.For, ast.While, ast.AsyncFor,
           ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
@@ -310,6 +322,22 @@ def check_views(source: str, filename: str = "<string>"
     return sorted(violations)
 
 
+def check_compiled_rechecks(source: str, filename: str = "<string>"
+                            ) -> list[tuple[int, str]]:
+    """``(line, message)`` for every call of a per-object find or
+    predicate re-check in *source*, when it is under ``query/``."""
+    if QUERY_TREE not in pathlib.PurePath(filename).as_posix():
+        return []
+    return sorted(
+        (node.lineno,
+         f"{name}() — the query tree reads stored rows as batches and "
+         "re-checks them with compiled masks (compile_predicate_mask / "
+         "compile_extent_mask)")
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, ast.Call)
+        for name in ROW_RECHECKS if _is_named(node.func, name))
+
+
 def check_paths(paths: list[str], check=check_source) -> list[str]:
     """Formatted ``file:line: message`` violations of *check* across
     *paths*."""
@@ -331,6 +359,7 @@ def main(argv: list[str]) -> int:
         + check_paths(sources, check_write_path) \
         + check_paths(sources, check_views) \
         + check_paths(sources, check_wire_codec) \
+        + check_paths(sources, check_compiled_rechecks) \
         + check_paths([path for path in sources
                        if not path.endswith(LADDER_HOME)],
                       check_fallback_ladder)
