@@ -5,6 +5,12 @@ paper claim (EXP-A…EXP-F from DESIGN.md).  Structural verification runs
 inside each benchmark test so `pytest benchmarks/ --benchmark-only` is a
 complete reproduction run; the printed tables are the "rows/series" the
 EXPERIMENTS.md records.
+
+Timing is opt-in: unless ``--benchmark-enable`` or ``--benchmark-only``
+is given, each ``benchmark(...)`` body runs once, uncalibrated, and no
+timing table is printed.  Every assertion still runs (the wall-clock
+ones read their own timers), so the plain tier-1 run checks each
+experiment without paying for rounds nobody reads.
 """
 
 from __future__ import annotations
@@ -26,6 +32,16 @@ def report(title: str, rows: list[tuple], header: tuple) -> None:
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
+
+
+@pytest.fixture()
+def benchmark(benchmark, request):
+    """pytest-benchmark's fixture, timing only when asked to."""
+    config = request.config
+    if not (config.getoption("benchmark_enable")
+            or config.getoption("benchmark_only")):
+        benchmark.disabled = True
+    return benchmark
 
 
 @pytest.fixture()

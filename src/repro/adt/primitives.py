@@ -51,7 +51,7 @@ def _int_validator(lo: int, hi: int, name: str):
     return partial(_validate_int, lo, hi, name)
 
 
-def _validate_float(name: str, single: bool, value: Any) -> float:
+def _validate_float(name: str, single: bool, value: Any) -> float | None:
     if isinstance(value, bool):
         raise ValueRepresentationError(f"{name}: bool is not a float")
     if isinstance(value, (np.floating, np.integer)):
@@ -62,10 +62,14 @@ def _validate_float(name: str, single: bool, value: Any) -> float:
         raise ValueRepresentationError(
             f"{name}: expected float, got {type(value).__name__}"
         )
+    if value != value:
+        return None  # NaN is stored as NULL, as sqlite3 stores it
     if single:
         # Normalize through float32 the way a 4-byte column would.
         value = float(np.float32(value))
-    return value
+    # -0.0 is stored as 0.0: equal keys, so one spelling (an index-only
+    # scan returns the B-tree's first-inserted spelling of a key).
+    return 0.0 if value == 0.0 else value
 
 
 def _float_validator(name: str, single: bool):

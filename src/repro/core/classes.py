@@ -33,7 +33,7 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, Iterator
 
 from ..adt.registry import TypeRegistry
@@ -93,11 +93,14 @@ def matches_predicates(obj: "SciObject",
     DERIVE post-filter, and the planner's fallback filter — so the
     paths cannot diverge.  An incomparable literal (e.g. ``name > 5``
     on a string attribute) raises a typed :class:`DerivationError`
-    rather than leaking a bare ``TypeError`` out of a row stream.
+    rather than leaking a bare ``TypeError`` out of a row stream.  A
+    NULL satisfies no range predicate.
     """
     if any(obj.get(attr) != value for attr, value in filters):
         return False
     for attr, op, value in ranges:
+        if obj.get(attr) is None:
+            return False
         try:
             if not COMPARISONS[op](obj.get(attr), value):
                 return False
@@ -335,7 +338,8 @@ class ClassStore:
     registry: ClassRegistry
     universe: Box | None = None
     _oid_counter: Iterator[int] = field(default_factory=lambda: itertools.count(1))
-    _oid_index: dict[int, tuple[str, Any]] = field(default_factory=dict)
+    #: oid -> class name (the relation's ``_oid`` B-tree finds the row)
+    _oid_index: dict[int, str] = field(default_factory=dict)
     #: Called with the purged oids after a rollback (the task log
     #: forgets their tasks).  Held weakly, so an owner and this store
     #: form no reference cycle; not pickled: owners re-register on load.
@@ -359,13 +363,18 @@ class ClassStore:
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
+        # Checkpoints written before the single oid map hold (class, TID).
+        state["_oid_index"] = {oid: entry if isinstance(entry, str) else
+                               entry[0] for oid, entry in
+                               state["_oid_index"].items()}
         self.__dict__.update(state)
         self._stats_lock = threading.Lock()
         self._rollback_hooks = []
 
     @staticmethod
+    @cache
     def relation_for(class_name: str) -> str:
-        """Storage relation name backing *class_name*."""
+        """Storage relation name backing *class_name* (one per class)."""
         return f"cls_{class_name}"
 
     # -- transactions (append-only MVCC under the objects) ---------------------
@@ -430,7 +439,8 @@ class ClassStore:
         Under a view with a writer transaction the object joins it;
         otherwise it auto-commits, and a view it was made under counts
         it among its own writes."""
-        names = self.registry.get(class_name).attribute_names
+        cls = self.registry.get(class_name)
+        names = cls.attribute_names
         missing = [a for a in names if a not in values]
         if missing:
             raise DerivationError(
@@ -450,7 +460,7 @@ class ClassStore:
             tid = self.engine.insert(relation, row, tx)
         else:
             tid = self.engine.insert_row(relation, row)
-        self._oid_index[oid] = (class_name, tid)
+        self._oid_index[oid] = cls.name
         # The object is the normalized tuple the engine just stored —
         # read off the heap, whatever the view's snapshot.
         stored = self.engine._state(relation).heap.get(tid)
@@ -462,13 +472,14 @@ class ClassStore:
     def get(self, oid: int) -> SciObject:
         """The object with surrogate id *oid*."""
         try:
-            class_name, tid = self._oid_index[oid]
+            class_name = self._oid_index[oid]
         except KeyError:
             raise UnknownClassError(f"no object with oid {oid}") from None
+        relation = self.relation_for(class_name)
         try:
-            row = self.engine.fetch(self.relation_for(class_name), tid,
-                                    self._snapshot())
-        except TupleNotFoundError:
+            [tid] = self.engine.iter_lookup_tids(relation, OID_COLUMN, oid)
+            row = self.engine.fetch(relation, tid, self._snapshot())
+        except (TupleNotFoundError, ValueError):
             # The backing version is invisible under this snapshot (e.g.
             # its transaction rolled back): to callers the object simply
             # does not exist.

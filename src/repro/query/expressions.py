@@ -183,8 +183,9 @@ def compile_predicate_mask(
 ) -> Callable[[Batch], np.ndarray]:
     """A batch-level predicate mask with :func:`matches_predicates`'s exact
     semantics: equality filters first (NULL matches only a NULL literal),
-    then range predicates evaluated only on still-passing rows, raising
-    :class:`DerivationError` on incomparable stored values."""
+    then range predicates evaluated only on still-passing rows (a NULL
+    satisfies none), raising :class:`DerivationError` on incomparable
+    stored values."""
 
     def predicate(batch: Batch) -> np.ndarray:
         keep = np.ones(batch.length, dtype=bool)
@@ -214,17 +215,8 @@ def compile_predicate_mask(
             if arr is None:
                 arr = np.full(batch.length, None, dtype=object)
             mask = batch.mask(attr)
-            if mask is None:
-                mask = null_mask(arr)
+            keep &= ~(null_mask(arr) if mask is None else mask)
             live = np.flatnonzero(keep)
-            live_mask = mask[live]
-            if live_mask.any():
-                # Same contract as ``matches_predicates``: a range
-                # predicate reaching a NULL is an error, not a non-match.
-                raise DerivationError(
-                    f"range predicate {attr} {op} {value!r} is not "
-                    f"comparable with stored value None"
-                )
             candidates = arr[live]
             try:
                 if arr.dtype == object:

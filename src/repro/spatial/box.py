@@ -30,7 +30,7 @@ _BOX_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Box:
     """Axis-aligned bounding box ``[xmin, xmax] x [ymin, ymax]`` with
     finite coordinates.
@@ -57,6 +57,16 @@ class Box:
             raise SpatialError(
                 f"degenerate box: ({self.xmin},{self.ymin},{self.xmax},{self.ymax})"
             )
+
+    def __reduce__(self) -> tuple:
+        # Positional, the default reference system left out: a smaller
+        # pickle, and loadable on 3.10 (frozen + slots cannot unpickle).
+        args = (self.xmin, self.ymin, self.xmax, self.ymax, self.ref_system)
+        return Box, args[:4] if self.ref_system == "long/lat" else args
+
+    def __setstate__(self, state: dict) -> None:  # pickled before slots
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     # -- representation -----------------------------------------------------
 

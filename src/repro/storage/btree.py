@@ -2,7 +2,9 @@
 
 Keys are any totally ordered Python values (ints, floats, strings,
 ``AbsTime`` — anything the relevant column type yields).  Duplicate keys
-are supported: each leaf entry holds the set of TIDs for that key.
+are supported: a leaf holds a key's one entry bare, and a set once a
+second arrives.  ``None`` (NULL) keys live apart: only an unbounded scan
+yields them, last in either direction, as sorts place NULLs.
 
 This is a textbook in-memory B-tree: split-on-insert, borrow/merge on
 delete.  It exists so the storage engine has a real index substrate to
@@ -53,10 +55,16 @@ class HistogramBucket:
 class _Node:
     leaf: bool
     keys: list[Any] = field(default_factory=list)
-    # leaf: values[i] is the set of entries for keys[i]; internal: children.
+    # leaf: values[i] is the entry for keys[i], or the set of its entries
+    # (empty once deletes emptied it); internal: children.
     values: list[Any] = field(default_factory=list)
     children: list["_Node"] = field(default_factory=list)
     next_leaf: "_Node | None" = None
+
+
+def _entries(bucket: Any) -> set[Hashable]:
+    """A fresh set of a leaf bucket's entries, bare or set."""
+    return set(bucket) if isinstance(bucket, set) else {bucket}
 
 
 class BTree:
@@ -75,6 +83,7 @@ class BTree:
         self._root: _Node = _Node(leaf=True)
         self._count = 0  # number of (key, entry) pairs
         self._distinct = 0  # keys with a non-empty bucket
+        self._nulls: set[Hashable] = set()  # entries under the None key
         # Widened on insert, left stale by deletes: good enough for the
         # cost model's range-selectivity interpolation.
         self._min_key: Any = None
@@ -94,6 +103,7 @@ class BTree:
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
+        state.setdefault("_nulls", set())  # trees pickled before NULL keys
         self.__dict__.update(state)
         self._lock = threading.RLock()
 
@@ -112,10 +122,12 @@ class BTree:
     def search(self, key: Any) -> set[Hashable]:
         """All entries stored under *key* (empty set when absent)."""
         with self._lock:
+            if key is None:
+                return set(self._nulls)
             leaf = self._find_leaf(key)
             idx = bisect.bisect_left(leaf.keys, key)
             if idx < len(leaf.keys) and leaf.keys[idx] == key:
-                return set(leaf.values[idx])
+                return _entries(leaf.values[idx])
             return set()
 
     def range_scan(self, lo: Any = None, hi: Any = None,
@@ -134,7 +146,8 @@ class BTree:
         from the last key (exclusive).  Keys are never physically
         removed (deletes leave empty buckets), so the re-seek cannot
         skip pre-existing keys; keys inserted behind the cursor belong
-        to transactions the caller's snapshot filters out anyway.
+        to transactions the caller's snapshot filters out anyway.  An
+        unbounded scan ends with ``(None, NULL-key entries)``, if any.
         """
         if reverse:
             cursor, cursor_inclusive = hi, include_hi
@@ -145,7 +158,7 @@ class BTree:
                         _SCAN_CHUNK)
                 yield from chunk
                 if len(chunk) < _SCAN_CHUNK:
-                    return
+                    break
                 cursor, cursor_inclusive = chunk[-1][0], False
         else:
             cursor, cursor_inclusive = lo, include_lo
@@ -156,8 +169,10 @@ class BTree:
                         _SCAN_CHUNK)
                 yield from chunk
                 if len(chunk) < _SCAN_CHUNK:
-                    return
+                    break
                 cursor, cursor_inclusive = chunk[-1][0], False
+        if lo is None and hi is None and self._nulls:
+            yield None, self.search(None)
 
     def _collect_forward(self, lo: Any, hi: Any, include_lo: bool,
                          include_hi: bool, limit: int
@@ -183,7 +198,7 @@ class BTree:
                 if hi is not None:
                     if key > hi or (key == hi and not include_hi):
                         return out
-                out.append((key, set(node.values[idx])))
+                out.append((key, _entries(node.values[idx])))
                 if len(out) >= limit:
                     return out
                 idx += 1
@@ -226,7 +241,7 @@ class BTree:
                 if lo is not None:
                     if key < lo or (key == lo and not include_lo):
                         return out
-                out.append((key, set(node.values[idx])))
+                out.append((key, _entries(node.values[idx])))
                 if len(out) >= limit:
                     return out
         return out
@@ -250,6 +265,10 @@ class BTree:
     def insert(self, key: Any, entry: Hashable) -> None:
         """Add *entry* under *key* (duplicates of the pair are idempotent)."""
         with self._lock:
+            if key is None:
+                self._count += entry not in self._nulls
+                self._nulls.add(entry)
+                return
             root = self._root
             if len(root.keys) > self._order:
                 raise IndexError_(
@@ -274,15 +293,21 @@ class BTree:
         if node.leaf:
             idx = bisect.bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
-                bucket: set[Hashable] = node.values[idx]
-                if entry in bucket:
+                bucket = node.values[idx]
+                if not isinstance(bucket, set):
+                    if bucket == entry:
+                        return False
+                    node.values[idx] = {bucket, entry}
+                elif entry in bucket:
                     return False
-                if not bucket:
+                elif bucket:
+                    bucket.add(entry)
+                else:
+                    node.values[idx] = entry
                     self._note_key(key)  # revived an emptied key
-                bucket.add(entry)
                 return True
             node.keys.insert(idx, key)
-            node.values.insert(idx, {entry})
+            node.values.insert(idx, entry)
             self._note_key(key)
             return True
         idx = bisect.bisect_right(node.keys, key)
@@ -327,20 +352,29 @@ class BTree:
         The append-only engine removes entries only when an insert
         aborts; when a bucket empties we leave the key with an empty set
         and filter on read — physical compaction is a vacuum concern,
-        not a correctness one.  Raises when the pair is absent.
+        not a correctness one.  A set left with one entry holds it bare
+        again.  Raises when the pair is absent.
         """
         with self._lock:
+            if key is None:
+                if entry not in self._nulls:
+                    raise IndexError_(f"entry {entry!r} not under NULL")
+                self._nulls.discard(entry)
+                self._count -= 1
+                return
             leaf = self._find_leaf(key)
             idx = bisect.bisect_left(leaf.keys, key)
             if idx >= len(leaf.keys) or leaf.keys[idx] != key:
                 raise IndexError_(f"key {key!r} not in index")
-            bucket: set[Hashable] = leaf.values[idx]
+            bucket = _entries(leaf.values[idx])
             if entry not in bucket:
                 raise IndexError_(f"entry {entry!r} not under key {key!r}")
             bucket.discard(entry)
             self._count -= 1
             if not bucket:
                 self._distinct -= 1
+            leaf.values[idx] = next(iter(bucket)) if len(bucket) == 1 \
+                else bucket
 
     # -- introspection ---------------------------------------------------------------
 
@@ -404,7 +438,7 @@ class BTree:
         entries = 0
         distinct = 0
         for key, bucket in self.range_scan():
-            if not bucket:
+            if not bucket or key is None:
                 continue
             if not isinstance(key, (int, float)) or isinstance(key, bool):
                 return None

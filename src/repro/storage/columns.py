@@ -52,11 +52,16 @@ def object_column(values: Sequence[Any]) -> np.ndarray:
 def typed_column(values: Sequence[Any], dtype: Any) -> Column:
     """Build a typed column, demoting NULLs to a fill value + mask."""
     try:
-        return np.asarray(values, dtype=dtype), None
+        arr = np.asarray(values, dtype=dtype)
+        # NumPy reads None as NaN: only a NaN can hide a NULL here.
+        if arr.dtype.kind != "f" or not np.isnan(arr).any() \
+                or None not in values:
+            return arr, None
     except (TypeError, ValueError):
-        mask = np.fromiter((v is None for v in values), dtype=bool, count=len(values))
-        filled = [0 if v is None else v for v in values]
-        return np.asarray(filled, dtype=dtype), mask
+        pass
+    mask = np.fromiter((v is None for v in values), dtype=bool, count=len(values))
+    filled = [0 if v is None else v for v in values]
+    return np.asarray(filled, dtype=dtype), mask
 
 
 def build_column(type_name: str | None, values: Sequence[Any]) -> Column:

@@ -39,7 +39,7 @@ class TID(NamedTuple):
         return f"({self.page},{self.slot})"
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleVersion:
     """One stored version of a tuple.
 
@@ -58,6 +58,13 @@ class TupleVersion:
             raise StorageError("tuple values must be a tuple")
         if self._size == 0:
             self._size = estimate_size(self.values)
+
+    def __reduce__(self) -> tuple:
+        return TupleVersion, (self.values, self.xmin, self._size)
+
+    def __setstate__(self, state: dict) -> None:  # pickled before slots
+        for name, value in state.items():
+            setattr(self, name, value)
 
     @property
     def size(self) -> int:

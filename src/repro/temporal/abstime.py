@@ -63,7 +63,7 @@ def _days_to_ymd(days: int) -> tuple[int, int, int]:
     return (y + (1 if month <= 2 else 0), month, day)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AbsTime:
     """Absolute time at day granularity (days since 1970-01-01).
 
@@ -72,6 +72,13 @@ class AbsTime:
     """
 
     days: int
+
+    def __reduce__(self) -> tuple:
+        # Positional: loadable on 3.10 (frozen + slots cannot unpickle).
+        return AbsTime, (self.days,)
+
+    def __setstate__(self, state: dict) -> None:  # pickled before slots
+        object.__setattr__(self, "days", state["days"])
 
     # -- constructors ---------------------------------------------------------
 

@@ -159,6 +159,21 @@ class TestStore:
             store.commit_transaction(tx)
         assert store.get(obj.oid) == obj
 
+    def test_one_oid_map_entry_and_relation_name_per_class(
+            self, kernel, stored):
+        from repro.storage import LogKind
+
+        store = kernel.store
+        second = store.store("landcover", _values("asia", 20.0))
+        # oid -> class name only: the row is found through the oid B-tree
+        assert store._oid_index == {stored.oid: "landcover",
+                                    second.oid: "landcover"}
+        assert store.get(second.oid) == second
+        inserts = [r for r in kernel.engine.wal if r.kind is LogKind.INSERT]
+        assert inserts[0].payload["relation"] \
+            is inserts[1].payload["relation"] \
+            is store.relation_for("landcover")
+
     def test_get_unknown_oid(self, kernel, stored):
         with pytest.raises(UnknownClassError):
             kernel.store.get(999)
